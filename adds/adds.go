@@ -52,8 +52,8 @@ type (
 	ShapeEnv = shape.Env
 	// Matrix is a general path matrix at a program point.
 	Matrix = pathmatrix.Matrix
-	// SummaryTable holds per-function interprocedural summaries (see
-	// WithSummaries); its Computed/Reused fields report cache behavior.
+	// SummaryTable holds per-function interprocedural summaries; its
+	// Computed/Reused fields report cache behavior.
 	SummaryTable = pathmatrix.SummaryTable
 	// DepGraph is a loop dependence graph.
 	DepGraph = depgraph.Graph

@@ -3,7 +3,6 @@ package adds
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/alias"
 	"repro/internal/core/pathmatrix"
@@ -51,15 +50,10 @@ func Oracles() []OracleInfo {
 
 // config collects the effect of the functional options.
 type config struct {
-	workers  int
-	oracle   string // canonical or raw oracle name; "" = default (gpm)
-	k        int
-	countCap int // 0 = package default
-	maxSteps int // 0 = package default
-	live     bool
-	sum      bool // effective only when sumSet
-	sumSet   bool
-	tracer   *Tracer
+	workers int
+	oracle  string // canonical or raw oracle name; "" = default (gpm)
+	k       int
+	tracer  *Tracer
 }
 
 func defaultConfig() config { return config{oracle: "gpm", k: 2} }
@@ -82,36 +76,6 @@ func WithOracle(name string) Option { return func(c *config) { c.oracle = name }
 // WithK sets k for the k-limited oracle (default 2).
 func WithK(k int) Option { return func(c *config) { c.k = k } }
 
-// WithCountCap overrides the engine's per-field traversal count cap
-// (pathmatrix.CountCap) for this analysis. Overridden analyses serialize
-// against every other analysis in the process, so reserve this for ablation
-// runs, not the serving path.
-func WithCountCap(k int) Option { return func(c *config) { c.countCap = k } }
-
-// WithMaxSteps overrides the engine's path-length bound
-// (pathmatrix.MaxSteps) for this analysis, with the same serialization
-// caveat as WithCountCap.
-func WithMaxSteps(n int) Option { return func(c *config) { c.maxSteps = n } }
-
-// WithLiveness enables the engine's interleaved liveness pass
-// (pathmatrix.Liveness) for this analysis: relations between dead pointer
-// variables are dropped mid-fixpoint, bounding matrix growth on hostile
-// programs at the cost of conservative answers for dead variables (the
-// oracles fall back automatically). Same serialization caveat as
-// WithCountCap: the flag is an engine global, so enabling it serializes
-// against every other analysis in the process.
-func WithLiveness() Option { return func(c *config) { c.live = true } }
-
-// WithSummaries enables or disables compositional interprocedural analysis
-// (pathmatrix.Summarize) for this analysis: calls to non-recursive in-program
-// functions apply a cached per-function summary instead of the opaque havoc.
-// On by default; WithSummaries(false) is the ablation escape hatch. Same
-// serialization caveat as WithCountCap when the value differs from the
-// process default: the flag is an engine global.
-func WithSummaries(on bool) Option {
-	return func(c *config) { c.sum, c.sumSet = on, true }
-}
-
 // WithTracer attaches a tracer to the analysis so every phase (parse and
 // typecheck happen in LoadCtx; normalization, the per-statement fixpoint,
 // IR building, and the transformation helpers here) lands as a span on one
@@ -121,48 +85,10 @@ func WithSummaries(on bool) Option {
 // lookup and one nil check per phase.
 func WithTracer(t *Tracer) Option { return func(c *config) { c.tracer = t } }
 
-// capMu guards the engine's ablation knobs (pathmatrix.CountCap/MaxSteps):
-// analyses under default caps share a read lock; an analysis overriding
-// them takes the write lock, so the globals never change mid-analysis.
-var capMu sync.RWMutex
-
-func withCaps(cfg config, f func() error) error {
-	if cfg.countCap == 0 && cfg.maxSteps == 0 && !cfg.live &&
-		(!cfg.sumSet || cfg.sum == pathmatrix.Summarize) {
-		capMu.RLock()
-		defer capMu.RUnlock()
-		return f()
-	}
-	capMu.Lock()
-	defer capMu.Unlock()
-	oldCap, oldSteps := pathmatrix.CountCap, pathmatrix.MaxSteps
-	oldLive := pathmatrix.Liveness
-	oldSum := pathmatrix.Summarize
-	defer func() {
-		pathmatrix.CountCap, pathmatrix.MaxSteps = oldCap, oldSteps
-		pathmatrix.Liveness = oldLive
-		pathmatrix.Summarize = oldSum
-	}()
-	if cfg.countCap > 0 {
-		pathmatrix.CountCap = cfg.countCap
-	}
-	if cfg.maxSteps > 0 {
-		pathmatrix.MaxSteps = cfg.maxSteps
-	}
-	if cfg.live {
-		pathmatrix.Liveness = true
-	}
-	if cfg.sumSet {
-		pathmatrix.Summarize = cfg.sum
-	}
-	return f()
-}
-
 // AnalyzeOpt runs general path matrix analysis over one function. It is the
 // context-first entry point the older Analyze wraps:
 //
-//	an, err := u.AnalyzeOpt(ctx, "shift",
-//	    adds.WithOracle("gpm"), adds.WithCountCap(4))
+//	an, err := u.AnalyzeOpt(ctx, "shift", adds.WithOracle("gpm"))
 //
 // Cancelling ctx abandons the fixed-point computation and returns ctx's
 // error. An unknown function name reports ErrUnknownFunction.
@@ -178,42 +104,30 @@ func (u *Unit) AnalyzeOpt(ctx context.Context, fn string, opts ...Option) (*Anal
 	if cfg.tracer != nil {
 		ctx = obs.With(ctx, cfg.tracer)
 	}
-	var an *Analysis
-	err := withCaps(cfg, func() error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		_, span := obs.Start(ctx, "normalize")
-		span.SetAttr("fn", fn)
-		g := norm.Build(fi, u.Info.Env)
-		span.End()
-		// Single-function analysis shares the program-wide summary table;
-		// the content-addressed cache makes repeated computation cheap.
-		var tab *pathmatrix.SummaryTable
-		if pathmatrix.Summarize {
-			t, err := pathmatrix.ComputeSummariesCtx(ctx, u.Info, u.Info.Env)
-			if err != nil {
-				return err
-			}
-			tab = t
-		}
-		r, err := pathmatrix.AnalyzeCtxWith(ctx, g, u.Info.Env, tab)
-		if err != nil {
-			return err
-		}
-		_, span = obs.Start(ctx, "ir")
-		prog := ir.Build(fi, u.Info.Env)
-		span.End()
-		an = &Analysis{
-			Unit: u, Fn: fi, Graph: g, GPM: r,
-			prog: prog, cfg: cfg,
-		}
-		return nil
-	})
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	_, span := obs.Start(ctx, "normalize")
+	span.SetAttr("fn", fn)
+	g := norm.Build(fi, u.Info.Env)
+	span.End()
+	// Single-function analysis shares the program-wide summary table; the
+	// content-addressed cache makes repeated computation cheap.
+	tab, err := pathmatrix.ComputeSummariesCtx(ctx, u.Info, u.Info.Env)
 	if err != nil {
 		return nil, err
 	}
-	return an, nil
+	r, err := pathmatrix.AnalyzeCtxWith(ctx, g, u.Info.Env, tab)
+	if err != nil {
+		return nil, err
+	}
+	_, span = obs.Start(ctx, "ir")
+	prog := ir.Build(fi, u.Info.Env)
+	span.End()
+	return &Analysis{
+		Unit: u, Fn: fi, Graph: g, GPM: r,
+		prog: prog, cfg: cfg,
+	}, nil
 }
 
 // AnalyzeAllOpt analyzes every function of the unit with a bounded worker
@@ -228,27 +142,20 @@ func (u *Unit) AnalyzeAllOpt(ctx context.Context, opts ...Option) (map[string]*A
 	if cfg.tracer != nil {
 		ctx = obs.With(ctx, cfg.tracer)
 	}
-	var out map[string]*Analysis
-	err := withCaps(cfg, func() error {
-		frs, err := pathmatrix.AnalyzeProgramCtx(ctx, u.Info, u.Info.Env, cfg.workers)
-		if err != nil {
-			return err
-		}
-		out = make(map[string]*Analysis, len(frs))
-		for name, fr := range frs {
-			_, span := obs.Start(ctx, "ir")
-			span.SetAttr("fn", name)
-			prog := ir.Build(fr.Info, u.Info.Env)
-			span.End()
-			out[name] = &Analysis{
-				Unit: u, Fn: fr.Info, Graph: fr.Graph, GPM: fr.Result,
-				prog: prog, cfg: cfg,
-			}
-		}
-		return nil
-	})
+	frs, err := pathmatrix.AnalyzeProgramCtx(ctx, u.Info, u.Info.Env, cfg.workers)
 	if err != nil {
 		return nil, err
+	}
+	out := make(map[string]*Analysis, len(frs))
+	for name, fr := range frs {
+		_, span := obs.Start(ctx, "ir")
+		span.SetAttr("fn", name)
+		prog := ir.Build(fr.Info, u.Info.Env)
+		span.End()
+		out[name] = &Analysis{
+			Unit: u, Fn: fr.Info, Graph: fr.Graph, GPM: fr.Result,
+			prog: prog, cfg: cfg,
+		}
 	}
 	return out, nil
 }

@@ -277,54 +277,16 @@ func BenchmarkAnalyzeProgramSerial(b *testing.B) { benchAnalyzeProgram(b, 1) }
 // BenchmarkAnalyzeProgramSerial (per-function analyses are independent).
 func BenchmarkAnalyzeProgramParallel(b *testing.B) { benchAnalyzeProgram(b, 0) }
 
-// BenchmarkAnalyzeShift compares the path-matrix engine with and without
-// hash-consing: the interned mode memoizes path renderings and shares
-// canonical slices, and should allocate far less per analysis.
+// BenchmarkAnalyzeShift times the path-matrix engine on the paper's shift
+// loop, with the transfer memo warm after the first iteration.
 func BenchmarkAnalyzeShift(b *testing.B) {
 	info := types.MustCheck(parser.MustParse(exper.ShiftSrc))
-	fi := info.Func("shift")
-	for _, mode := range []struct {
-		name   string
-		intern bool
-	}{{"interned", true}, {"naive", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			old := pathmatrix.Interning
-			pathmatrix.Interning = mode.intern
-			defer func() { pathmatrix.Interning = old }()
-			g := norm.Build(fi, info.Env)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if r := pathmatrix.Analyze(g, info.Env); r == nil {
-					b.Fatal("nil result")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAnalyzeShiftMemo isolates the transfer-function memo: warm
-// repeated analyses of the same function (the addsd serving pattern when the
-// response cache misses but the program shape repeats) against the
-// unmemoized engine. The memo must win here or it is pure overhead.
-func BenchmarkAnalyzeShiftMemo(b *testing.B) {
-	info := types.MustCheck(parser.MustParse(exper.ShiftSrc))
 	g := norm.Build(info.Func("shift"), info.Env)
-	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"memo-on", true}, {"memo-off", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			old := pathmatrix.Memoize
-			pathmatrix.Memoize = mode.on
-			defer func() { pathmatrix.Memoize = old }()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if r := pathmatrix.Analyze(g, info.Env); r == nil {
-					b.Fatal("nil result")
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r := pathmatrix.Analyze(g, info.Env); r == nil {
+			b.Fatal("nil result")
+		}
 	}
 }

@@ -10,8 +10,6 @@
 //	addsbench -par 4     # run experiments concurrently (same output)
 //	addsbench -list      # list experiment ids and titles
 //	addsbench -format json E4
-//	addsbench -bench -format json -label pr > BENCH_pr.json
-//	addsbench -compare BENCH_baseline.json BENCH_pr.json -threshold 15
 //
 // Exit codes follow the shared adds convention: 0 ok, 1 internal or unknown
 // experiment, 2 flag misuse; typed facade errors surfacing from experiment
@@ -51,12 +49,6 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list experiments without running them")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
-	bench := fs.Bool("bench", false, "measure experiments instead of printing reports")
-	benchtime := fs.Duration("benchtime", 200*time.Millisecond, "minimum measuring time per bench rep")
-	reps := fs.Int("reps", 5, "bench reps per experiment (best rep wins)")
-	label := fs.String("label", "local", "label recorded in the bench file")
-	compare := fs.Bool("compare", false, "compare two bench JSON files (old new) and gate regressions")
-	threshold := fs.Float64("threshold", 15, "allowed ns/op regression percentage for -compare")
 	par := cli.RegisterPar(fs, "experiment")
 	format := cli.RegisterFormat(fs, "text", "text", "json")
 	lf := cli.RegisterLogFlags(fs, "text")
@@ -73,23 +65,6 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 	lg, err := lf.Logger(stderr)
 	if err != nil {
 		return fail(err)
-	}
-
-	if *compare {
-		paths := fs.Args()
-		// Accept flags after the positionals too (`-compare old new -threshold 10`):
-		// stdlib flag parsing stops at the first positional, so re-parse the rest.
-		if len(paths) > 2 {
-			if err := fs.Parse(paths[2:]); err != nil {
-				return adds.ExitUsage
-			}
-			paths = append(paths[:2:2], fs.Args()...)
-		}
-		if len(paths) != 2 {
-			fmt.Fprintln(stderr, "addsbench: -compare takes exactly two arguments: old.json new.json")
-			return adds.ExitUsage
-		}
-		return runCompare(paths[0], paths[1], *threshold, stdout, stderr)
 	}
 
 	if *list {
@@ -128,17 +103,7 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 	for _, d := range defs {
 		byID[strings.ToUpper(d.ID)] = d
 	}
-	// The bench-only summary pseudo-experiments (SUMC/SUMW) are always
-	// addressable by id; -bench runs them by default so the perf trajectory
-	// records the warm/cold summary-cache delta.
-	sumDefs := summaryBenchDefs()
-	for _, d := range sumDefs {
-		byID[strings.ToUpper(d.ID)] = d
-	}
 	toRun := defs
-	if *bench {
-		toRun = append(append([]adds.ExperimentDef{}, defs...), sumDefs...)
-	}
 	if ids := fs.Args(); len(ids) > 0 {
 		toRun = nil
 		for _, id := range ids {
@@ -150,20 +115,6 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 			}
 			toRun = append(toRun, d)
 		}
-	}
-
-	if *bench {
-		bf := runBench(toRun, benchOptions{
-			benchtime: *benchtime, reps: *reps, label: *label,
-		}, stderr)
-		if *format == "json" {
-			if s := writeIndentedJSON(stdout, stderr, fail, bf); s != 0 {
-				return s
-			}
-			return status
-		}
-		formatBenchText(stdout, bf)
-		return status
 	}
 
 	// Run experiments with a bounded worker pool, buffering each report so

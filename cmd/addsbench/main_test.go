@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -107,116 +106,5 @@ func TestCPUProfileSerializes(t *testing.T) {
 	_, serial, _ := runCmd(t, "E1", "E3")
 	if out != serial {
 		t.Errorf("profiled output differs from plain serial output")
-	}
-}
-
-func TestBenchJSON(t *testing.T) {
-	status, out, stderr := runCmd(t,
-		"-bench", "-format", "json", "-benchtime", "1ms", "-reps", "1", "-label", "test", "E1")
-	if status != 0 {
-		t.Fatalf("status %d, stderr %q", status, stderr)
-	}
-	var bf BenchFile
-	if err := json.Unmarshal([]byte(out), &bf); err != nil {
-		t.Fatalf("bench output is not valid JSON: %v\n%s", err, out)
-	}
-	if bf.Schema != BenchSchema {
-		t.Errorf("schema = %q, want %q", bf.Schema, BenchSchema)
-	}
-	if bf.Label != "test" || bf.EngineVersion == "" || bf.GoVersion == "" {
-		t.Errorf("header incomplete: %+v", bf)
-	}
-	if len(bf.Experiments) != 1 {
-		t.Fatalf("got %d experiments, want 1", len(bf.Experiments))
-	}
-	e := bf.Experiments[0]
-	if e.ID != "E1" || e.Ops < 1 || e.NsPerOp <= 0 {
-		t.Errorf("experiment measurements incomplete: %+v", e)
-	}
-	if !strings.HasPrefix(e.ReportDigest, "sha256:") {
-		t.Errorf("digest = %q", e.ReportDigest)
-	}
-}
-
-// writeBenchFile marshals a BenchFile into dir and returns its path.
-func writeBenchFile(t *testing.T, dir, name string, bf BenchFile) string {
-	t.Helper()
-	bf.Schema = BenchSchema
-	data, err := json.Marshal(bf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestCompareGate(t *testing.T) {
-	exp := func(ns float64, iters float64, digest string) BenchExperiment {
-		return BenchExperiment{ID: "E4", Ops: 10, NsPerOp: ns,
-			FixpointIters: iters, ReportDigest: digest}
-	}
-	base := BenchFile{Label: "base", EngineVersion: "gpm-3",
-		Experiments: []BenchExperiment{exp(1000, 40, "sha256:aa")}}
-
-	cases := []struct {
-		name       string
-		cur        BenchFile
-		wantStatus int
-		wantOut    string
-	}{
-		{"within threshold", BenchFile{EngineVersion: "gpm-3",
-			Experiments: []BenchExperiment{exp(1100, 40, "sha256:aa")}}, 0, "bench-gate: ok"},
-		{"ns regression", BenchFile{EngineVersion: "gpm-3",
-			Experiments: []BenchExperiment{exp(1300, 40, "sha256:aa")}}, 1, "ns/op regression"},
-		{"iteration drift", BenchFile{EngineVersion: "gpm-3",
-			Experiments: []BenchExperiment{exp(1000, 41, "sha256:aa")}}, 1, "fixpoint-iteration drift"},
-		{"digest drift", BenchFile{EngineVersion: "gpm-3",
-			Experiments: []BenchExperiment{exp(1000, 40, "sha256:bb")}}, 1, "report digest drift"},
-		{"version bump waives drift", BenchFile{EngineVersion: "gpm-4",
-			Experiments: []BenchExperiment{exp(1000, 41, "sha256:bb")}}, 0, "drift checks waived"},
-		{"missing experiment", BenchFile{EngineVersion: "gpm-3"}, 1, "missing from new run"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			dir := t.TempDir()
-			old := writeBenchFile(t, dir, "old.json", base)
-			cur := writeBenchFile(t, dir, "new.json", c.cur)
-			status, out, stderr := runCmd(t, "-compare", "-threshold", "15", old, cur)
-			if status != c.wantStatus {
-				t.Errorf("status = %d, want %d\nstdout: %s\nstderr: %s", status, c.wantStatus, out, stderr)
-			}
-			if !strings.Contains(out, c.wantOut) {
-				t.Errorf("stdout missing %q:\n%s", c.wantOut, out)
-			}
-		})
-	}
-}
-
-// TestCompareEmptyBaseline: a baseline with no experiments (the CI fallback
-// when the base ref predates -bench) gates nothing and passes.
-func TestCompareEmptyBaseline(t *testing.T) {
-	dir := t.TempDir()
-	old := writeBenchFile(t, dir, "old.json", BenchFile{Label: "base", EngineVersion: "gpm-3"})
-	cur := writeBenchFile(t, dir, "new.json", BenchFile{EngineVersion: "gpm-3",
-		Experiments: []BenchExperiment{{ID: "E4", NsPerOp: 1000}}})
-	status, out, _ := runCmd(t, "-compare", old, cur)
-	if status != 0 {
-		t.Errorf("status = %d, want 0\n%s", status, out)
-	}
-	if !strings.Contains(out, "no baseline") {
-		t.Errorf("stdout missing empty-baseline notice:\n%s", out)
-	}
-}
-
-func TestCompareUsage(t *testing.T) {
-	status, _, stderr := runCmd(t, "-compare", "only-one.json")
-	if status != 2 {
-		t.Errorf("status = %d, want 2", status)
-	}
-	if !strings.Contains(stderr, "exactly two") {
-		t.Errorf("stderr = %q", stderr)
 	}
 }

@@ -62,9 +62,7 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 	profile := fs.String("profile", "", "comma-separated generation profiles (empty = all: "+profileNames()+")")
 	corpus := fs.String("corpus", "", "directory for minimized repros and triage records")
 	checks := fs.String("checks", "", "comma-separated checks (empty = all: "+strings.Join(difftest.AllChecks(), ",")+")")
-	memo := fs.Bool("memo", true, "run the campaign with the transfer-function memo enabled")
-	live := fs.Bool("live", false, "run the campaign with the interleaved liveness pass enabled")
-	summaries := fs.Bool("summaries", true, "run the campaign with interprocedural call summaries enabled")
+	summaries := fs.Bool("summaries", true, "give the soundness and smg checks' path-matrix oracles interprocedural call summaries (false: all-args call havoc)")
 	lf := cli.RegisterLogFlags(fs, "text")
 	if err := fs.Parse(args); err != nil {
 		return adds.ExitUsage
@@ -95,24 +93,16 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 		}
 	}
 
-	// Engine configuration for the whole campaign. -memo=false fuzzes the
-	// unmemoized engine (the memo is supposed to be invisible, so campaigns
-	// under both settings must stay equally clean); -live turns on the
-	// interleaved liveness pass so its dead-row dropping gets adversarial
-	// coverage, not just the checked-in testdata; -summaries=false falls back
-	// to the all-args call havoc, so the calls profile pits summarized and
-	// havoc-only analyses against the same interpreter traces.
-	defer adds.SetEngineMemo(adds.SetEngineMemo(*memo))
-	defer adds.SetEngineLiveness(adds.SetEngineLiveness(*live))
-	defer adds.SetEngineSummaries(adds.SetEngineSummaries(*summaries))
-
 	c := difftest.Campaign{
 		Seed:      *seed,
 		Budget:    *budget,
 		Jobs:      jobs,
 		Profiles:  splitList(*profile),
 		CorpusDir: *corpus,
-		Config:    difftest.Config{Checks: splitList(*checks)},
+		// -summaries=false falls back to the all-args call havoc, so the
+		// calls profile pits summarized and havoc-only analyses against the
+		// same interpreter traces.
+		Config: difftest.Config{Checks: splitList(*checks), Havoc: !*summaries},
 	}
 
 	// Progress: a counter the ticker below renders at most once a second,
@@ -121,8 +111,7 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 	c.Progress = func(d, total int) { done.Store(int64(d)) }
 
 	lg.Info("campaign start", "seed", *seed, "budget", *budget, "jobs", jobs,
-		"profiles", *profile, "checks", *checks, "memo", *memo, "live", *live,
-		"summaries", *summaries)
+		"profiles", *profile, "checks", *checks, "summaries", *summaries)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

@@ -141,41 +141,18 @@ func (o *GPM) Name() string { return o.name }
 // matrices themselves).
 func (o *GPM) Result() *pathmatrix.Result { return o.res }
 
-// liveAt reports whether both variables are live entering n. When the
-// analysis ran with liveness-based row dropping (Result.Live non-nil),
-// facts about dead variables may have been discarded, so queries involving
-// them must fall back to conservative answers. Without dropping, Live is
-// nil and everything counts as live.
-func (o *GPM) liveAt(n *norm.Node, p, q string) bool {
-	if o.res.Live == nil {
-		return true
-	}
-	return o.res.Live.LiveIn(n.ID, p) && o.res.Live.LiveIn(n.ID, q)
-}
-
 // MayAlias implements Oracle.
 func (o *GPM) MayAlias(n *norm.Node, p, q string) bool {
-	if !o.liveAt(n, p, q) {
-		return true // dropped facts: assume the worst
-	}
 	return o.res.BeforeNode(n).MayAlias(p, q)
 }
 
 // MustAlias implements Oracle.
 func (o *GPM) MustAlias(n *norm.Node, p, q string) bool {
-	if !o.liveAt(n, p, q) {
-		return p == q // dropped facts: only trivial must-aliasing remains
-	}
 	return o.res.BeforeNode(n).MustAlias(p, q)
 }
 
-// LoopCarried implements Oracle: query the primed-variable matrix. The
-// liveness check anchors at the loop body's entry, where the iteration
-// matrix's base state lives.
+// LoopCarried implements Oracle: query the primed-variable matrix.
 func (o *GPM) LoopCarried(l *norm.Loop, p, q string) bool {
-	if len(l.Branch.Succs) > 0 && !o.liveAt(l.Branch.Succs[0], p, q) {
-		return true
-	}
 	im, ok := o.iters[l]
 	if !ok {
 		im = o.res.IterationMatrix(l)

@@ -21,11 +21,6 @@ type Result struct {
 	Env    *shape.Env
 	Before []*Matrix
 	After  []*Matrix // per node; for branches this is the pre-refinement state
-	// Live is the backward liveness result when the run interleaved
-	// dead-row dropping (Liveness enabled), nil otherwise. Oracles must
-	// answer conservatively about variables that are not live at the query
-	// point: their rows may have been dropped.
-	Live *norm.Liveness
 	// Summaries is the interprocedural summary table the run transferred
 	// calls with, nil for havoc-only runs. IterationMatrix reuses it so the
 	// primed-variable view stays consistent with the per-node matrices.
@@ -132,17 +127,18 @@ func AnalyzeCtxWith(ctx context.Context, g *norm.Graph, env *shape.Env, tab *Sum
 	return analyzeFull(ctx, g, env, &analyzeOpts{tab: tab})
 }
 
-// analyzeOpts configures one analyzeFull run beyond the public knobs.
+// analyzeOpts configures one analyzeFull run beyond the public entry points.
 type analyzeOpts struct {
 	// tab enables summary-based call transfer.
 	tab *SummaryTable
 	// shadowFormals runs the summary-computation variant: the variable set
 	// is extended with a primed shadow per pointer formal, seeded as a
 	// certain alias of its formal and never assigned, so exit rows between
-	// shadows relate the formals' ENTRY values. Liveness dropping is
-	// disabled (shadows are never "used" by any statement, and the rows are
-	// read at exit).
+	// shadows relate the formals' ENTRY values.
 	shadowFormals bool
+	// noMemo bypasses the transfer memo: the unmemoized reference run the
+	// memo's determinism tests compare against.
+	noMemo bool
 }
 
 // analyzeFull is the fixed-point engine behind AnalyzeCtx, AnalyzeCtxWith
@@ -161,7 +157,6 @@ func analyzeFull(ctx context.Context, g *norm.Graph, env *shape.Env, opts *analy
 	clones0 := engineStats.clones.Load()
 	memoHits0 := engineStats.memoHits.Load()
 	sharedRows0 := engineStats.sharedRows.Load()
-	droppedRows0 := engineStats.droppedRows.Load()
 	summaryApplied0 := engineStats.summaryApplied.Load()
 	summaryFallbacks0 := engineStats.summaryFallbacks.Load()
 	widenings := 0
@@ -170,7 +165,7 @@ func analyzeFull(ctx context.Context, g *norm.Graph, env *shape.Env, opts *analy
 		Env:    env,
 		Before: make([]*Matrix, len(g.Nodes)),
 		After:  make([]*Matrix, len(g.Nodes)),
-		trans:  &transferer{env: env},
+		trans:  &transferer{env: env, noMemo: opts != nil && opts.noMemo},
 	}
 	if opts != nil && opts.tab != nil {
 		res.Summaries = opts.tab
@@ -187,24 +182,6 @@ func analyzeFull(ctx context.Context, g *norm.Graph, env *shape.Env, opts *analy
 	initParams(init, g)
 	if shadowed {
 		seedFormalShadows(init, g)
-	}
-
-	// With liveness-based dropping enabled, precompute per-node dead sets
-	// once: the set of pointer variables not live after the node executes.
-	var deadOut []*deadVars
-	if Liveness && !shadowed {
-		live := norm.ComputeLiveness(g)
-		res.Live = live
-		deadOut = make([]*deadVars, len(g.Nodes))
-		for _, n := range g.Nodes {
-			dv := &deadVars{set: map[string]bool{}}
-			for _, v := range vars {
-				if !live.LiveOut(n.ID, v) {
-					dv.set[v] = true
-				}
-			}
-			deadOut[n.ID] = dv
-		}
 	}
 
 	// Edge states: for each node, the state flowing out along each
@@ -301,9 +278,6 @@ func analyzeFull(ctx context.Context, g *norm.Graph, env *shape.Env, opts *analy
 			} else {
 				after = before.Clone()
 			}
-			if deadOut != nil {
-				after.dropDead(deadOut[n.ID])
-			}
 		}
 		res.Before[n.ID] = before
 		res.After[n.ID] = after
@@ -363,7 +337,6 @@ func analyzeFull(ctx context.Context, g *norm.Graph, env *shape.Env, opts *analy
 		span.SetAttr("memoHits", engineStats.memoHits.Load()-memoHits0)
 		span.SetAttr("sharedRows", engineStats.sharedRows.Load()-sharedRows0)
 		span.SetAttr("dedupRows", rt.dups)
-		span.SetAttr("droppedRows", engineStats.droppedRows.Load()-droppedRows0)
 		if res.trans.summaries != nil {
 			span.SetAttr("summaryApplied", engineStats.summaryApplied.Load()-summaryApplied0)
 			span.SetAttr("summaryFallbacks", engineStats.summaryFallbacks.Load()-summaryFallbacks0)
@@ -603,8 +576,9 @@ func (r *Result) IterationMatrix(l *norm.Loop) *Matrix {
 	bodyEntry := l.Branch.Succs[0]
 	// A fresh transferer: r.trans carries per-goroutine scratch state, and
 	// IterationMatrix may be called concurrently on one Result. It inherits
-	// the run's summary table so calls in the body transfer the same way.
-	trans := &transferer{env: r.Env, summaries: r.Summaries}
+	// the run's summary table and memo mode so calls in the body transfer
+	// the same way.
+	trans := &transferer{env: r.Env, summaries: r.Summaries, noMemo: r.trans.noMemo}
 	if r.Summaries != nil {
 		trans.varRecord = recordsOf(r.Graph)
 	}
@@ -741,14 +715,11 @@ func AnalyzeProgramCtx(ctx context.Context, info *types.Info, env *shape.Env, wo
 	// The summary table is computed serially up front (bottom-up over the
 	// call graph) and then shared read-only by all workers, so the result is
 	// independent of worker count and scheduling.
-	var opts *analyzeOpts
-	if Summarize {
-		tab, err := ComputeSummariesCtx(ctx, info, env)
-		if err != nil {
-			return nil, err
-		}
-		opts = &analyzeOpts{tab: tab}
+	tab, err := ComputeSummariesCtx(ctx, info, env)
+	if err != nil {
+		return nil, err
 	}
+	opts := &analyzeOpts{tab: tab}
 
 	analyzeOne := func(name string) (*FuncResult, error) {
 		fi := info.Funcs[name]

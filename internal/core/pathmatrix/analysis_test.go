@@ -661,7 +661,7 @@ void b(TwoWayLL *p) { p = NULL; }
 }
 
 // TestTerminationLongChain guards the widening: a straight-line chain of
-// many derefs must converge (counts cap at CountCap).
+// many derefs must converge (counts cap at countCap).
 func TestTerminationLongChain(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString(twoWayLL + "\nvoid f(TwoWayLL *p) {\n")

@@ -44,19 +44,12 @@ func miniFiles(t *testing.T) []string {
 // configuration runs twice, once against a cold memo and once warm, so both
 // the miss and the hit path are pinned against the unmemoized engine.
 func TestMemoDeterminism(t *testing.T) {
-	defer func(prev bool) { Memoize = prev }(Memoize)
 	for _, file := range miniFiles(t) {
 		t.Run(filepath.Base(file), func(t *testing.T) {
 			info := loadMini(t, file)
 
-			Memoize = false
-			baseline, err := AnalyzeProgramCtx(context.Background(), info, info.Env, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := dumpProgram(t, baseline)
+			want := dumpProgram(t, analyzeProgramNoMemo(t, info))
 
-			Memoize = true
 			memoReset()
 			for _, cfg := range []struct {
 				name    string
@@ -77,12 +70,31 @@ func TestMemoDeterminism(t *testing.T) {
 	}
 }
 
+// analyzeProgramNoMemo is AnalyzeProgramCtx on the unmemoized reference
+// path: the same summary table, every function fixpoint computed afresh.
+func analyzeProgramNoMemo(t *testing.T, info *types.Info) map[string]*FuncResult {
+	t.Helper()
+	ctx := context.Background()
+	tab, err := ComputeSummariesCtx(ctx, info, info.Env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]*FuncResult, len(info.Funcs))
+	for name, fi := range info.Funcs {
+		g := norm.Build(fi, info.Env)
+		r, err := analyzeFull(ctx, g, info.Env, &analyzeOpts{tab: tab, noMemo: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = &FuncResult{Info: fi, Graph: g, Result: r}
+	}
+	return out
+}
+
 // TestMemoHitsOnRepeat: re-analyzing the same program must be served almost
 // entirely from the memo — the cache is content-keyed and process-wide, not
 // per-run.
 func TestMemoHitsOnRepeat(t *testing.T) {
-	defer func(prev bool) { Memoize = prev }(Memoize)
-	Memoize = true
 	memoReset()
 	info := loadMini(t, miniFiles(t)[0])
 
@@ -100,24 +112,6 @@ func TestMemoHitsOnRepeat(t *testing.T) {
 	}
 	if misses != 0 {
 		t.Errorf("second run recomputed %d transfers; all keys should be cached (hits=%d)", misses, hits)
-	}
-}
-
-// TestMemoCapBounded: the LRU must never hold more than MemoCap entries
-// (plus shard rounding slack).
-func TestMemoCapBounded(t *testing.T) {
-	defer func(prevM bool, prevC int) { Memoize, MemoCap = prevM, prevC; memoReset() }(Memoize, MemoCap)
-	Memoize = true
-	MemoCap = 32
-	memoReset()
-	for _, file := range miniFiles(t) {
-		info := loadMini(t, file)
-		if _, err := AnalyzeProgramCtx(context.Background(), info, info.Env, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := memoLen(); n > MemoCap {
-		t.Fatalf("memo holds %d entries, cap is %d", n, MemoCap)
 	}
 }
 
@@ -225,64 +219,5 @@ func TestJoinSharesEntries(t *testing.T) {
 	j := Join(c, d)
 	if want := joinEntries(c.Entry("p", "q"), d.Entry("p", "q")); !equalEntries(j.Entry("p", "q"), want) {
 		t.Fatalf("non-canonical entry shared: got %s want %s", j.Entry("p", "q"), want)
-	}
-}
-
-// TestLivenessDropsDeadRows: with the liveness pass enabled, analyses over
-// the testdata programs must drop at least one dead row, and every
-// MayAlias/MustAlias/Valid answer about pairs that are LIVE at the query
-// point must be unchanged from the full analysis.
-func TestLivenessDropsDeadRows(t *testing.T) {
-	defer func(prev bool) { Liveness = prev }(Liveness)
-	var totalDropped uint64
-	for _, file := range miniFiles(t) {
-		t.Run(filepath.Base(file), func(t *testing.T) {
-			info := loadMini(t, file)
-			for name, fi := range info.Funcs {
-				g := norm.Build(fi, info.Env)
-
-				Liveness = false
-				full := Analyze(g, info.Env)
-				Liveness = true
-				d0 := engineStats.droppedRows.Load()
-				lite := Analyze(g, info.Env)
-				totalDropped += engineStats.droppedRows.Load() - d0
-
-				if lite.Live == nil {
-					t.Fatalf("%s: liveness-enabled result has no Live info", name)
-				}
-				vars := g.PointerVars()
-				for _, n := range g.Nodes {
-					fm, lm := full.BeforeNode(n), lite.BeforeNode(n)
-					if fm.Valid() != lm.Valid() {
-						// Dropping can only add conservatism: a lost repair
-						// or re-anchored violation keeps Valid false longer.
-						if !fm.Valid() && lm.Valid() {
-							t.Errorf("%s node %d: liveness run reports valid where full run does not", name, n.ID)
-						}
-						continue
-					}
-					for _, p := range vars {
-						if !lite.Live.LiveIn(n.ID, p) {
-							continue
-						}
-						for _, q := range vars {
-							if !lite.Live.LiveIn(n.ID, q) {
-								continue
-							}
-							if fm.MayAlias(p, q) != lm.MayAlias(p, q) {
-								t.Errorf("%s node %d: MayAlias(%s,%s) changed for live pair", name, n.ID, p, q)
-							}
-							if !fm.MustAlias(p, q) && lm.MustAlias(p, q) {
-								t.Errorf("%s node %d: MustAlias(%s,%s) strengthened under liveness", name, n.ID, p, q)
-							}
-						}
-					}
-				}
-			}
-		})
-	}
-	if totalDropped == 0 {
-		t.Fatal("liveness pass dropped no rows across all testdata programs")
 	}
 }

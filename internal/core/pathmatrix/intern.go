@@ -2,13 +2,10 @@ package pathmatrix
 
 import "sync"
 
-// Interning enables hash-consing of path expressions: structurally equal
-// paths share one canonical backing slice with precomputed key, display, and
-// signature strings, so set-membership and join stop re-rendering identical
-// expressions. It is a variable (not a constant) only so the benchmarks can
-// compare the interned engine against the naive one; production code should
-// leave it alone. Toggling it while analyses are running is not safe.
-var Interning = true
+// Path expressions are hash-consed: structurally equal paths share one
+// canonical backing slice with precomputed key, display, and signature
+// strings, so set-membership and join stop re-rendering identical
+// expressions.
 
 // internShardCount shards the intern table to keep lock contention low when
 // AnalyzeProgram runs functions in parallel. Must be a power of two.
@@ -132,15 +129,15 @@ func (in *pathInterner) intern(p Path) *pathMeta {
 // header (see Path.Equal's fast path). Interned paths must never be mutated
 // in place. The empty path interns to itself.
 func Intern(p Path) Path {
-	if !Interning || len(p) == 0 {
+	if len(p) == 0 {
 		return p
 	}
 	return interner.metaOf(p).path
 }
 
 // InternerStats reports the number of distinct paths in the intern table,
-// for tests and capacity debugging. The bounded path domain (MaxSteps,
-// CountCap) keeps the table small for any fixed set of field names.
+// for tests and capacity debugging. The bounded path domain (maxSteps,
+// countCap) keeps the table small for any fixed set of field names.
 func InternerStats() (paths int) {
 	for i := range interner.shards {
 		sh := &interner.shards[i]

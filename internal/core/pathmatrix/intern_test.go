@@ -11,12 +11,12 @@ import (
 // whole domain the analysis can produce (dimension pseudo-fields included).
 func randPath(rng *rand.Rand) Path {
 	fields := []string{"next", "prev", "left", "right", "parent", "~down", "~X"}
-	n := rng.Intn(MaxSteps) + 1
+	n := rng.Intn(maxSteps) + 1
 	p := make(Path, n)
 	for i := range p {
 		p[i] = Step{
 			Field: fields[rng.Intn(len(fields))],
-			Min:   rng.Intn(CountCap) + 1,
+			Min:   rng.Intn(countCap) + 1,
 			Plus:  rng.Intn(2) == 0,
 		}
 	}

@@ -1,55 +1,41 @@
 package pathmatrix
 
 import (
-	"container/list"
 	"strconv"
 	"strings"
 	"sync"
 
+	"repro/internal/lru"
 	"repro/internal/norm"
 )
 
 // Process-wide transfer-function memo. A transfer function is pure: its
-// output is determined by the input matrix content, the statement, the shape
-// environment and the engine configuration. The memo is keyed on exactly
-// those — engine version, environment fingerprint, tunable caps, statement
-// content, input-matrix fingerprint — so a hit may be served across
-// analysis runs, across functions, and across goroutines. That is where the
-// wins are: a single fixed-point run rarely revisits a node with an input it
-// has seen before (the worklist already skips unchanged states), but
-// repeated analyses of the same or similar code hit constantly.
+// output is determined by the input matrix content, the statement, and the
+// shape environment. The memo is keyed on exactly those — engine version,
+// environment fingerprint, statement content, input-matrix fingerprint — so
+// a hit may be served across analysis runs, across functions, and across
+// goroutines. That is where the wins are: a single fixed-point run rarely
+// revisits a node with an input it has seen before (the worklist already
+// skips unchanged states), but repeated analyses of the same or similar
+// code hit constantly.
 
-// Memoize gates the transfer memo. Exposed as a variable so the
-// determinism harnesses and ablation benchmarks can compare both modes;
-// outputs are byte-identical either way.
-var Memoize = true
-
-// MemoCap bounds the number of cached transfer results (across all shards).
+// memoCap bounds the number of cached transfer results (across all shards).
 // Evicted entries are dropped to the garbage collector, never recycled into
 // the matrix pools: their cell maps may be shared with live results.
-var MemoCap = 4096
+const memoCap = 4096
 
 const memoShards = 16
 
+// memoShard is one lock-striped slice of the memo. Cached matrices are
+// frozen: shared flags set, never mutated, never released.
 type memoShard struct {
 	mu  sync.Mutex
-	ent map[string]*list.Element
-	lru list.List // front = most recent; values are *memoEntry
-}
-
-type memoEntry struct {
-	key string
-	m   *Matrix // frozen: shared flags set, never mutated, never released
+	lru *lru.Cache[string, *Matrix]
 }
 
 var memo [memoShards]memoShard
 
-func init() {
-	for i := range memo {
-		memo[i].ent = make(map[string]*list.Element)
-		memo[i].lru.Init()
-	}
-}
+func init() { memoReset() }
 
 // memoShardOf picks a shard by the key's last byte. Keys end with the raw
 // input fingerprint digest, so the low byte is uniformly distributed.
@@ -64,32 +50,16 @@ func memoGet(key string) (*Matrix, bool) {
 	s := memoShardOf(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.ent[key]
-	if !ok {
-		return nil, false
-	}
-	s.lru.MoveToFront(el)
-	return el.Value.(*memoEntry).m, true
+	return s.lru.Get(key)
 }
 
+// memoPut caches m under key; a concurrent miss on the same key keeps the
+// first result.
 func memoPut(key string, m *Matrix) {
 	s := memoShardOf(key)
-	perShard := MemoCap / memoShards
-	if perShard < 1 {
-		perShard = 1
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.ent[key]; ok {
-		s.lru.MoveToFront(el) // concurrent miss on the same key; keep first
-		return
-	}
-	s.ent[key] = s.lru.PushFront(&memoEntry{key: key, m: m})
-	for s.lru.Len() > perShard {
-		back := s.lru.Back()
-		s.lru.Remove(back)
-		delete(s.ent, back.Value.(*memoEntry).key)
-	}
+	s.lru.Add(key, m)
 }
 
 // memoLen returns the current number of cached transfer results.
@@ -97,18 +67,17 @@ func memoLen() int {
 	n := 0
 	for i := range memo {
 		memo[i].mu.Lock()
-		n += len(memo[i].ent)
+		n += memo[i].lru.Len()
 		memo[i].mu.Unlock()
 	}
 	return n
 }
 
-// memoReset empties the memo (tests and ablation benchmarks).
+// memoReset empties the memo (tests).
 func memoReset() {
 	for i := range memo {
 		memo[i].mu.Lock()
-		memo[i].ent = make(map[string]*list.Element)
-		memo[i].lru.Init()
+		memo[i].lru = lru.New[string, *Matrix](memoCap / memoShards)
 		memo[i].mu.Unlock()
 	}
 }
@@ -134,9 +103,8 @@ func cloneFrozen(m *Matrix, vars []string) *Matrix {
 }
 
 // memoKeyPrefix builds the run-invariant part of the memo key once per
-// transferer: engine version, environment fingerprint, and every tunable
-// that changes transfer output or representation (shared with the summary
-// cache key, see enginePrefix).
+// transferer: engine version and environment fingerprint (shared with the
+// summary cache key, see enginePrefix).
 func (t *transferer) memoKeyPrefix() string {
 	if t.memoPrefix == "" {
 		t.memoPrefix = enginePrefix(t.env)
@@ -164,7 +132,8 @@ func (t *transferer) stmtKey(s *norm.Stmt) string {
 // applyMemo returns the transfer of stmt over before as a fresh COW matrix,
 // serving from the memo when possible. The caller keeps ownership of before
 // and owns the returned matrix. tab, when non-nil, collects per-run row
-// dedup stats during fingerprinting.
+// dedup stats during fingerprinting. A noMemo transferer always computes:
+// it is the reference path the memo's determinism tests compare against.
 //
 // With a summary table active, call statements bypass the memo entirely: the
 // summary CONTENT the transfer consults is not part of the key (only the
@@ -173,7 +142,7 @@ func (t *transferer) stmtKey(s *norm.Stmt) string {
 // havocs or summarizes is itself table-dependent. Havoc-only runs keep
 // memoizing calls; the havoc depends only on the statement and the matrix.
 func (t *transferer) applyMemo(before *Matrix, s *norm.Stmt, tab *rowTable) *Matrix {
-	if !Memoize || (s.Op == norm.Call && t.summaries != nil) {
+	if t.noMemo || (s.Op == norm.Call && t.summaries != nil) {
 		after := before.Clone()
 		t.apply(after, s)
 		return after

@@ -27,16 +27,23 @@ func dumpProgram(t *testing.T, results map[string]*FuncResult) string {
 	sort.Strings(names)
 	var b strings.Builder
 	for _, name := range names {
-		fr := results[name]
 		b.WriteString("=== " + name + " ===\n")
-		b.WriteString(fr.Result.String())
-		for _, l := range fr.Graph.Loops {
-			b.WriteString("loop head:\n")
-			b.WriteString(fr.Result.LoopHead(l).String())
-			if len(l.Branch.Succs) > 0 {
-				b.WriteString("iteration matrix:\n")
-				b.WriteString(fr.Result.IterationMatrix(l).String())
-			}
+		b.WriteString(dumpResult(results[name].Result))
+	}
+	return b.String()
+}
+
+// dumpResult renders one function's entry/exit matrices plus each loop's
+// fixed-point and iteration matrices.
+func dumpResult(r *Result) string {
+	var b strings.Builder
+	b.WriteString(r.String())
+	for _, l := range r.Graph.Loops {
+		b.WriteString("loop head:\n")
+		b.WriteString(r.LoopHead(l).String())
+		if len(l.Branch.Succs) > 0 {
+			b.WriteString("iteration matrix:\n")
+			b.WriteString(r.IterationMatrix(l).String())
 		}
 	}
 	return b.String()

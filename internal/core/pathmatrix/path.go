@@ -17,16 +17,15 @@ import (
 	"strings"
 )
 
-// CountCap is the widening bound on per-field traversal counts: a path with
-// more than CountCap repetitions of a field widens to "field^CountCap+".
-// It is a variable (not a constant) so the ablation benchmarks can study
-// the precision/cost tradeoff; production code should leave it alone.
-var CountCap = 4
+// countCap is the widening bound on per-field traversal counts: a path with
+// more than countCap repetitions of a field widens to "field^countCap+"
+// (the paper's f^k+ widening, Section 5.1).
+const countCap = 4
 
-// MaxSteps bounds the number of distinct steps in a path expression. Longer
+// maxSteps bounds the number of distinct steps in a path expression. Longer
 // paths degrade to the Top relation (possible alias, unknown path), which is
-// sound but imprecise. Variable for the same ablation reason as CountCap.
-var MaxSteps = 4
+// sound but imprecise.
+const maxSteps = 4
 
 // Step is one component of a path expression: Field traversed Min times,
 // "or more" when Plus is set. Min is at least 1.
@@ -76,13 +75,12 @@ func (s Step) String() string {
 // (a zero-length path is an alias).
 type Path []Step
 
-// String renders the path with "." separators. Interned paths return their
-// memoized rendering.
+// String renders the path with "." separators, memoized by the intern table.
 func (p Path) String() string {
-	if Interning && len(p) > 0 {
+	if len(p) > 0 {
 		return interner.metaOf(p).str
 	}
-	return p.computeString()
+	return ""
 }
 
 func (p Path) computeString() string {
@@ -112,13 +110,13 @@ func (p Path) Equal(q Path) bool {
 
 // Key returns a canonical map key for the path. Unlike String it keeps the
 // '~' marker of dimension pseudo-fields, so a pseudo-field never collides
-// with a real field that happens to share the dimension's name. Interned
-// paths return their memoized key.
+// with a real field that happens to share the dimension's name. The key is
+// memoized by the intern table.
 func (p Path) Key() string {
-	if Interning && len(p) > 0 {
+	if len(p) > 0 {
 		return interner.metaOf(p).key
 	}
-	return p.computeKey()
+	return ""
 }
 
 func (p Path) computeKey() string {
@@ -137,12 +135,12 @@ func (p Path) computeKey() string {
 }
 
 // sig returns the path's field signature with counts erased (the sigKey
-// grouping). Interned paths return their memoized signature.
+// grouping), memoized by the intern table.
 func (p Path) sig() string {
-	if Interning && len(p) > 0 {
+	if len(p) > 0 {
 		return interner.metaOf(p).sig
 	}
-	return p.computeSig()
+	return ""
 }
 
 func (p Path) computeSig() string {
@@ -157,9 +155,6 @@ func (p Path) computeSig() string {
 // most common path expression the transfer function builds, so they get
 // their own field-keyed cache in front of the intern table.
 func single(field string) Path {
-	if !Interning {
-		return Path{{Field: field, Min: 1}}
-	}
 	if v, ok := singleCache.Load(field); ok {
 		return v.(Path)
 	}
@@ -169,13 +164,13 @@ func single(field string) Path {
 }
 
 // canon merges adjacent steps over the same field and applies the count cap.
-// It returns ok=false when the path exceeds MaxSteps and the caller must
+// It returns ok=false when the path exceeds maxSteps and the caller must
 // degrade to Top. Already-canonical paths (the common case once expressions
 // are interned) pass through without rebuilding.
 func canon(p Path) (Path, bool) {
-	isCanon := len(p) <= MaxSteps
+	isCanon := len(p) <= maxSteps
 	for i := 0; isCanon && i < len(p); i++ {
-		if p[i].Min > CountCap || (i > 0 && p[i-1].Field == p[i].Field) {
+		if p[i].Min > countCap || (i > 0 && p[i-1].Field == p[i].Field) {
 			isCanon = false
 		}
 	}
@@ -192,12 +187,12 @@ func canon(p Path) (Path, bool) {
 		}
 	}
 	for i := range out {
-		if out[i].Min > CountCap {
-			out[i].Min = CountCap
+		if out[i].Min > countCap {
+			out[i].Min = countCap
 			out[i].Plus = true
 		}
 	}
-	if len(out) > MaxSteps {
+	if len(out) > maxSteps {
 		return nil, false
 	}
 	return Intern(out), true

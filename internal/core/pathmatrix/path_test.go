@@ -33,18 +33,18 @@ func TestCanonMergesSameField(t *testing.T) {
 }
 
 func TestCanonCountCap(t *testing.T) {
-	p, ok := canon(Path{step("f", CountCap+3, false)})
+	p, ok := canon(Path{step("f", countCap+3, false)})
 	if !ok {
 		t.Fatal("canon failed")
 	}
-	if p[0].Min != CountCap || !p[0].Plus {
+	if p[0].Min != countCap || !p[0].Plus {
 		t.Errorf("cap not applied: %+v", p[0])
 	}
 }
 
 func TestCanonMaxSteps(t *testing.T) {
 	long := Path{}
-	for i := 0; i < MaxSteps+1; i++ {
+	for i := 0; i < maxSteps+1; i++ {
 		long = append(long, step(string(rune('a'+i)), 1, false))
 	}
 	if _, ok := canon(long); ok {
@@ -176,7 +176,7 @@ func TestDimFieldHelpers(t *testing.T) {
 func TestEntryAddSaturation(t *testing.T) {
 	var e Entry
 	e = e.add(Rel{Kind: RelAlias, Certain: true})
-	for i := 0; i < EntrySize+2; i++ {
+	for i := 0; i < entrySize+2; i++ {
 		e = e.add(Rel{Kind: RelPath, Path: Path{step("f", i+1, false)}})
 	}
 	if _, top := e["??"]; !top {

@@ -83,9 +83,8 @@ func (r Rel) key() string {
 // relation": provably not aliases (while the abstraction is valid).
 type Entry map[string]Rel
 
-// EntrySize caps relation sets; larger entries collapse to Top. Variable
-// only so the ablation benchmarks can study the tradeoff.
-var EntrySize = 8
+// entrySize caps relation sets; larger entries collapse to Top.
+const entrySize = 8
 
 func (e Entry) clone() Entry {
 	if e == nil {
@@ -124,7 +123,7 @@ func (e Entry) add(r Rel) Entry {
 		return e
 	}
 	e[k] = r
-	if _, isTop := e["??"]; !isTop && len(e) > EntrySize {
+	if _, isTop := e["??"]; !isTop && len(e) > entrySize {
 		return e.saturate()
 	}
 	return e
@@ -165,7 +164,7 @@ func (e Entry) mustAlias() bool {
 	return ok && r.Certain
 }
 
-// rels returns the relations in a stable order. Entries are small (EntrySize
+// rels returns the relations in a stable order. Entries are small (entrySize
 // caps them at 8 by default), so the keys are sorted in a stack buffer by
 // insertion sort; only the returned slice is heap-allocated.
 func (e Entry) rels() []Rel {

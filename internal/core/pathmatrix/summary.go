@@ -1,7 +1,6 @@
 package pathmatrix
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"fmt"
@@ -9,6 +8,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/lru"
 	"repro/internal/norm"
 	"repro/internal/obs"
 	"repro/internal/shape"
@@ -58,14 +58,14 @@ import (
 // noticing — store validation only triggers on explicitly denoted
 // relations, and the generic entry denotes none).
 
-// Summarize gates summary-based call transfer in AnalyzeProgramCtx and the
-// facade. Exposed as a variable so ablation harnesses (addsfuzz -summaries,
-// addsbench) can compare against the pure-havoc engine.
-var Summarize = true
+// Summarize reports that the facade and AnalyzeProgramCtx transfer calls
+// through summaries. It is always true; the havoc-only analysis is a nil
+// table passed to AnalyzeCtxWith.
+const Summarize = true
 
-// SummaryCap bounds the process-wide summary cache (whole summaries, not
+// summaryCap bounds the process-wide summary cache (whole summaries, not
 // bytes; summaries are a few matrix rows each).
-var SummaryCap = 1024
+const summaryCap = 1024
 
 // FuncSummary is the cached entry-shape → exit-effect abstraction of one
 // function. It is frozen after construction and may be shared by any number
@@ -295,56 +295,31 @@ func callOrder(prog *ast.Program, callees map[string][]string) (sccs [][]string,
 // ---------------------------------------------------------------------------
 // Content-addressed summary cache
 
-type summaryCacheEntry struct {
-	key string
-	sum *FuncSummary
-}
-
 var summaryCache struct {
 	mu  sync.Mutex
-	ent map[string]*list.Element
-	lru list.List // front = most recent; values are *summaryCacheEntry
+	lru *lru.Cache[string, *FuncSummary]
 }
 
-func init() {
-	summaryCache.ent = make(map[string]*list.Element)
-	summaryCache.lru.Init()
-}
+func init() { ResetSummaryCache() }
 
 func summaryCacheGet(key string) (*FuncSummary, bool) {
 	summaryCache.mu.Lock()
 	defer summaryCache.mu.Unlock()
-	el, ok := summaryCache.ent[key]
-	if !ok {
-		return nil, false
-	}
-	summaryCache.lru.MoveToFront(el)
-	return el.Value.(*summaryCacheEntry).sum, true
+	return summaryCache.lru.Get(key)
 }
 
+// summaryCachePut caches sum under key; a concurrent miss on the same key
+// keeps the first summary.
 func summaryCachePut(key string, sum *FuncSummary) {
 	summaryCache.mu.Lock()
 	defer summaryCache.mu.Unlock()
-	if el, ok := summaryCache.ent[key]; ok {
-		summaryCache.lru.MoveToFront(el) // concurrent miss on the same key
-		return
-	}
-	summaryCache.ent[key] = summaryCache.lru.PushFront(&summaryCacheEntry{key: key, sum: sum})
-	limit := SummaryCap
-	if limit < 1 {
-		limit = 1
-	}
-	for summaryCache.lru.Len() > limit {
-		back := summaryCache.lru.Back()
-		summaryCache.lru.Remove(back)
-		delete(summaryCache.ent, back.Value.(*summaryCacheEntry).key)
-	}
+	summaryCache.lru.Add(key, sum)
 }
 
 func summaryCacheLen() int {
 	summaryCache.mu.Lock()
 	defer summaryCache.mu.Unlock()
-	return len(summaryCache.ent)
+	return summaryCache.lru.Len()
 }
 
 // ResetSummaryCache empties the process-wide summary cache (tests and the
@@ -352,17 +327,15 @@ func summaryCacheLen() int {
 func ResetSummaryCache() {
 	summaryCache.mu.Lock()
 	defer summaryCache.mu.Unlock()
-	summaryCache.ent = make(map[string]*list.Element)
-	summaryCache.lru.Init()
+	summaryCache.lru = lru.New[string, *FuncSummary](summaryCap)
 }
 
 // enginePrefix is the run-invariant part of every content-addressed engine
-// key: version, environment fingerprint, and the tunables that change
-// transfer output or representation. Shared by the transfer memo and the
-// summary cache.
+// key: engine version and environment fingerprint. EngineVersion versions
+// the engine's semantics, bounds included. Shared by the transfer memo and
+// the summary cache.
 func enginePrefix(env *shape.Env) string {
-	return EngineVersion + "\x1f" + env.Fingerprint() + "\x1f" +
-		fmt.Sprintf("%d,%d,%d,%t", CountCap, MaxSteps, EntrySize, Interning) + "\x1f"
+	return EngineVersion + "\x1f" + env.Fingerprint() + "\x1f"
 }
 
 // summaryKey builds the content-addressed cache key for one function:
@@ -419,7 +392,7 @@ func ComputeSummaries(info *types.Info, env *shape.Env) *SummaryTable {
 // functions in bottom-up call order, recursive cycles skipped, every
 // summary served from the process-wide content-addressed cache when its
 // key — SHA-256(canonical body, callee summary hashes, engine version,
-// knobs, environment fingerprint) — has been computed before, by any run
+// environment fingerprint) — has been computed before, by any run
 // of any program.
 func ComputeSummariesCtx(ctx context.Context, info *types.Info, env *shape.Env) (*SummaryTable, error) {
 	_, span := obs.Start(ctx, "summaries")

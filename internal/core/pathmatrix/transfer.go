@@ -96,9 +96,11 @@ type transferer struct {
 	varRecord map[string]string
 
 	// Memo-key caches (see memo.go): the run-invariant key prefix, and the
-	// canonical statement renderings keyed by statement pointer.
+	// canonical statement renderings keyed by statement pointer. noMemo
+	// bypasses the memo for this run.
 	memoPrefix string
 	stmtKeys   map[*norm.Stmt]string
+	noMemo     bool
 }
 
 // apply mutates m according to stmt.

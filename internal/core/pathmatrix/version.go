@@ -42,7 +42,6 @@ type Stats struct {
 	MemoEntries   uint64 // cached transfer results right now (gauge)
 	SharedRows    uint64 // join cells shared pointer-equal with a parent
 	DedupRows     uint64 // fingerprinted rows structurally seen before in-run
-	DroppedRows   uint64 // dead-variable rows dropped by the liveness pass
 
 	SummaryComputed  uint64 // function summaries computed (cache misses)
 	SummaryReused    uint64 // function summaries served from the cache
@@ -52,15 +51,14 @@ type Stats struct {
 }
 
 var engineStats struct {
-	analyses    atomic.Uint64
-	iterations  atomic.Uint64
-	widenings   atomic.Uint64
-	clones      atomic.Uint64
-	memoHits    atomic.Uint64
-	memoMisses  atomic.Uint64
-	sharedRows  atomic.Uint64
-	dedupRows   atomic.Uint64
-	droppedRows atomic.Uint64
+	analyses   atomic.Uint64
+	iterations atomic.Uint64
+	widenings  atomic.Uint64
+	clones     atomic.Uint64
+	memoHits   atomic.Uint64
+	memoMisses atomic.Uint64
+	sharedRows atomic.Uint64
+	dedupRows  atomic.Uint64
 
 	summaryComputed  atomic.Uint64
 	summaryReused    atomic.Uint64
@@ -83,7 +81,6 @@ func ReadStats() Stats {
 		MemoEntries:   uint64(memoLen()),
 		SharedRows:    engineStats.sharedRows.Load(),
 		DedupRows:     engineStats.dedupRows.Load(),
-		DroppedRows:   engineStats.droppedRows.Load(),
 
 		SummaryComputed:  engineStats.summaryComputed.Load(),
 		SummaryReused:    engineStats.summaryReused.Load(),

@@ -81,6 +81,10 @@ type Config struct {
 	// ShrinkBudget caps shrinker check executions per divergence
 	// (0 = 400).
 	ShrinkBudget int
+	// Havoc runs the path-matrix oracles without interprocedural summaries:
+	// every call statement applies the all-args havoc (a nil summary table),
+	// pitting the conservative fallback against the same ground truth.
+	Havoc bool
 	// Deltas, when set, accumulates precision deltas from the smg check:
 	// program points where one oracle admits a may-alias the other refutes.
 	// Deltas are triage signal, never failures — only must-alias conflicts
@@ -336,13 +340,13 @@ func checkSoundness(p *gen.Program, cfg Config) string {
 		return "" // entry shrunk away: nothing to check
 	}
 	g := norm.Build(fi, info.Env)
-	// The path-matrix oracles take interprocedural summary tables when the
-	// engine-wide knob is on, so the differential run exercises the summary
-	// call transfer against the interpreter's ground truth. The classic
+	// The path-matrix oracles take interprocedural summary tables unless the
+	// run is havoc-only, so the differential run exercises the summary call
+	// transfer against the interpreter's ground truth. The classic
 	// oracle's table is computed under the stripped environment it analyzes
 	// with (summary rows are environment-dependent).
 	var gpmTab, classicTab *pathmatrix.SummaryTable
-	if pathmatrix.Summarize {
+	if !cfg.Havoc {
 		gpmTab = pathmatrix.ComputeSummaries(info, info.Env)
 		classicTab = pathmatrix.ComputeSummaries(info, info.Env.Stripped())
 	}
@@ -460,7 +464,7 @@ func checkSMG(p *gen.Program, cfg Config) string {
 	}
 	g := norm.Build(fi, info.Env)
 	var gpmTab *pathmatrix.SummaryTable
-	if pathmatrix.Summarize {
+	if !cfg.Havoc {
 		gpmTab = pathmatrix.ComputeSummaries(info, info.Env)
 	}
 	// WrapOracle wraps the path-matrix side only: the SMG side must stay the

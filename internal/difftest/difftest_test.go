@@ -125,6 +125,29 @@ func TestSMGCheckCountsDeltas(t *testing.T) {
 	}
 }
 
+// TestHavocReachesOracles: Config.Havoc hands the path-matrix oracle no
+// summary table, so on the calls profile it admits more may-aliases the SMG
+// refutes than the summarized run does — and both runs stay clean.
+func TestHavocReachesOracles(t *testing.T) {
+	pr, err := gen.ProfileByName("calls")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gpmMayOnly := func(havoc bool) int {
+		deltas := &DeltaCounter{}
+		cfg := Config{Checks: []string{CheckSoundness, CheckSMG}, Deltas: deltas, Havoc: havoc}
+		for seed := int64(0); seed < 20; seed++ {
+			for _, d := range DiffOne(seed, pr, cfg) {
+				t.Fatalf("havoc=%t seed %d: %s", havoc, seed, d.Detail)
+			}
+		}
+		return deltas.Snapshot()["gpm_may_only"]
+	}
+	if summarized, havoc := gpmMayOnly(false), gpmMayOnly(true); havoc <= summarized {
+		t.Fatalf("havoc run admitted %d gpm-only may-aliases, summarized %d: want more under havoc", havoc, summarized)
+	}
+}
+
 // TestCampaignReportsDeltas: the campaign plumbs the delta counter through
 // to the report even when the caller did not provide one.
 func TestCampaignReportsDeltas(t *testing.T) {

@@ -11,12 +11,13 @@
 package service
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"sync"
 	"time"
+
+	"repro/internal/lru"
 )
 
 // Outcome classifies how a cache lookup was served.
@@ -71,12 +72,6 @@ type flight struct {
 	refs   int    // guarded by Cache.mu
 }
 
-// entry is one cached result.
-type entry struct {
-	key string
-	val []byte
-}
-
 // Cache is a content-addressed LRU result cache with singleflight: at most
 // one computation per key runs at a time, concurrent identical requests
 // wait for it, and successful results are retained up to the entry bound.
@@ -89,9 +84,7 @@ type entry struct {
 // leaves is the shared computation cancelled.
 type Cache struct {
 	mu      sync.Mutex
-	max     int
-	lru     *list.List // front = most recent; values are *entry
-	byKey   map[string]*list.Element
+	lru     *lru.Cache[string, []byte]
 	flights map[string]*flight
 
 	// FlightTimeout bounds each detached computation (zero = unbounded).
@@ -101,13 +94,8 @@ type Cache struct {
 
 // NewCache returns a cache bounded to max entries (max < 1 keeps 1).
 func NewCache(max int) *Cache {
-	if max < 1 {
-		max = 1
-	}
 	return &Cache{
-		max:     max,
-		lru:     list.New(),
-		byKey:   map[string]*list.Element{},
+		lru:     lru.New[string, []byte](max),
 		flights: map[string]*flight{},
 	}
 }
@@ -127,12 +115,7 @@ func (c *Cache) Len() int {
 func (c *Cache) Peek(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	return el.Value.(*entry).val, true
+	return c.lru.Get(key)
 }
 
 // flightRefs reports how many live waiters (leader included) the key's
@@ -167,9 +150,7 @@ func (c *Cache) Do(ctx context.Context, key string, load func(context.Context) (
 		return nil, Miss, err
 	}
 	c.mu.Lock()
-	if el, ok := c.byKey[key]; ok {
-		c.lru.MoveToFront(el)
-		val := el.Value.(*entry).val
+	if val, ok := c.lru.Get(key); ok {
 		c.mu.Unlock()
 		return val, Hit, nil
 	}
@@ -216,16 +197,7 @@ func (c *Cache) runFlight(key string, f *flight, fctx context.Context, load func
 	if err == nil {
 		// An abandoned flight can race a successor for the same key: keep
 		// whichever result landed first rather than double-inserting.
-		if el, ok := c.byKey[key]; ok {
-			c.lru.MoveToFront(el)
-		} else {
-			c.byKey[key] = c.lru.PushFront(&entry{key: key, val: val})
-			for c.lru.Len() > c.max {
-				oldest := c.lru.Back()
-				c.lru.Remove(oldest)
-				delete(c.byKey, oldest.Value.(*entry).key)
-			}
-		}
+		c.lru.Add(key, val)
 	}
 	c.mu.Unlock()
 	close(f.done)

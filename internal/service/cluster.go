@@ -49,8 +49,8 @@ func isForwarded(r *http.Request) bool {
 }
 
 // forwardRoute maps a cache-key endpoint to the method and /v1 path a
-// forwarded request uses, whatever spelling (legacy, batch item) the
-// original arrived under.
+// forwarded request uses, whether the original arrived as its own request
+// or as a batch item.
 func forwardRoute(endpoint string) (method, path string) {
 	if id, ok := strings.CutPrefix(endpoint, "experiment:"); ok {
 		return http.MethodGet, "/v1/experiments/" + id

@@ -402,8 +402,6 @@ func (m *Metrics) WriteProm(w io.Writer, cacheLen, poolInUse, poolCap, queued, q
 	fmt.Fprintf(w, "addsd_engine_shared_rows_total %d\n", es.SharedRows)
 	fmt.Fprintf(w, "# TYPE addsd_engine_dedup_rows_total counter\n")
 	fmt.Fprintf(w, "addsd_engine_dedup_rows_total %d\n", es.DedupRows)
-	fmt.Fprintf(w, "# TYPE addsd_engine_dropped_rows_total counter\n")
-	fmt.Fprintf(w, "addsd_engine_dropped_rows_total %d\n", es.DroppedRows)
 	fmt.Fprintf(w, "# HELP addsd_engine_summary_computed_total Function summaries computed (content-addressed cache misses).\n")
 	fmt.Fprintf(w, "# TYPE addsd_engine_summary_computed_total counter\n")
 	fmt.Fprintf(w, "addsd_engine_summary_computed_total %d\n", es.SummaryComputed)

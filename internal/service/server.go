@@ -148,9 +148,7 @@ func New(cfg Config) *Server {
 	// timeout bounds the shared computation, not the wait of one client.
 	s.cache.FlightTimeout = cfg.RequestTimeout
 
-	// The versioned API, plus the pre-versioning paths as deprecated
-	// aliases onto the same handlers (same cache keys, so the bodies are
-	// byte-identical — only the Deprecation/Link headers differ).
+	// The versioned API.
 	s.mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
 	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	s.mux.HandleFunc("POST /v1/depgraph", s.handleDepgraph)
@@ -160,11 +158,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/experiments", s.handleExperimentList)
 	s.mux.HandleFunc("GET /v1/oracles", s.handleOracleList)
 	s.mux.HandleFunc("GET /v1/experiments/{id}", s.handleExperiment)
-	s.mux.HandleFunc("POST /analyze", legacy(s.handleAnalyze))
-	s.mux.HandleFunc("POST /depgraph", legacy(s.handleDepgraph))
-	s.mux.HandleFunc("POST /pipeline", legacy(s.handlePipeline))
-	s.mux.HandleFunc("GET /experiments", legacy(s.handleExperimentList))
-	s.mux.HandleFunc("GET /experiments/{id}", legacy(s.handleExperiment))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -175,17 +168,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return s
-}
-
-// legacy wraps a /v1 handler for its pre-versioning path: the answer is the
-// v1 answer plus the RFC 8594 Deprecation header and a successor-version
-// Link pointing at the /v1 spelling.
-func legacy(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("</v1%s>; rel=\"successor-version\"", r.URL.Path))
-		h(w, r)
-	}
 }
 
 // Metrics exposes the registry (cmd/addsd logs a summary on shutdown).
@@ -412,27 +394,21 @@ func (w *statusWriter) Flush() {
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // endpointLabel buckets paths into a bounded label set so metrics
-// cardinality cannot grow with traffic. The /v1 and legacy spellings share
-// labels.
+// cardinality cannot grow with traffic.
 func endpointLabel(path string) string {
-	p := strings.TrimPrefix(path, "/v1")
+	if p, ok := strings.CutPrefix(path, "/v1/"); ok {
+		switch {
+		case p == "analyze", p == "batch", p == "depgraph", p == "pipeline",
+			p == "reanalyze", p == "experiments", p == "oracles":
+			return p
+		case strings.HasPrefix(p, "experiments/"):
+			return "experiments"
+		case strings.HasPrefix(p, "cache/"):
+			return "cache"
+		}
+		return "other"
+	}
 	switch {
-	case p == "/analyze":
-		return "analyze"
-	case p == "/batch":
-		return "batch"
-	case p == "/depgraph":
-		return "depgraph"
-	case p == "/pipeline":
-		return "pipeline"
-	case p == "/reanalyze":
-		return "reanalyze"
-	case p == "/experiments" || strings.HasPrefix(p, "/experiments/"):
-		return "experiments"
-	case p == "/oracles":
-		return "oracles"
-	case strings.HasPrefix(p, "/cache/"):
-		return "cache"
 	case path == "/healthz":
 		return "healthz"
 	case path == "/readyz":

@@ -533,6 +533,8 @@ func TestEndpointLabelBounded(t *testing.T) {
 		"/metrics":           "metrics",
 		"/debug/pprof/heap":  "pprof",
 		"/anything/else":     "other",
+		"/analyze":           "other",
+		"/v1/nope":           "other",
 	}
 	for path, want := range cases {
 		if got := endpointLabel(path); got != want {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -62,49 +61,6 @@ func do(t *testing.T, method, url string, body []byte, header map[string]string)
 	return resp, data
 }
 
-// TestLegacyAliasesByteIdentical: every legacy path answers with the exact
-// bytes of its /v1 spelling (same handlers, same cache keys) plus the
-// Deprecation and successor-version Link headers.
-func TestLegacyAliasesByteIdentical(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	analyzeBody, _ := json.Marshal(AnalyzeRequest{Source: shiftSrc, Fn: "shift"})
-	depgraphBody, _ := json.Marshal(DepgraphRequest{Source: shiftSrc, Fn: "shift"})
-	pipelineBody, _ := json.Marshal(PipelineRequest{Source: shiftSrc, Fn: "shift", Loop: 0})
-
-	cases := []struct {
-		method, v1, legacy string
-		body               []byte
-	}{
-		{"POST", "/v1/analyze", "/analyze", analyzeBody},
-		{"POST", "/v1/depgraph", "/depgraph", depgraphBody},
-		{"POST", "/v1/pipeline", "/pipeline", pipelineBody},
-		{"GET", "/v1/experiments", "/experiments", nil},
-		{"GET", "/v1/experiments/E4", "/experiments/E4", nil},
-	}
-	for _, tc := range cases {
-		t.Run(tc.legacy, func(t *testing.T) {
-			v1Resp, v1Data := do(t, tc.method, ts.URL+tc.v1, tc.body, nil)
-			lgResp, lgData := do(t, tc.method, ts.URL+tc.legacy, tc.body, nil)
-			if v1Resp.StatusCode != http.StatusOK || lgResp.StatusCode != http.StatusOK {
-				t.Fatalf("status v1=%d legacy=%d", v1Resp.StatusCode, lgResp.StatusCode)
-			}
-			if !bytes.Equal(v1Data, lgData) {
-				t.Errorf("legacy body differs from /v1 body:\n--- v1 ---\n%s\n--- legacy ---\n%s", v1Data, lgData)
-			}
-			if got := lgResp.Header.Get("Deprecation"); got != "true" {
-				t.Errorf("legacy Deprecation = %q, want true", got)
-			}
-			wantLink := fmt.Sprintf("<%s>; rel=\"successor-version\"", tc.v1)
-			if got := lgResp.Header.Get("Link"); got != wantLink {
-				t.Errorf("legacy Link = %q, want %q", got, wantLink)
-			}
-			if got := v1Resp.Header.Get("Deprecation"); got != "" {
-				t.Errorf("/v1 answered with Deprecation = %q", got)
-			}
-		})
-	}
-}
-
 // TestRouteErrorsJSON: unrouted requests (no such path, wrong method) get
 // the typed JSON envelope, not net/http's plain-text defaults.
 func TestRouteErrorsJSON(t *testing.T) {
@@ -120,6 +76,12 @@ func TestRouteErrorsJSON(t *testing.T) {
 	var body errorBody
 	if err := json.Unmarshal(data, &body); err != nil || body.Error == "" {
 		t.Fatalf("404 body is not the error envelope: %v %q", err, data)
+	}
+
+	// The unversioned spellings are gone: only /v1 routes analyses.
+	analyzeBody, _ := json.Marshal(AnalyzeRequest{Source: shiftSrc, Fn: "shift"})
+	if resp, _ := do(t, "POST", ts.URL+"/analyze", analyzeBody, nil); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /analyze status = %d, want 404", resp.StatusCode)
 	}
 
 	resp, data = do(t, "GET", ts.URL+"/v1/analyze", nil, nil)
