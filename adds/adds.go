@@ -203,22 +203,15 @@ func (a *Analysis) Validation() *validation.Result {
 }
 
 // GPMOracle returns the ADDS-informed alias oracle (the paper's analysis).
-// It inherits the analysis's interprocedural summary table, so call sites
-// answer with the same precision the per-node matrices were computed with.
-func (a *Analysis) GPMOracle() Oracle {
-	return alias.NewGPMWith(a.Graph, a.Unit.Info.Env, a.GPM.Summaries)
-}
+// It answers from the analysis's own fixpoint, so call sites answer with
+// the same precision the per-node matrices were computed with.
+func (a *Analysis) GPMOracle() Oracle { return alias.GPMOf(a.GPM) }
 
-// ClassicOracle returns the annotation-free path matrix oracle. When the
-// analysis ran with summaries, the classic oracle gets its own table computed
-// under the stripped environment (summary rows are environment-dependent).
+// ClassicOracle returns the annotation-free path matrix oracle, built by the
+// registry's classic factory.
 func (a *Analysis) ClassicOracle() Oracle {
-	env := a.Unit.Info.Env
-	var tab *pathmatrix.SummaryTable
-	if a.GPM.Summaries != nil {
-		tab = pathmatrix.ComputeSummaries(a.Unit.Info, env.Stripped())
-	}
-	return alias.NewClassicWith(a.Graph, env, tab)
+	o, _ := a.OracleNamed(context.Background(), "classic", 0) // registered in package alias; cannot fail
+	return o
 }
 
 // SummaryTable exposes the interprocedural summary table the analysis ran

@@ -6,8 +6,8 @@ import "repro/internal/core/pathmatrix"
 // benchmarking tools never import internal packages directly.
 
 // EngineStats is a snapshot of the analysis engine's process-wide counters:
-// fixpoint iterations, matrix clones, transfer-memo hits and misses, and
-// shared rows. See pathmatrix.Stats for field semantics.
+// fixpoint runs and iterations, matrix clones, shared rows, and summary-cache
+// traffic. See pathmatrix.Stats for field semantics.
 type EngineStats = pathmatrix.Stats
 
 // ReadEngineStats returns the engine counters since process start.

@@ -172,9 +172,11 @@ func (a *Analysis) Oracle() Oracle {
 }
 
 // OracleNamed builds the named registered oracle for this analysis (see
-// OracleNames; "" selects gpm, k <= 0 the oracle's default k). The context
-// carries the caller's tracer, so oracles that record obs spans land on the
-// request trace. Unknown names report the registry's typed error.
+// OracleNames; "" selects gpm, k <= 0 the oracle's default k). The gpm
+// oracle answers from this analysis's fixpoint rather than running another.
+// The context carries the caller's tracer, so oracles that record obs spans
+// land on the request trace. Unknown names report the registry's typed
+// error.
 func (a *Analysis) OracleNamed(ctx context.Context, name string, k int) (Oracle, error) {
 	f, err := alias.Lookup(name)
 	if err != nil {
@@ -184,6 +186,7 @@ func (a *Analysis) OracleNamed(ctx context.Context, name string, k int) (Oracle,
 		Env:       a.Unit.Info.Env,
 		Info:      a.Unit.Info,
 		Summaries: a.GPM.Summaries,
+		Result:    a.GPM,
 		K:         k,
 	}), nil
 }

@@ -277,8 +277,8 @@ func BenchmarkAnalyzeProgramSerial(b *testing.B) { benchAnalyzeProgram(b, 1) }
 // BenchmarkAnalyzeProgramSerial (per-function analyses are independent).
 func BenchmarkAnalyzeProgramParallel(b *testing.B) { benchAnalyzeProgram(b, 0) }
 
-// BenchmarkAnalyzeShift times the path-matrix engine on the paper's shift
-// loop, with the transfer memo warm after the first iteration.
+// BenchmarkAnalyzeShift times one path-matrix fixpoint on the paper's shift
+// loop.
 func BenchmarkAnalyzeShift(b *testing.B) {
 	info := types.MustCheck(parser.MustParse(exper.ShiftSrc))
 	g := norm.Build(info.Func("shift"), info.Env)

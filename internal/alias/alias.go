@@ -104,6 +104,12 @@ func NewGPMWith(g *norm.Graph, env *shape.Env, tab *pathmatrix.SummaryTable) *GP
 		// Background contexts never expire; this is unreachable.
 		panic("alias: " + err.Error())
 	}
+	return GPMOf(res)
+}
+
+// GPMOf answers GPM queries from an analysis the caller already ran with
+// the full ADDS environment, instead of running the fixpoint again.
+func GPMOf(res *pathmatrix.Result) *GPM {
 	return &GPM{
 		name:  "adds+gpm",
 		res:   res,

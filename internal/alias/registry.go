@@ -16,7 +16,8 @@ import (
 // BuildOpts carries everything a Factory may need to construct its oracle
 // for one function. Factories ignore the fields they have no use for: the
 // conservative baseline only reads the graph, the path-matrix oracles use
-// Env/Info/Summaries, the storage-graph analyses use Env and K.
+// Env/Info/Summaries (and gpm the Result), the storage-graph analyses use
+// Env and K.
 type BuildOpts struct {
 	// Env is the ADDS shape environment of the unit's declarations.
 	Env *shape.Env
@@ -27,6 +28,10 @@ type BuildOpts struct {
 	// analysis ran with; nil selects the opaque call havoc. Factories whose
 	// tables are environment-dependent (classic) recompute their own.
 	Summaries *pathmatrix.SummaryTable
+	// Result is the analysis the caller already ran for this function under
+	// Env and Summaries. The gpm oracle answers from it; nil makes gpm run
+	// its own fixpoint.
+	Result *pathmatrix.Result
 	// K bounds per-site materialization for k-limited oracles (<= 0 selects
 	// the oracle's default).
 	K int
@@ -141,6 +146,9 @@ func init() {
 		Description: "general path matrix analysis with ADDS declarations (the paper's analysis; default)",
 		Rank:        0,
 		Build: func(_ context.Context, g *norm.Graph, opts BuildOpts) Oracle {
+			if opts.Result != nil {
+				return GPMOf(opts.Result)
+			}
 			return NewGPMWith(g, opts.Env, opts.Summaries)
 		},
 	})

@@ -25,7 +25,6 @@ type Result struct {
 	// calls with, nil for havoc-only runs. IterationMatrix reuses it so the
 	// primed-variable view stays consistent with the per-node matrices.
 	Summaries *SummaryTable
-	trans     *transferer
 }
 
 // maxIterations bounds the fixed-point computation; the bounded domain
@@ -136,9 +135,6 @@ type analyzeOpts struct {
 	// certain alias of its formal and never assigned, so exit rows between
 	// shadows relate the formals' ENTRY values.
 	shadowFormals bool
-	// noMemo bypasses the transfer memo: the unmemoized reference run the
-	// memo's determinism tests compare against.
-	noMemo bool
 }
 
 // analyzeFull is the fixed-point engine behind AnalyzeCtx, AnalyzeCtxWith
@@ -155,7 +151,6 @@ func analyzeFull(ctx context.Context, g *norm.Graph, env *shape.Env, opts *analy
 	// indicative under concurrent analyses).
 	_, span := obs.Start(ctx, "fixpoint")
 	clones0 := engineStats.clones.Load()
-	memoHits0 := engineStats.memoHits.Load()
 	sharedRows0 := engineStats.sharedRows.Load()
 	summaryApplied0 := engineStats.summaryApplied.Load()
 	summaryFallbacks0 := engineStats.summaryFallbacks.Load()
@@ -165,14 +160,13 @@ func analyzeFull(ctx context.Context, g *norm.Graph, env *shape.Env, opts *analy
 		Env:    env,
 		Before: make([]*Matrix, len(g.Nodes)),
 		After:  make([]*Matrix, len(g.Nodes)),
-		trans:  &transferer{env: env, noMemo: opts != nil && opts.noMemo},
 	}
+	trans := &transferer{env: env}
 	if opts != nil && opts.tab != nil {
 		res.Summaries = opts.tab
-		res.trans.summaries = opts.tab
-		res.trans.varRecord = recordsOf(g)
+		trans.summaries = opts.tab
+		trans.varRecord = recordsOf(g)
 	}
-	rt := newRowTable()
 
 	vars := g.PointerVars()
 	if shadowed {
@@ -273,10 +267,9 @@ func analyzeFull(ctx context.Context, g *norm.Graph, env *shape.Env, opts *analy
 			before, after = widened, widened
 		} else {
 			before = inState(n)
+			after = before.Clone()
 			if n.Kind == norm.NodeStmt {
-				after = res.trans.applyMemo(before, n.Stmt, rt)
-			} else {
-				after = before.Clone()
+				trans.apply(after, n.Stmt)
 			}
 		}
 		res.Before[n.ID] = before
@@ -334,10 +327,8 @@ func analyzeFull(ctx context.Context, g *norm.Graph, env *shape.Env, opts *analy
 		span.SetAttr("widenings", widenings)
 		span.SetAttr("matrixClones", engineStats.clones.Load()-clones0)
 		span.SetAttr("internedPaths", InternerStats())
-		span.SetAttr("memoHits", engineStats.memoHits.Load()-memoHits0)
 		span.SetAttr("sharedRows", engineStats.sharedRows.Load()-sharedRows0)
-		span.SetAttr("dedupRows", rt.dups)
-		if res.trans.summaries != nil {
+		if trans.summaries != nil {
 			span.SetAttr("summaryApplied", engineStats.summaryApplied.Load()-summaryApplied0)
 			span.SetAttr("summaryFallbacks", engineStats.summaryFallbacks.Load()-summaryFallbacks0)
 		}
@@ -574,11 +565,10 @@ func (r *Result) IterationMatrix(l *norm.Loop) *Matrix {
 	// keep their iteration-start values. States flowing along back edges
 	// into the loop head are joined to form the result.
 	bodyEntry := l.Branch.Succs[0]
-	// A fresh transferer: r.trans carries per-goroutine scratch state, and
+	// A fresh transferer: it carries per-goroutine scratch state, and
 	// IterationMatrix may be called concurrently on one Result. It inherits
-	// the run's summary table and memo mode so calls in the body transfer
-	// the same way.
-	trans := &transferer{env: r.Env, summaries: r.Summaries, noMemo: r.trans.noMemo}
+	// the run's summary table so calls in the body transfer the same way.
+	trans := &transferer{env: r.Env, summaries: r.Summaries}
 	if r.Summaries != nil {
 		trans.varRecord = recordsOf(r.Graph)
 	}
@@ -632,10 +622,11 @@ func (r *Result) IterationMatrix(l *norm.Loop) *Matrix {
 				widened = widenedIterationMatrix(r.Graph)
 			}
 			after = widened
-		} else if n.Kind == norm.NodeStmt {
-			after = trans.applyMemo(before, n.Stmt, nil)
 		} else {
 			after = before.Clone()
+			if n.Kind == norm.NodeStmt {
+				trans.apply(after, n.Stmt)
+			}
 		}
 		if edgeOut[n.ID] == nil {
 			edgeOut[n.ID] = make([]*Matrix, len(n.Succs))

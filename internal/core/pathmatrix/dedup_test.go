@@ -39,40 +39,37 @@ func miniFiles(t *testing.T) []string {
 	return files
 }
 
-// TestMemoDeterminism: serial/parallel × memo-on/memo-off must all produce
-// byte-identical matrix renderings — the memo is a pure cache. Each memo-on
-// configuration runs twice, once against a cold memo and once warm, so both
-// the miss and the hit path are pinned against the unmemoized engine.
+// TestMemoDeterminism: analyzing a program function by function, straight
+// through analyzeFull, must be byte-identical to AnalyzeProgramCtx on one
+// worker and on eight, and to a second run of each against the warm
+// summary cache, intern table and matrix pools the first one left behind.
 func TestMemoDeterminism(t *testing.T) {
 	for _, file := range miniFiles(t) {
 		t.Run(filepath.Base(file), func(t *testing.T) {
 			info := loadMini(t, file)
-
-			want := dumpProgram(t, analyzeProgramNoMemo(t, info))
-
-			memoReset()
+			want := dumpProgram(t, analyzeEachFunction(t, info))
 			for _, cfg := range []struct {
 				name    string
 				workers int
 			}{
-				{"serial-cold", 1}, {"serial-warm", 1},
-				{"parallel-warm", 8},
+				{"serial", 1}, {"serial-again", 1},
+				{"parallel", 8}, {"parallel-again", 8},
 			} {
 				got, err := AnalyzeProgramCtx(context.Background(), info, info.Env, cfg.workers)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if d := dumpProgram(t, got); d != want {
-					t.Errorf("%s: memoized dump differs from unmemoized baseline", cfg.name)
+					t.Errorf("%s: dump differs from the per-function reference", cfg.name)
 				}
 			}
 		})
 	}
 }
 
-// analyzeProgramNoMemo is AnalyzeProgramCtx on the unmemoized reference
-// path: the same summary table, every function fixpoint computed afresh.
-func analyzeProgramNoMemo(t *testing.T, info *types.Info) map[string]*FuncResult {
+// analyzeEachFunction is AnalyzeProgramCtx without the worker pool: the
+// same summary table, one analyzeFull run per function.
+func analyzeEachFunction(t *testing.T, info *types.Info) map[string]*FuncResult {
 	t.Helper()
 	ctx := context.Background()
 	tab, err := ComputeSummariesCtx(ctx, info, info.Env)
@@ -82,95 +79,13 @@ func analyzeProgramNoMemo(t *testing.T, info *types.Info) map[string]*FuncResult
 	out := make(map[string]*FuncResult, len(info.Funcs))
 	for name, fi := range info.Funcs {
 		g := norm.Build(fi, info.Env)
-		r, err := analyzeFull(ctx, g, info.Env, &analyzeOpts{tab: tab, noMemo: true})
+		r, err := analyzeFull(ctx, g, info.Env, &analyzeOpts{tab: tab})
 		if err != nil {
 			t.Fatal(err)
 		}
 		out[name] = &FuncResult{Info: fi, Graph: g, Result: r}
 	}
 	return out
-}
-
-// TestMemoHitsOnRepeat: re-analyzing the same program must be served almost
-// entirely from the memo — the cache is content-keyed and process-wide, not
-// per-run.
-func TestMemoHitsOnRepeat(t *testing.T) {
-	memoReset()
-	info := loadMini(t, miniFiles(t)[0])
-
-	if _, err := AnalyzeProgramCtx(context.Background(), info, info.Env, 1); err != nil {
-		t.Fatal(err)
-	}
-	h0, m0 := engineStats.memoHits.Load(), engineStats.memoMisses.Load()
-	if _, err := AnalyzeProgramCtx(context.Background(), info, info.Env, 1); err != nil {
-		t.Fatal(err)
-	}
-	hits := engineStats.memoHits.Load() - h0
-	misses := engineStats.memoMisses.Load() - m0
-	if hits == 0 {
-		t.Fatalf("second run over identical input had no memo hits (misses=%d)", misses)
-	}
-	if misses != 0 {
-		t.Errorf("second run recomputed %d transfers; all keys should be cached (hits=%d)", misses, hits)
-	}
-}
-
-// TestFingerprintInvalidation: every mutator must clear the cached hash, and
-// Clone must carry it.
-func TestFingerprintInvalidation(t *testing.T) {
-	m := NewMatrix([]string{"p", "q", "r"})
-	m.addRel("p", "q", Rel{Kind: RelAlias, Certain: true})
-	fp1 := m.fingerprint(nil)
-	if fp1 == "" || m.fp != fp1 {
-		t.Fatal("fingerprint not cached")
-	}
-
-	c := m.Clone()
-	if c.fp != fp1 {
-		t.Error("Clone dropped the fingerprint")
-	}
-	if c.fingerprint(nil) != fp1 {
-		t.Error("clone fingerprint differs from donor")
-	}
-
-	steps := []struct {
-		name string
-		mut  func(*Matrix)
-	}{
-		{"addRel", func(m *Matrix) { m.addRel("p", "r", Rel{Kind: RelTop}) }},
-		{"kill", func(m *Matrix) { m.kill("q") }},
-		{"addViolation", func(m *Matrix) { m.addViolation(Violation{Prop: "unique", Field: "next", Base: "p"}) }},
-		{"deleteViolation", func(m *Matrix) { m.deleteViolation(Violation{Prop: "unique", Field: "next", Base: "p"}) }},
-	}
-	for _, s := range steps {
-		x := m.Clone()
-		x.fingerprint(nil)
-		s.mut(x)
-		if x.fp != "" {
-			t.Errorf("%s left a stale fingerprint", s.name)
-		}
-	}
-
-	// Distinct content must hash distinctly; recomputed equal content must
-	// hash equally.
-	n := NewMatrix([]string{"p", "q", "r"})
-	n.addRel("p", "q", Rel{Kind: RelAlias, Certain: true})
-	if n.fingerprint(nil) != fp1 {
-		t.Error("equal content, different fingerprint")
-	}
-	n.addRel("p", "q", Rel{Kind: RelTop})
-	if n.fingerprint(nil) == fp1 {
-		t.Error("different content, same fingerprint")
-	}
-
-	// Certainty is content: "=" vs "=?" must hash differently.
-	u := NewMatrix([]string{"p", "q"})
-	u.addRel("p", "q", Rel{Kind: RelAlias})
-	v := NewMatrix([]string{"p", "q"})
-	v.addRel("p", "q", Rel{Kind: RelAlias, Certain: true})
-	if u.fingerprint(nil) == v.fingerprint(nil) {
-		t.Error("certainty not part of the fingerprint")
-	}
 }
 
 // TestJoinSharesEntries: joining a matrix with an equal-content sibling must

@@ -28,10 +28,6 @@ type Matrix struct {
 	// owned marks entries this matrix created after the last map copy and
 	// may therefore mutate in place. nil means no entry is owned.
 	owned map[[2]string]bool
-
-	// fp caches the structural content hash (see fingerprint.go). "" means
-	// not computed. Every mutator clears it; Clone carries it.
-	fp string
 }
 
 // matrixPool recycles Matrix headers, and cellsPool their cell maps, across
@@ -93,7 +89,6 @@ func newMatrix(vars []string) *Matrix {
 	m.viols = nil // lazily allocated on the first violation
 	m.sharedCells, m.sharedViols = false, false
 	m.owned = nil
-	m.fp = ""
 	return m
 }
 
@@ -134,7 +129,6 @@ func (m *Matrix) Clone() *Matrix {
 		viols:       m.viols,
 		sharedCells: true,
 		sharedViols: true,
-		fp:          m.fp, // identical content, identical hash
 	}
 	return out
 }
@@ -188,7 +182,6 @@ func (m *Matrix) mutableEntry(p, q string) Entry {
 // (freshly built or obtained from mutableEntry); set records that ownership.
 func (m *Matrix) set(p, q string, e Entry) {
 	m.ensureCells()
-	m.fp = ""
 	k := [2]string{p, q}
 	if len(e) == 0 {
 		delete(m.cells, k)
@@ -222,7 +215,6 @@ func (m *Matrix) addRel(p, q string, r Rel) {
 func (m *Matrix) kill(v string) {
 	m.reanchorViolations(v)
 	m.ensureCells()
-	m.fp = ""
 	for k := range m.cells {
 		if k[0] == v || k[1] == v {
 			delete(m.cells, k)
@@ -266,7 +258,6 @@ func (m *Matrix) reanchorViolations(v string) {
 		}
 	}
 	m.ensureViols()
-	m.fp = ""
 	for _, viol := range renamed {
 		delete(m.viols, viol)
 		if viol.Base == v {
@@ -348,14 +339,12 @@ func (m *Matrix) relatedVars(p string) []string {
 // addViolation records an abstraction violation.
 func (m *Matrix) addViolation(v Violation) {
 	m.ensureViols()
-	m.fp = ""
 	m.viols[v] = true
 }
 
 // deleteViolation removes a violation (a repairing store was seen).
 func (m *Matrix) deleteViolation(v Violation) {
 	m.ensureViols()
-	m.fp = ""
 	delete(m.viols, v)
 }
 
@@ -425,7 +414,6 @@ func sigCanonical(e Entry) bool {
 // so the donor matrix being pooled later cannot invalidate the reference.
 func (m *Matrix) setShared(k [2]string, e Entry) {
 	m.ensureCells()
-	m.fp = ""
 	m.cells[k] = e
 }
 
@@ -466,9 +454,6 @@ func Join(a, b *Matrix) *Matrix {
 
 // Equal compares matrices for fixed-point detection.
 func (m *Matrix) Equal(o *Matrix) bool {
-	if m.fp != "" && o.fp != "" {
-		return m.fp == o.fp // content hashes decide in either direction
-	}
 	if len(m.cells) != len(o.cells) || len(m.viols) != len(o.viols) {
 		return false
 	}

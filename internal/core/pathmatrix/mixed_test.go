@@ -30,17 +30,10 @@ var analysisModes = []analysisMode{
 	{"havoc", func(ctx context.Context, info *types.Info, fi *types.FuncInfo) (*Result, error) {
 		return AnalyzeCtxWith(ctx, norm.Build(fi, info.Env), info.Env, nil)
 	}},
-	{"memo-off", func(ctx context.Context, info *types.Info, fi *types.FuncInfo) (*Result, error) {
-		tab, err := ComputeSummariesCtx(ctx, info, info.Env)
-		if err != nil {
-			return nil, err
-		}
-		return analyzeFull(ctx, norm.Build(fi, info.Env), info.Env, &analyzeOpts{tab: tab, noMemo: true})
-	}},
 }
 
 // TestMixedModesConcurrent: analyses of every testdata function under the
-// summarized, havoc and memo-off modes, all running at once, must each be
+// summarized and havoc modes, all running at once, must each be
 // byte-identical to a serial run in the same mode. Run under -race it also
 // proves the modes need no process-wide lock: the engine has no knob one
 // analysis could flip under another.
@@ -79,7 +72,6 @@ func TestMixedModesConcurrent(t *testing.T) {
 
 	// Cold caches for the concurrent round, so misses race misses as well
 	// as hits; two rounds interleaved so every mode overlaps every other.
-	memoReset()
 	ResetSummaryCache()
 	const rounds = 2
 	var wg sync.WaitGroup

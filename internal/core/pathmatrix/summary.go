@@ -330,10 +330,9 @@ func ResetSummaryCache() {
 	summaryCache.lru = lru.New[string, *FuncSummary](summaryCap)
 }
 
-// enginePrefix is the run-invariant part of every content-addressed engine
-// key: engine version and environment fingerprint. EngineVersion versions
-// the engine's semantics, bounds included. Shared by the transfer memo and
-// the summary cache.
+// enginePrefix is the run-invariant part of a summary-cache key: engine
+// version and environment fingerprint. EngineVersion versions the engine's
+// semantics, bounds included.
 func enginePrefix(env *shape.Env) string {
 	return EngineVersion + "\x1f" + env.Fingerprint() + "\x1f"
 }

@@ -94,13 +94,6 @@ type transferer struct {
 	// analysis (shadow variables included). Both nil for havoc-only runs.
 	summaries *SummaryTable
 	varRecord map[string]string
-
-	// Memo-key caches (see memo.go): the run-invariant key prefix, and the
-	// canonical statement renderings keyed by statement pointer. noMemo
-	// bypasses the memo for this run.
-	memoPrefix string
-	stmtKeys   map[*norm.Stmt]string
-	noMemo     bool
 }
 
 // apply mutates m according to stmt.

@@ -3,10 +3,11 @@ package pathmatrix
 import "sync/atomic"
 
 // EngineVersion stamps analysis results produced by this package. It is part
-// of the content-addressed cache key in internal/service AND of the transfer
-// memo key in memo.go: bump it whenever a change alters analysis output for
-// the same input (transfer functions, join, widening, path canonicalization),
-// so stale cached results can never be served for the new engine.
+// of the content-addressed cache key in internal/service AND of the summary
+// cache key in summary.go: bump it whenever a change alters analysis output
+// for the same input (transfer functions, join, widening, path
+// canonicalization), so stale cached results can never be served for the
+// new engine.
 //
 // gpm-3: multi-level deduplication (shared join entries, memoized transfer
 // functions, optional liveness-based row dropping). Output is byte-identical
@@ -37,11 +38,14 @@ type Stats struct {
 	Widenings     uint64 // nodes forcibly widened after exhausting the budget
 	Clones        uint64 // COW matrix clones across all runs
 	InternedPaths uint64 // distinct paths in the intern table (gauge)
-	MemoHits      uint64 // transfer results served from the memo
-	MemoMisses    uint64 // transfer results computed and cached
-	MemoEntries   uint64 // cached transfer results right now (gauge)
 	SharedRows    uint64 // join cells shared pointer-equal with a parent
-	DedupRows     uint64 // fingerprinted rows structurally seen before in-run
+
+	// Deprecated: always 0; the engine has no transfer memo.
+	MemoHits uint64
+	// Deprecated: always 0; the engine has no transfer memo.
+	MemoMisses uint64
+	// Deprecated: always 0; the engine does not fingerprint rows.
+	DedupRows uint64
 
 	SummaryComputed  uint64 // function summaries computed (cache misses)
 	SummaryReused    uint64 // function summaries served from the cache
@@ -55,10 +59,7 @@ var engineStats struct {
 	iterations atomic.Uint64
 	widenings  atomic.Uint64
 	clones     atomic.Uint64
-	memoHits   atomic.Uint64
-	memoMisses atomic.Uint64
 	sharedRows atomic.Uint64
-	dedupRows  atomic.Uint64
 
 	summaryComputed  atomic.Uint64
 	summaryReused    atomic.Uint64
@@ -66,9 +67,9 @@ var engineStats struct {
 	summaryFallbacks atomic.Uint64
 }
 
-// ReadStats returns the engine counters. InternedPaths and MemoEntries are
-// read from their tables at call time, so they reflect current sizes rather
-// than running totals.
+// ReadStats returns the engine counters. InternedPaths and SummaryEntries
+// are read from their tables at call time, so they reflect current sizes
+// rather than running totals.
 func ReadStats() Stats {
 	return Stats{
 		Analyses:      engineStats.analyses.Load(),
@@ -76,11 +77,7 @@ func ReadStats() Stats {
 		Widenings:     engineStats.widenings.Load(),
 		Clones:        engineStats.clones.Load(),
 		InternedPaths: uint64(InternerStats()),
-		MemoHits:      engineStats.memoHits.Load(),
-		MemoMisses:    engineStats.memoMisses.Load(),
-		MemoEntries:   uint64(memoLen()),
 		SharedRows:    engineStats.sharedRows.Load(),
-		DedupRows:     engineStats.dedupRows.Load(),
 
 		SummaryComputed:  engineStats.summaryComputed.Load(),
 		SummaryReused:    engineStats.summaryReused.Load(),

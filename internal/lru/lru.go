@@ -1,7 +1,6 @@
 // Package lru is a bounded least-recently-used map. It is unsynchronized:
-// every caller guards its Cache with its own lock, which lets the transfer
-// memo stripe its shards and the service cache share one mutex with its
-// singleflight table.
+// every caller guards its Cache with its own lock, which lets the service
+// cache share one mutex with its singleflight table.
 package lru
 
 import "container/list"

@@ -14,6 +14,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"sync"
 	"time"
 
@@ -184,7 +185,7 @@ func (c *Cache) flightContext() (context.Context, context.CancelFunc) {
 // runFlight executes one detached computation and publishes its result.
 func (c *Cache) runFlight(key string, f *flight, fctx context.Context, load func(context.Context) ([]byte, error)) {
 	defer f.cancel() // release the timeout's timer
-	val, err := load(fctx)
+	val, err := recoverLoad(fctx, load)
 
 	c.mu.Lock()
 	// The guard matters when every waiter left early: wait() already
@@ -201,6 +202,18 @@ func (c *Cache) runFlight(key string, f *flight, fctx context.Context, load func
 	}
 	c.mu.Unlock()
 	close(f.done)
+}
+
+// recoverLoad runs load, turning a panic into an error: the flight runs on
+// its own goroutine, where an unrecovered panic would kill the process. The
+// error is uncached like any other, and its waiters answer 500.
+func recoverLoad(ctx context.Context, load func(context.Context) ([]byte, error)) (val []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			val, err = nil, fmt.Errorf("internal error: analysis panicked: %v", r)
+		}
+	}()
+	return load(ctx)
 }
 
 // wait blocks one caller on the flight, selecting on the caller's own

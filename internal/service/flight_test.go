@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -446,4 +447,68 @@ func TestSingleKeyStressWithClientKills(t *testing.T) {
 		})
 	}
 	assertGoroutinesDrain(t, base)
+}
+
+// TestFlightPanicIsolated: a computation that panics answers 500 with the
+// error envelope instead of killing the process. In a batch only the
+// panicking item fails, nothing is cached, and the single pool slot is
+// given back, so the next request is served.
+func TestFlightPanicIsolated(t *testing.T) {
+	s := New(Config{Workers: 1}) // one slot: a leaked slot would hang the rest
+	var calls, panicAt atomic.Int32
+	s.computeHook = func(endpoint string) func(context.Context) (any, error) {
+		return func(ctx context.Context) (any, error) {
+			if calls.Add(1) == panicAt.Load() {
+				panic("injected panic")
+			}
+			return map[string]string{"answer": "served"}, nil
+		}
+	}
+
+	panicAt.Store(1)
+	body := analyzeBody(t, "panics")
+	rec := doCtx(s, context.Background(), "POST", "/v1/analyze", body)
+	var env ErrorEnvelope
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("/v1/analyze status = %d, want 500; body %s", rec.Code, rec.Body)
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || !strings.Contains(env.Error, "injected panic") {
+		t.Fatalf("/v1/analyze body = %s, want an error envelope naming the panic", rec.Body)
+	}
+
+	// The batch's first computation panics; which item that is depends on
+	// scheduling, so the lines are checked by count.
+	panicAt.Store(calls.Load() + 1)
+	batch, err := json.Marshal(BatchRequest{Items: []AnalyzeRequest{
+		{Source: "batch-a"}, {Source: "batch-b"}, {Source: "batch-c"},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec = doCtx(s, context.Background(), "POST", "/v1/batch", batch)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/v1/batch status = %d, want 200; body %s", rec.Code, rec.Body)
+	}
+	statuses := map[int]int{}
+	for i, line := range bytes.Split(bytes.TrimSpace(rec.Body.Bytes()), []byte{'\n'}) {
+		var item BatchItemResult
+		if err := json.Unmarshal(line, &item); err != nil || item.Index != i {
+			t.Fatalf("batch line %d = %s", i, line)
+		}
+		statuses[item.Status]++
+		if item.Status == http.StatusInternalServerError &&
+			(item.Error == nil || !strings.Contains(item.Error.Error, "injected panic")) {
+			t.Errorf("500 line %d = %s, want an error envelope naming the panic", i, line)
+		}
+	}
+	if statuses[http.StatusInternalServerError] != 1 || statuses[http.StatusOK] != 2 {
+		t.Fatalf("batch statuses = %v, want one 500 and two 200", statuses)
+	}
+
+	// The panic was not cached: the first request now computes and answers.
+	rec = doCtx(s, context.Background(), "POST", "/v1/analyze", body)
+	if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "miss" {
+		t.Fatalf("after the panics = %d/%q, want 200/miss; body %s",
+			rec.Code, rec.Header().Get("X-Cache"), rec.Body)
+	}
 }

@@ -391,17 +391,8 @@ func (m *Metrics) WriteProm(w io.Writer, cacheLen, poolInUse, poolCap, queued, q
 	fmt.Fprintf(w, "addsd_engine_matrix_clones_total %d\n", es.Clones)
 	fmt.Fprintf(w, "# TYPE addsd_engine_interned_paths gauge\n")
 	fmt.Fprintf(w, "addsd_engine_interned_paths %d\n", es.InternedPaths)
-	fmt.Fprintf(w, "# HELP addsd_engine_memo_hits_total Transfer-function results served from the dedup memo.\n")
-	fmt.Fprintf(w, "# TYPE addsd_engine_memo_hits_total counter\n")
-	fmt.Fprintf(w, "addsd_engine_memo_hits_total %d\n", es.MemoHits)
-	fmt.Fprintf(w, "# TYPE addsd_engine_memo_misses_total counter\n")
-	fmt.Fprintf(w, "addsd_engine_memo_misses_total %d\n", es.MemoMisses)
-	fmt.Fprintf(w, "# TYPE addsd_engine_memo_entries gauge\n")
-	fmt.Fprintf(w, "addsd_engine_memo_entries %d\n", es.MemoEntries)
 	fmt.Fprintf(w, "# TYPE addsd_engine_shared_rows_total counter\n")
 	fmt.Fprintf(w, "addsd_engine_shared_rows_total %d\n", es.SharedRows)
-	fmt.Fprintf(w, "# TYPE addsd_engine_dedup_rows_total counter\n")
-	fmt.Fprintf(w, "addsd_engine_dedup_rows_total %d\n", es.DedupRows)
 	fmt.Fprintf(w, "# HELP addsd_engine_summary_computed_total Function summaries computed (content-addressed cache misses).\n")
 	fmt.Fprintf(w, "# TYPE addsd_engine_summary_computed_total counter\n")
 	fmt.Fprintf(w, "addsd_engine_summary_computed_total %d\n", es.SummaryComputed)

@@ -93,7 +93,8 @@ func oracleFor(ctx context.Context, an *adds.Analysis, name string, k int) (adds
 // the response. It is the single implementation behind POST /v1/analyze and
 // addsc -format json, so the daemon and the CLI can never drift apart.
 func BuildAnalyze(ctx context.Context, req *AnalyzeRequest) (*AnalyzeResponse, error) {
-	if _, err := adds.ParseOracle(req.Oracle); err != nil {
+	oracleName, err := adds.ParseOracle(req.Oracle)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	unit, err := adds.LoadCtx(ctx, []byte(req.Source))
@@ -140,6 +141,9 @@ func BuildAnalyze(ctx context.Context, req *AnalyzeRequest) (*AnalyzeResponse, e
 		for _, iv := range val.Intervals() {
 			fr.Validation.Intervals = append(fr.Validation.Intervals, iv.String())
 		}
+		// Each comparison oracle is built once per function, at its first
+		// loop; the request's own oracle serves its name.
+		cmpOracles := map[string]adds.Oracle{oracleName: oracle}
 		for i := 0; i < an.Loops(); i++ {
 			dg := an.DependencesCtx(ctx, i, oracle)
 			fr.LoopData = append(fr.LoopData, LoopResult{
@@ -153,9 +157,12 @@ func BuildAnalyze(ctx context.Context, req *AnalyzeRequest) (*AnalyzeResponse, e
 			// (pinned byte-identical by the goldens), so it stays a literal
 			// instead of enumerating the registry.
 			for _, cmp := range []string{"conservative", "classic", "gpm"} {
-				o, err := oracleFor(ctx, an, cmp, req.K)
-				if err != nil {
-					return nil, err
+				o, ok := cmpOracles[cmp]
+				if !ok {
+					if o, err = oracleFor(ctx, an, cmp, req.K); err != nil {
+						return nil, err
+					}
+					cmpOracles[cmp] = o
 				}
 				fr.Oracles = append(fr.Oracles, OracleComparison{
 					Oracle:          cmp,
