@@ -17,6 +17,7 @@ import (
 	"repro/internal/core/pathmatrix"
 	"repro/internal/depgraph"
 	"repro/internal/exper"
+	"repro/internal/gen"
 	"repro/internal/interp"
 	"repro/internal/machine"
 	"repro/internal/norm"
@@ -287,6 +288,31 @@ func BenchmarkAnalyzeShift(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if r := pathmatrix.Analyze(g, info.Env); r == nil {
 			b.Fatal("nil result")
+		}
+	}
+}
+
+// BenchmarkAnalyzeHostile times a cold-summary, one-worker analysis of
+// generator seed 1 of the four hostile profiles (parent-pointer trees, skip
+// lists, rings of lists, break-then-repair): the shapes whose fixpoints
+// dominate a miss request.
+func BenchmarkAnalyzeHostile(b *testing.B) {
+	var infos []*types.Info
+	for _, name := range []string{"ptree", "skiplist", "ringlol", "repair"} {
+		pr, err := gen.ProfileByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		infos = append(infos, types.MustCheck(parser.MustParse(string(gen.Generate(1, pr).Source()))))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pathmatrix.ResetSummaryCache()
+		for _, info := range infos {
+			if _, err := pathmatrix.AnalyzeProgramCtx(context.Background(), info, info.Env, 1); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

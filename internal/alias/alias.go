@@ -86,9 +86,8 @@ func (c *Conservative) Valid(*norm.Node) bool { return true }
 
 // GPM adapts a path matrix analysis result to the Oracle interface.
 type GPM struct {
-	name  string
-	res   *pathmatrix.Result
-	iters map[*norm.Loop]*pathmatrix.Matrix
+	name string
+	res  *pathmatrix.Result
 }
 
 // NewGPM runs general path matrix analysis with the full ADDS environment.
@@ -110,11 +109,7 @@ func NewGPMWith(g *norm.Graph, env *shape.Env, tab *pathmatrix.SummaryTable) *GP
 // GPMOf answers GPM queries from an analysis the caller already ran with
 // the full ADDS environment, instead of running the fixpoint again.
 func GPMOf(res *pathmatrix.Result) *GPM {
-	return &GPM{
-		name:  "adds+gpm",
-		res:   res,
-		iters: map[*norm.Loop]*pathmatrix.Matrix{},
-	}
+	return &GPM{name: "adds+gpm", res: res}
 }
 
 // NewClassic runs the engine with directions stripped, modelling path matrix
@@ -128,16 +123,22 @@ func NewClassic(g *norm.Graph, env *shape.Env) *GPM {
 // on the environment they were derived in, and mixing them across
 // environments would smuggle ADDS-informed facts into the classic oracle.
 func NewClassicWith(g *norm.Graph, env *shape.Env, tab *pathmatrix.SummaryTable) *GPM {
-	res, err := pathmatrix.AnalyzeCtxWith(context.Background(), g, env.Stripped(), tab)
+	o, err := newClassicCtx(context.Background(), g, env, tab)
 	if err != nil {
 		// Background contexts never expire; this is unreachable.
 		panic("alias: " + err.Error())
 	}
-	return &GPM{
-		name:  "classic-pm",
-		res:   res,
-		iters: map[*norm.Loop]*pathmatrix.Matrix{},
+	return o
+}
+
+// newClassicCtx is NewClassicWith under ctx: it fails with ctx's error when
+// ctx is done before the fixpoint completes.
+func newClassicCtx(ctx context.Context, g *norm.Graph, env *shape.Env, tab *pathmatrix.SummaryTable) (*GPM, error) {
+	res, err := pathmatrix.AnalyzeCtxWith(ctx, g, env.Stripped(), tab)
+	if err != nil {
+		return nil, err
 	}
+	return &GPM{name: "classic-pm", res: res}, nil
 }
 
 // Name implements Oracle.
@@ -157,14 +158,10 @@ func (o *GPM) MustAlias(n *norm.Node, p, q string) bool {
 	return o.res.BeforeNode(n).MustAlias(p, q)
 }
 
-// LoopCarried implements Oracle: query the primed-variable matrix.
+// LoopCarried implements Oracle: query the primed-variable matrix, which
+// the result computes once per loop.
 func (o *GPM) LoopCarried(l *norm.Loop, p, q string) bool {
-	im, ok := o.iters[l]
-	if !ok {
-		im = o.res.IterationMatrix(l)
-		o.iters[l] = im
-	}
-	return im.MayAlias(p+pathmatrix.Shadow, q)
+	return o.res.IterationMatrix(l).MayAlias(p+pathmatrix.Shadow, q)
 }
 
 // Valid implements Oracle.

@@ -126,12 +126,10 @@ func TestGPMIterationMatrixCached(t *testing.T) {
 	o := NewGPM(g, info.Env)
 	loop := g.Loops[0]
 	o.LoopCarried(loop, "p", "p")
-	if len(o.iters) != 1 {
-		t.Error("iteration matrix should be cached")
-	}
+	im := o.Result().IterationMatrix(loop)
 	o.LoopCarried(loop, "hd", "p")
-	if len(o.iters) != 1 {
-		t.Error("cache reused")
+	if o.Result().IterationMatrix(loop) != im {
+		t.Error("iteration matrix should be computed once per loop")
 	}
 }
 

@@ -156,15 +156,24 @@ func init() {
 		Name:        "classic",
 		Description: "path matrix analysis with the ADDS declarations stripped",
 		Rank:        1,
-		Build: func(_ context.Context, g *norm.Graph, opts BuildOpts) Oracle {
+		Build: func(ctx context.Context, g *norm.Graph, opts BuildOpts) Oracle {
 			// Summary rows are environment-dependent; the classic oracle
 			// needs a table computed under the stripped environment, never
-			// the ADDS-informed one the caller ran with.
+			// the ADDS-informed one the caller ran with. A done context
+			// stops both fixpoints; the conservative oracle it answers with
+			// instead is sound.
 			var tab *pathmatrix.SummaryTable
 			if opts.Summaries != nil && opts.Info != nil {
-				tab = pathmatrix.ComputeSummaries(opts.Info, opts.Env.Stripped())
+				var err error
+				if tab, err = pathmatrix.ComputeSummariesCtx(ctx, opts.Info, opts.Env.Stripped()); err != nil {
+					return NewConservative(g)
+				}
 			}
-			return NewClassicWith(g, opts.Env, tab)
+			o, err := newClassicCtx(ctx, g, opts.Env, tab)
+			if err != nil {
+				return NewConservative(g)
+			}
+			return o
 		},
 	})
 	Register(Factory{

@@ -12,6 +12,7 @@ import (
 	"repro/internal/alias"
 	_ "repro/internal/alias/klimit"
 	_ "repro/internal/alias/smg"
+	"repro/internal/core/pathmatrix"
 	"repro/internal/norm"
 	"repro/internal/source/parser"
 	"repro/internal/source/types"
@@ -87,5 +88,46 @@ void f(List *p) {
 		if !o.MayAlias(g.Exit, "p", "q") {
 			t.Errorf("%s: p and q must may-alias", f.Name)
 		}
+	}
+}
+
+// TestClassicHonoursCancelledContext: under a done context the classic
+// factory runs no fixpoint — neither its stripped summary table nor its own
+// analysis — and answers with the sound conservative oracle.
+func TestClassicHonoursCancelledContext(t *testing.T) {
+	src := `
+type List [X] {
+    int data;
+    List *next is uniquely forward along X;
+};
+void touch(List *a) {
+    a->data = 1;
+}
+void f(List *p) {
+    List *q;
+    q = p->next;
+    touch(q);
+}
+`
+	info := types.MustCheck(parser.MustParse(src))
+	g := norm.Build(info.Func("f"), info.Env)
+	opts := alias.BuildOpts{Env: info.Env, Info: info, Summaries: pathmatrix.ComputeSummaries(info, info.Env)}
+	classic, err := alias.Lookup("classic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pathmatrix.ResetSummaryCache()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	before := pathmatrix.ReadStats().Analyses
+	o := classic.Build(ctx, g, opts)
+	if ran := pathmatrix.ReadStats().Analyses - before; ran != 0 {
+		t.Errorf("cancelled classic build ran %d fixpoints, want 0", ran)
+	}
+	if want := alias.NewConservative(g).Name(); o.Name() != want {
+		t.Errorf("cancelled classic build answered with %q, want %q", o.Name(), want)
+	}
+	if o := classic.Build(context.Background(), g, opts); o.Name() != "classic-pm" {
+		t.Errorf("live classic build answered with %q", o.Name())
 	}
 }

@@ -25,6 +25,8 @@ type Result struct {
 	// calls with, nil for havoc-only runs. IterationMatrix reuses it so the
 	// primed-variable view stays consistent with the per-node matrices.
 	Summaries *SummaryTable
+
+	iters sync.Map // *norm.Loop -> *iterMemo
 }
 
 // maxIterations bounds the fixed-point computation; the bounded domain
@@ -72,7 +74,6 @@ func widenedIterationMatrix(g *norm.Graph) *Matrix {
 	for _, v := range m.Violations() {
 		out.addViolation(v)
 	}
-	m.release()
 	return out
 }
 
@@ -168,11 +169,13 @@ func analyzeFull(ctx context.Context, g *norm.Graph, env *shape.Env, opts *analy
 		trans.varRecord = recordsOf(g)
 	}
 
-	vars := g.PointerVars()
+	vars := g.PointerVars() // a fresh slice the run's matrices share
 	if shadowed {
 		vars = shadowFormalVars(g)
 	}
-	init := NewMatrix(vars)
+	ix := newVarIndex(vars)
+	init := newMatrix(vars, ix)
+	empty := func() *Matrix { return newMatrix(vars, ix) }
 	initParams(init, g)
 	if shadowed {
 		seedFormalShadows(init, g)
@@ -208,14 +211,12 @@ func analyzeFull(ctx context.Context, g *norm.Graph, env *shape.Env, opts *analy
 				if acc == nil {
 					acc = st.Clone()
 				} else {
-					joined := Join(acc, st)
-					acc.release()
-					acc = joined
+					acc = Join(acc, st)
 				}
 			}
 		}
 		if acc == nil {
-			acc = NewMatrix(vars) // unreachable so far
+			acc = empty() // unreachable so far
 		}
 		return acc
 	}
@@ -230,7 +231,6 @@ func analyzeFull(ctx context.Context, g *norm.Graph, env *shape.Env, opts *analy
 	inWork[g.Entry.ID] = true
 	visits := make([]int, len(g.Nodes))
 	var widened *Matrix
-	var dead []*Matrix
 	iter := 0
 	for head < len(work) {
 		if iter++; iter > maxIterations {
@@ -275,11 +275,6 @@ func analyzeFull(ctx context.Context, g *norm.Graph, env *shape.Env, opts *analy
 		res.Before[n.ID] = before
 		res.After[n.ID] = after
 
-		// Matrices superseded on this node's out-edges. Their only remaining
-		// references (this node's edgeOut slots and the res slots overwritten
-		// above) are gone once the loop below finishes, so they can be
-		// recycled — except the shared widened matrix and the current after.
-		dead = dead[:0]
 		for si, succ := range n.Succs {
 			out := after
 			if n.Kind == norm.NodeBranch && visits[n.ID] <= nodeVisitBudget {
@@ -287,34 +282,12 @@ func analyzeFull(ctx context.Context, g *norm.Graph, env *shape.Env, opts *analy
 			}
 			old := edgeOut[n.ID][si]
 			if old != nil && old.Equal(out) {
-				if out != after && out != widened {
-					out.release() // freshly refined, discarded, unreferenced
-				}
 				continue
 			}
 			edgeOut[n.ID][si] = out
-			if old != nil && old != after && old != widened {
-				dead = append(dead, old)
-			}
 			if !inWork[succ.ID] {
 				work = append(work, succ)
 				inWork[succ.ID] = true
-			}
-		}
-		for i, d := range dead {
-			still := false
-			for _, e := range edgeOut[n.ID] {
-				if e == d {
-					still = true
-				}
-			}
-			for _, e := range dead[:i] {
-				if e == d {
-					still = true // duplicate edge state, released already
-				}
-			}
-			if !still {
-				d.release()
 			}
 		}
 	}
@@ -456,10 +429,10 @@ func refine(m *Matrix, c *norm.Cond, taken bool) *Matrix {
 			if x == c.Var2 {
 				continue
 			}
-			for _, r := range out.Entry(c.Var, x).rels() {
+			for _, r := range out.Entry(c.Var, x) {
 				out.addRel(c.Var2, x, r)
 			}
-			for _, r := range out.Entry(x, c.Var).rels() {
+			for _, r := range out.Entry(x, c.Var) {
 				out.addRel(x, c.Var2, r)
 			}
 		}
@@ -467,10 +440,10 @@ func refine(m *Matrix, c *norm.Cond, taken bool) *Matrix {
 			if x == c.Var {
 				continue
 			}
-			for _, r := range out.Entry(c.Var2, x).rels() {
+			for _, r := range out.Entry(c.Var2, x) {
 				out.addRel(c.Var, x, r)
 			}
-			for _, r := range out.Entry(x, c.Var2).rels() {
+			for _, r := range out.Entry(x, c.Var2) {
 				out.addRel(x, c.Var, r)
 			}
 		}
@@ -485,7 +458,7 @@ func refine(m *Matrix, c *norm.Cond, taken bool) *Matrix {
 				continue
 			}
 			ne := Entry{}
-			for _, r := range e.rels() {
+			for _, r := range e {
 				if r.Kind == RelAlias {
 					continue
 				}
@@ -536,8 +509,25 @@ const Shadow = "'"
 // matrix relating each pointer variable's value at the start of iteration i
 // (suffixed with Shadow) to every variable's value after the body has
 // executed once (unsuffixed). PM(p', p) = next means each iteration advances
-// p by exactly one next link.
+// p by exactly one next link. It is computed once per loop; every call,
+// from any goroutine, returns the same read-only matrix.
 func (r *Result) IterationMatrix(l *norm.Loop) *Matrix {
+	v, ok := r.iters.Load(l)
+	if !ok {
+		v, _ = r.iters.LoadOrStore(l, &iterMemo{})
+	}
+	im := v.(*iterMemo)
+	im.once.Do(func() { im.m = r.iterationMatrix(l) })
+	return im.m
+}
+
+// iterMemo holds one loop's iteration matrix.
+type iterMemo struct {
+	once sync.Once
+	m    *Matrix
+}
+
+func (r *Result) iterationMatrix(l *norm.Loop) *Matrix {
 	base := r.LoopHead(l)
 
 	// Extend the variable set with shadows and copy all relations, making
@@ -547,8 +537,16 @@ func (r *Result) IterationMatrix(l *norm.Loop) *Matrix {
 		vars = append(vars, v+Shadow)
 	}
 	m := NewMatrix(vars)
-	for k, e := range base.cells {
-		m.set(k[0], k[1], e.clone())
+	to := make([]int, len(base.ix.names))
+	for i, v := range base.ix.names {
+		to[i] = m.slot(v)
+	}
+	for i, row := range base.rows {
+		for j, e := range row {
+			if e != nil {
+				m.setShared(to[i], to[j], e)
+			}
+		}
 	}
 	for _, v := range base.Violations() {
 		m.addViolation(v)
@@ -606,9 +604,7 @@ func (r *Result) IterationMatrix(l *norm.Loop) *Matrix {
 					if before == nil {
 						before = edgeOut[p.ID][si].Clone()
 					} else {
-						joined := Join(before, edgeOut[p.ID][si])
-						before.release()
-						before = joined
+						before = Join(before, edgeOut[p.ID][si])
 					}
 				}
 			}
@@ -641,9 +637,7 @@ func (r *Result) IterationMatrix(l *norm.Loop) *Matrix {
 				if result == nil {
 					result = out.Clone()
 				} else {
-					joined := Join(result, out)
-					result.release()
-					result = joined
+					result = Join(result, out)
 				}
 				continue
 			}

@@ -125,7 +125,7 @@ func TestPaperSection512FixedPoint(t *testing.T) {
 	if e.String() != "next+" {
 		t.Errorf("PM(hd,p) at fixed point = %q, want %q", e.String(), "next+")
 	}
-	for _, re := range e.rels() {
+	for _, re := range e {
 		if !re.Certain {
 			t.Error("next+ should be a definite path at the fixed point")
 		}

@@ -42,7 +42,7 @@ func miniFiles(t *testing.T) []string {
 // TestMemoDeterminism: analyzing a program function by function, straight
 // through analyzeFull, must be byte-identical to AnalyzeProgramCtx on one
 // worker and on eight, and to a second run of each against the warm
-// summary cache, intern table and matrix pools the first one left behind.
+// summary cache, intern table and header slabs the first one left behind.
 func TestMemoDeterminism(t *testing.T) {
 	for _, file := range miniFiles(t) {
 		t.Run(filepath.Base(file), func(t *testing.T) {

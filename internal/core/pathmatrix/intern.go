@@ -3,9 +3,9 @@ package pathmatrix
 import "sync"
 
 // Path expressions are hash-consed: structurally equal paths share one
-// canonical backing slice with precomputed key, display, and signature
-// strings, so set-membership and join stop re-rendering identical
-// expressions.
+// canonical backing slice with precomputed key and display strings, so
+// relation identity is a slice-header comparison and ordering and printing
+// stop re-rendering identical expressions.
 
 // internShardCount shards the intern table to keep lock contention low when
 // AnalyzeProgram runs functions in parallel. Must be a power of two.
@@ -18,7 +18,6 @@ type pathMeta struct {
 	path Path
 	key  string // Path.Key(): canonical map key, '~' markers kept
 	str  string // Path.String(): the paper's display form
-	sig  string // field signature with counts erased (see sigKey)
 }
 
 // internShard is one lock-striped slice of the table. Buckets chain metas
@@ -109,7 +108,7 @@ func (in *pathInterner) intern(p Path) *pathMeta {
 	}
 	cp := make(Path, len(p))
 	copy(cp, p)
-	m := &pathMeta{path: cp, key: cp.computeKey(), str: cp.computeString(), sig: cp.computeSig()}
+	m := &pathMeta{path: cp, key: cp.computeKey(), str: cp.computeString()}
 	sh := &in.shards[h&(internShardCount-1)]
 	sh.mu.Lock()
 	for _, o := range sh.byHash[h] {

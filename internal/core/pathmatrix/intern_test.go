@@ -65,9 +65,6 @@ func TestInternIdempotent(t *testing.T) {
 		if ip.Key() != p.computeKey() {
 			t.Fatalf("memoized Key %q != computed %q", ip.Key(), p.computeKey())
 		}
-		if ip.sig() != p.computeSig() {
-			t.Fatalf("memoized sig %q != computed %q", ip.sig(), p.computeSig())
-		}
 	}
 }
 

@@ -1,9 +1,6 @@
 package pathmatrix
 
-import (
-	"encoding/json"
-	"sort"
-)
+import "encoding/json"
 
 // relJSON is the wire form of one relation. Kind is "alias", "path", or
 // "top"; Path carries the paper's display form ("next^2", "next+") for path
@@ -50,25 +47,18 @@ func (m *Matrix) MarshalJSON() ([]byte, error) {
 		Cells: []cellJSON{},
 		Valid: m.Valid(),
 	}
-	keys := make([][2]string, 0, len(m.cells))
-	for k, e := range m.cells {
-		if len(e) > 0 {
-			keys = append(keys, k)
+	for _, i := range m.ix.byName {
+		for _, j := range m.ix.byName {
+			e := m.at(i, j)
+			if len(e) == 0 {
+				continue
+			}
+			rj := make([]relJSON, len(e))
+			for k, r := range e {
+				rj[k] = relToJSON(r)
+			}
+			out.Cells = append(out.Cells, cellJSON{P: m.ix.names[i], Q: m.ix.names[j], Rels: rj})
 		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	for _, k := range keys {
-		rels := m.cells[k].rels()
-		rj := make([]relJSON, len(rels))
-		for i, r := range rels {
-			rj[i] = relToJSON(r)
-		}
-		out.Cells = append(out.Cells, cellJSON{P: k[0], Q: k[1], Rels: rj})
 	}
 	for _, v := range m.Violations() {
 		out.Violations = append(out.Violations, v.String())

@@ -2,59 +2,73 @@ package pathmatrix
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 )
+
+// varIndex addresses a variable list by dense index. Every matrix of one
+// fixpoint run shares its run's index; IterationMatrix and the summary runs
+// build their own over their shadow-extended lists. An index is immutable:
+// a write naming a variable outside it moves that one matrix to an extended
+// copy (see slot).
+type varIndex struct {
+	names  []string
+	pos    map[string]int
+	byName []int // indices in name order: relatedVars and the JSON cell order
+}
+
+func newVarIndex(names []string) *varIndex {
+	ix := &varIndex{names: names, pos: make(map[string]int, len(names))}
+	ix.byName = make([]int, 0, len(names))
+	for i, v := range names {
+		if _, dup := ix.pos[v]; !dup {
+			ix.pos[v] = i
+			ix.byName = append(ix.byName, i)
+		}
+	}
+	slices.SortFunc(ix.byName, func(a, b int) int { return strings.Compare(names[a], names[b]) })
+	return ix
+}
+
+// same reports whether two indexes address their variables identically.
+func (ix *varIndex) same(o *varIndex) bool {
+	return ix == o || slices.Equal(ix.names, o.names)
+}
 
 // Matrix is a path matrix at one program point: relations between every
 // ordered pair of live pointer variables, plus the set of currently
 // outstanding abstraction violations. Alias relations (RelAlias, RelTop) are
 // stored symmetrically in both cells; path relations are directional.
 //
-// Matrices are copy-on-write: Clone is O(1) and shares the cell and
-// violation maps with the original. The first structural write after a
-// Clone copies the shared map shallowly (entries still shared), and an
-// individual Entry is cloned only when it is about to be mutated. All
-// mutation therefore goes through set/addRel/addViolation/deleteViolation,
-// which maintain the sharing flags and the per-entry ownership marks.
+// Cells are a table of rows indexed by variable: rows[i][j] is
+// PM(names[i], names[j]), and a nil or short row reads as empty. Matrices
+// are copy-on-write at three levels. Clone is O(1) and shares the row table
+// and the violation map; the first write after it copies the table (row
+// headers only), the first write to a row copies that row, and an entry is
+// cloned only when it is about to be mutated. All mutation therefore goes
+// through setAt/addRel/addViolation/deleteViolation, which maintain the
+// sharing flags and the ownership bits.
 type Matrix struct {
 	vars  []string // display order
-	cells map[[2]string]Entry
+	ix    *varIndex
+	rows  [][]Entry
 	viols map[Violation]bool
 
-	sharedCells bool // cells map may be referenced by another matrix
+	sharedRows  bool // rows table may be referenced by another matrix
 	sharedViols bool // viols map may be referenced by another matrix
-	// owned marks entries this matrix created after the last map copy and
-	// may therefore mutate in place. nil means no entry is owned.
-	owned map[[2]string]bool
+	// own marks what this matrix created since it last shared its table and
+	// may therefore mutate in place: bit i row i, bit n+i*n+j entry (i, j).
+	// An entry bit is only ever set inside an owned row.
+	own    []uint64
+	ownAny bool
 }
 
-// matrixPool recycles Matrix headers, and cellsPool their cell maps, across
-// the millions of intermediate states a fixed-point run creates. Only
-// provably private objects are ever returned (see release). matrixPool has
-// no New: a miss falls through to slab allocation.
-var (
-	matrixPool = sync.Pool{}
-	cellsPool  = sync.Pool{New: func() any { return make(map[[2]string]Entry, 8) }}
-	ownedPool  = sync.Pool{New: func() any { return make(map[[2]string]bool, 8) }}
-)
-
-// recycleOwned returns the matrix's ownership map to the pool. Safe whenever
-// the matrix is about to drop its mutation rights: the owned map is never
-// shared between matrices.
-func (m *Matrix) recycleOwned() {
-	if m.owned != nil {
-		clear(m.owned)
-		ownedPool.Put(m.owned)
-		m.owned = nil
-	}
-}
-
-// matrixSlab batch-allocates Matrix headers. Most headers stay live inside a
-// returned Result and can never be recycled, so allocating them one by one
+// matrixSlab batch-allocates Matrix headers. Allocating them one by one
 // makes every Clone an allocation; carving them from slabs amortizes that to
-// one allocation per slabSize clones.
+// one allocation per slabSize clones. Headers are never recycled: a
+// recycling pool measured no gain over the slabs alone.
 type matrixSlab struct {
 	buf  []Matrix
 	next int
@@ -64,12 +78,8 @@ const slabSize = 64
 
 var slabPool = sync.Pool{New: func() any { return &matrixSlab{buf: make([]Matrix, slabSize)} }}
 
-// getMatrix returns a zeroed Matrix header: a recycled one when available,
-// otherwise the next header from a slab.
+// getMatrix returns the next zeroed Matrix header from a slab.
 func getMatrix() *Matrix {
-	if v := matrixPool.Get(); v != nil {
-		return v.(*Matrix)
-	}
 	s := slabPool.Get().(*matrixSlab)
 	if s.next >= len(s.buf) {
 		s = &matrixSlab{buf: make([]Matrix, slabSize)}
@@ -80,71 +90,142 @@ func getMatrix() *Matrix {
 	return m
 }
 
-// newMatrix builds a pooled matrix sharing the caller's vars slice (vars are
-// never mutated, so sharing is safe package-internally).
-func newMatrix(vars []string) *Matrix {
+// newMatrix builds an empty matrix over a shared variable list and
+// index (both are never mutated, so sharing is safe package-internally).
+func newMatrix(vars []string, ix *varIndex) *Matrix {
 	m := getMatrix()
-	m.vars = vars
-	m.cells = cellsPool.Get().(map[[2]string]Entry)
-	m.viols = nil // lazily allocated on the first violation
-	m.sharedCells, m.sharedViols = false, false
-	m.owned = nil
+	*m = Matrix{vars: vars, ix: ix}
 	return m
 }
 
 // NewMatrix returns an empty matrix over the variables.
 func NewMatrix(vars []string) *Matrix {
-	return newMatrix(append([]string(nil), vars...))
-}
-
-// release returns the matrix header — and its cells map, when not shared —
-// to the pools. The caller must guarantee no other reference to the header
-// exists. Entries are never recycled: they may be shared with live clones.
-func (m *Matrix) release() {
-	if m == nil {
-		return
-	}
-	if !m.sharedCells && m.cells != nil {
-		clear(m.cells)
-		cellsPool.Put(m.cells)
-	}
-	m.recycleOwned()
-	*m = Matrix{}
-	matrixPool.Put(m)
+	vars = append([]string(nil), vars...)
+	return newMatrix(vars, newVarIndex(vars))
 }
 
 // Vars returns the variables, in display order.
 func (m *Matrix) Vars() []string { return m.vars }
 
+// dropRights forgets every ownership bit: rows and entries this matrix
+// created may now be referenced elsewhere.
+func (m *Matrix) dropRights() {
+	if m.ownAny {
+		clear(m.own)
+		m.ownAny = false
+	}
+}
+
 // Clone returns a logically deep copy in O(1): both matrices drop in-place
-// mutation rights and copy on their next write.
+// mutation rights and copy on their next write. Cloning a matrix that
+// already shares everything writes nothing to it, so finished results may
+// be cloned concurrently.
 func (m *Matrix) Clone() *Matrix {
 	engineStats.clones.Add(1)
-	m.sharedCells, m.sharedViols = true, true
-	m.recycleOwned()
+	if !m.sharedRows || !m.sharedViols || m.ownAny {
+		m.sharedRows, m.sharedViols = true, true
+		m.dropRights()
+	}
 	out := getMatrix()
 	*out = Matrix{
 		vars:        m.vars,
-		cells:       m.cells,
+		ix:          m.ix,
+		rows:        m.rows,
 		viols:       m.viols,
-		sharedCells: true,
+		sharedRows:  true,
 		sharedViols: true,
 	}
 	return out
 }
 
-// ensureCells makes the cells map private (entries remain shared).
-func (m *Matrix) ensureCells() {
-	if !m.sharedCells {
+// at returns entry (i, j); out-of-table indices read as empty.
+func (m *Matrix) at(i, j int) Entry {
+	if i < len(m.rows) {
+		if r := m.rows[i]; j < len(r) {
+			return r[j]
+		}
+	}
+	return nil
+}
+
+// Entry returns PM(p, q); nil means no relation. The returned entry must be
+// treated as read-only; use mutableEntry to derive a writable one.
+func (m *Matrix) Entry(p, q string) Entry {
+	i, ok := m.ix.pos[p]
+	if !ok {
+		return nil
+	}
+	j, ok := m.ix.pos[q]
+	if !ok {
+		return nil
+	}
+	return m.at(i, j)
+}
+
+// slot returns v's index for a write, moving the matrix to an extended index
+// when v is not in its own. The engine only ever names a run's variables,
+// so this is the rare path that keeps arbitrary names safe.
+func (m *Matrix) slot(v string) int {
+	if i, ok := m.ix.pos[v]; ok {
+		return i
+	}
+	names := append(append([]string(nil), m.ix.names...), v)
+	m.ensureRows()
+	m.dropRights() // the bit layout depends on the index size
+	m.ix = newVarIndex(names)
+	return len(names) - 1
+}
+
+func (m *Matrix) owns(b int) bool {
+	return m.ownAny && b>>6 < len(m.own) && m.own[b>>6]&(1<<(b&63)) != 0
+}
+
+func (m *Matrix) grant(b int) {
+	if b>>6 >= len(m.own) {
+		n := len(m.ix.names)
+		m.own = append(m.own, make([]uint64, (n*(n+1)+63)/64-len(m.own))...)
+	}
+	m.own[b>>6] |= 1 << (b & 63)
+	m.ownAny = true
+}
+
+func (m *Matrix) revoke(b int) {
+	if m.owns(b) {
+		m.own[b>>6] &^= 1 << (b & 63)
+	}
+}
+
+func (m *Matrix) cellBit(i, j int) int { n := len(m.ix.names); return n + i*n + j }
+
+// ensureRows makes the row table private and full-length (rows may still
+// be shared).
+func (m *Matrix) ensureRows() {
+	n := len(m.ix.names)
+	if !m.sharedRows && len(m.rows) >= n {
 		return
 	}
-	nc := cellsPool.Get().(map[[2]string]Entry)
-	for k, v := range m.cells {
-		nc[k] = v
+	rows := make([][]Entry, max(n, len(m.rows)))
+	copy(rows, m.rows)
+	m.rows = rows
+	m.sharedRows = false
+}
+
+// row returns row i for writing: private and full-length. Copying a row
+// leaves its entries shared, so none of them is owned yet.
+func (m *Matrix) row(i int) []Entry {
+	m.ensureRows()
+	if m.owns(i) {
+		return m.rows[i]
 	}
-	m.cells = nc
-	m.sharedCells = false
-	m.owned = nil
+	n := len(m.ix.names)
+	r := make([]Entry, n)
+	copy(r, m.rows[i])
+	m.rows[i] = r
+	for j := 0; m.ownAny && j < n; j++ {
+		m.revoke(m.cellBit(i, j)) // left over from a row kill dropped
+	}
+	m.grant(i)
+	return r
 }
 
 // ensureViols makes the violations map private and non-nil.
@@ -163,38 +244,46 @@ func (m *Matrix) ensureViols() {
 	m.sharedViols = false
 }
 
-// Entry returns PM(p, q); nil means no relation. The returned entry must be
-// treated as read-only; use mutableEntry to derive a writable one.
-func (m *Matrix) Entry(p, q string) Entry { return m.cells[[2]string{p, q}] }
-
-// mutableEntry returns an entry for PM(p, q) that the caller may mutate and
-// hand back to set: the stored entry when owned, a clone otherwise.
-func (m *Matrix) mutableEntry(p, q string) Entry {
-	k := [2]string{p, q}
-	e := m.cells[k]
-	if e == nil || (m.owned != nil && m.owned[k]) {
+// mutableEntry returns an entry for (i, j) that the caller may mutate and
+// hand back to setAt: the stored entry when owned, a clone otherwise.
+func (m *Matrix) mutableEntry(i, j int) Entry {
+	e := m.at(i, j)
+	if e == nil || m.owns(m.cellBit(i, j)) {
 		return e
 	}
 	return e.clone()
 }
 
-// set replaces PM(p, q). The entry must be exclusively owned by the caller
-// (freshly built or obtained from mutableEntry); set records that ownership.
-func (m *Matrix) set(p, q string, e Entry) {
-	m.ensureCells()
-	k := [2]string{p, q}
+// setAt replaces entry (i, j). The entry must be exclusively owned by the
+// caller (freshly built or obtained from mutableEntry); setAt records that
+// ownership.
+func (m *Matrix) setAt(i, j int, e Entry) {
 	if len(e) == 0 {
-		delete(m.cells, k)
-		if m.owned != nil {
-			delete(m.owned, k)
+		if m.at(i, j) != nil {
+			m.row(i)[j] = nil
+			m.revoke(m.cellBit(i, j))
 		}
 		return
 	}
-	m.cells[k] = e
-	if m.owned == nil {
-		m.owned = ownedPool.Get().(map[[2]string]bool)
+	m.row(i)[j] = e
+	m.grant(m.cellBit(i, j))
+}
+
+// setShared installs an entry that stays referenced elsewhere without
+// granting mutation rights: a later write to this cell goes through
+// mutableEntry, which clones unowned entries first.
+func (m *Matrix) setShared(i, j int, e Entry) {
+	m.row(i)[j] = e
+	m.revoke(m.cellBit(i, j))
+}
+
+// set replaces PM(p, q) under the setAt contract.
+func (m *Matrix) set(p, q string, e Entry) {
+	if len(e) == 0 && m.Entry(p, q) == nil {
+		return
 	}
-	m.owned[k] = true
+	i := m.slot(p)
+	m.setAt(i, m.slot(q), e)
 }
 
 // addRel inserts one relation into PM(p, q). Alias and Top relations are
@@ -203,9 +292,31 @@ func (m *Matrix) addRel(p, q string, r Rel) {
 	if p == q {
 		return
 	}
-	m.set(p, q, m.mutableEntry(p, q).add(r))
+	i := m.slot(p)
+	m.addRelAt(i, m.slot(q), r)
+}
+
+// addRelAt is addRel by index.
+func (m *Matrix) addRelAt(i, j int, r Rel) {
+	if i == j {
+		return
+	}
+	m.addAt(i, j, r)
 	if r.Kind == RelAlias || r.Kind == RelTop {
-		m.set(q, p, m.mutableEntry(q, p).add(r))
+		m.addAt(j, i, r)
+	}
+}
+
+// addAt inserts one relation into entry (i, j), leaving the cell untouched
+// when the entry already covers it.
+func (m *Matrix) addAt(i, j int, r Rel) {
+	e := m.at(i, j)
+	switch {
+	case e.covers(r):
+	case e == nil && singleton(r) != nil:
+		m.setShared(i, j, singleton(r))
+	default:
+		m.setAt(i, j, m.mutableEntry(i, j).add(r))
 	}
 }
 
@@ -214,12 +325,15 @@ func (m *Matrix) addRel(p, q string, r Rel) {
 // relations belonging to the variable's previous value.
 func (m *Matrix) kill(v string) {
 	m.reanchorViolations(v)
-	m.ensureCells()
-	for k := range m.cells {
-		if k[0] == v || k[1] == v {
-			delete(m.cells, k)
-			if m.owned != nil {
-				delete(m.owned, k)
+	if i, ok := m.ix.pos[v]; ok {
+		if i < len(m.rows) && m.rows[i] != nil {
+			m.ensureRows()
+			m.rows[i] = nil
+			m.revoke(i)
+		}
+		for r := range m.rows {
+			if m.at(r, i) != nil {
+				m.setAt(r, i, nil)
 			}
 		}
 	}
@@ -272,41 +386,47 @@ func (m *Matrix) reanchorViolations(v string) {
 
 // staleVia marks Via tags naming v as stale.
 func (m *Matrix) staleVia(v string) {
-	for k, e := range m.cells {
-		var changed Entry
-		for rk, r := range e {
-			if r.Via.Var == v && !r.Via.Stale {
+	for i := range m.rows {
+		for j, e := range m.rows[i] {
+			var changed Entry
+			for k := range e {
+				if e[k].Via.Var != v || e[k].Via.Stale {
+					continue
+				}
+				r := e[k]
 				if changed == nil {
 					changed = e.clone()
 				}
-				delete(changed, rk)
+				changed = slices.DeleteFunc(changed, func(o Rel) bool { return sameRel(&o, &r) })
 				r.Via.Stale = true
 				changed = changed.add(r)
 			}
-		}
-		if changed != nil {
-			m.set(k[0], k[1], changed)
+			if changed != nil {
+				m.setAt(i, j, changed)
+			}
 		}
 	}
 }
 
-// copyRelations makes dst's relations identical to src's (dst = src).
+// copyRelations makes dst's relations identical to src's (dst = src). The
+// copies share src's entries, which src's cells stop owning.
 func (m *Matrix) copyRelations(dst, src string) {
-	type upd struct {
-		p, q string
-		e    Entry
+	s, ok := m.ix.pos[src]
+	if !ok {
+		return
 	}
-	var updates []upd
-	for k, e := range m.cells {
-		switch {
-		case k[0] == src && k[1] != dst:
-			updates = append(updates, upd{dst, k[1], e.clone()})
-		case k[1] == src && k[0] != dst:
-			updates = append(updates, upd{k[0], dst, e.clone()})
+	d := m.slot(dst)
+	for q := range m.ix.names {
+		if e := m.at(s, q); e != nil && q != d {
+			m.revoke(m.cellBit(s, q))
+			m.setShared(d, q, e)
 		}
 	}
-	for _, u := range updates {
-		m.set(u.p, u.q, u.e)
+	for p := range m.ix.names {
+		if e := m.at(p, s); e != nil && p != d {
+			m.revoke(m.cellBit(p, s))
+			m.setShared(p, d, e)
+		}
 	}
 }
 
@@ -317,22 +437,34 @@ func (m *Matrix) related(p, q string) bool {
 }
 
 // relatedVars returns every variable related to p (excluding p itself), in
-// stable order.
+// name order.
 func (m *Matrix) relatedVars(p string) []string {
-	set := map[string]bool{}
-	for k := range m.cells {
-		if k[0] == p {
-			set[k[1]] = true
-		}
-		if k[1] == p {
-			set[k[0]] = true
+	_, related := m.relatedOf(p)
+	var out []string
+	for _, x := range related {
+		out = append(out, m.ix.names[x])
+	}
+	return out
+}
+
+// relatedOf returns v's index and the indices related to it, or -1 and
+// none when v is not in the matrix.
+func (m *Matrix) relatedOf(v string) (int, []int) {
+	i, ok := m.ix.pos[v]
+	if !ok {
+		return -1, nil
+	}
+	return i, m.relatedIdx(i)
+}
+
+// relatedIdx is relatedVars by index.
+func (m *Matrix) relatedIdx(i int) []int {
+	var out []int
+	for _, x := range m.ix.byName {
+		if x != i && (m.at(i, x) != nil || m.at(x, i) != nil) {
+			out = append(out, x)
 		}
 	}
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
 	return out
 }
 
@@ -391,58 +523,75 @@ func (m *Matrix) MustAlias(p, q string) bool {
 // merge to next+), so joining a non-canonical entry with itself does NOT
 // yield itself; only sig-canonical entries are safe to share at a join.
 func sigCanonical(e Entry) bool {
-	if len(e) <= 1 {
-		return true
-	}
-	var buf [8]string
-	sigs := buf[:0]
-	for _, r := range e {
-		k := sigKey(r)
-		for _, s := range sigs {
-			if s == k {
+	for i := 1; i < len(e); i++ {
+		for k := range e[:i] {
+			if sameSig(&e[k], &e[i]) {
 				return false
 			}
 		}
-		sigs = append(sigs, k)
 	}
 	return true
 }
 
-// setShared installs an entry owned by another matrix without granting
-// mutation rights: a later write to this cell goes through mutableEntry,
-// which clones unowned entries first. Entries are never recycled by release,
-// so the donor matrix being pooled later cannot invalidate the reference.
-func (m *Matrix) setShared(k [2]string, e Entry) {
-	m.ensureCells()
-	m.cells[k] = e
+// onIndex re-addresses m's cells over ix by name, extending ix with any
+// variable it lacks, and shares the entries. It backs Join and Equal on
+// matrices built over different variable lists.
+func (m *Matrix) onIndex(ix *varIndex) *Matrix {
+	out := newMatrix(m.vars, ix)
+	for i, r := range m.rows {
+		for j, e := range r {
+			if e != nil {
+				p := out.slot(m.ix.names[i])
+				out.setShared(p, out.slot(m.ix.names[j]), e)
+			}
+		}
+	}
+	return out
+}
+
+// cellsOn returns views of a's and b's cells over one common index.
+func cellsOn(a, b *Matrix) (*Matrix, *Matrix) {
+	if a.ix.same(b.ix) {
+		return a, b
+	}
+	vb := b.onIndex(a.ix)
+	return a.onIndex(vb.ix), vb
+}
+
+func rowAt(m *Matrix, i int) []Entry {
+	if i < len(m.rows) {
+		return m.rows[i]
+	}
+	return nil
+}
+
+func cellAt(r []Entry, j int) Entry {
+	if j < len(r) {
+		return r[j]
+	}
+	return nil
 }
 
 // Join merges two matrices (control-flow join). Cells whose entries are
 // structurally equal on both sides — the overwhelmingly common case at the
 // joins of a converging fixpoint — share the left entry pointer-equal
-// instead of rebuilding it, so a join that changes one cell shares every
-// other with its parents. Sharing requires sig-canonical entries (see
-// sigCanonical): for those, signature matching pairs each relation with
-// itself, merges paths to identical content and keeps certainty, so the
-// joined entry is contentwise the shared one.
+// instead of rebuilding it, and a row all of whose cells share is the left
+// row itself, so a join that changes one cell shares every other with its
+// parents. Sharing requires sig-canonical entries (see sigCanonical): for
+// those, signature matching pairs each relation with itself, merges paths
+// to identical content and keeps certainty, so the joined entry is
+// contentwise the shared one. a gives up its mutation rights.
 func Join(a, b *Matrix) *Matrix {
-	out := newMatrix(a.vars)
-	keys := map[[2]string]bool{}
-	for k := range a.cells {
-		keys[k] = true
+	a.dropRights()
+	va, vb := cellsOn(a, b)
+	n := len(va.ix.names)
+	out := newMatrix(a.vars, va.ix)
+	out.rows = make([][]Entry, n)
+	shared := 0
+	for i := range out.rows {
+		out.rows[i] = joinRows(rowAt(va, i), rowAt(vb, i), n, &shared)
 	}
-	for k := range b.cells {
-		keys[k] = true
-	}
-	for k := range keys {
-		ea, eb := a.cells[k], b.cells[k]
-		if ea != nil && equalEntries(ea, eb) && sigCanonical(ea) {
-			out.setShared(k, ea)
-			engineStats.sharedRows.Add(1)
-			continue
-		}
-		out.set(k[0], k[1], joinEntries(ea, eb))
-	}
+	engineStats.sharedRows.Add(uint64(shared))
 	for v := range a.viols {
 		out.addViolation(v)
 	}
@@ -452,14 +601,52 @@ func Join(a, b *Matrix) *Matrix {
 	return out
 }
 
-// Equal compares matrices for fixed-point detection.
+// joinRows joins two rows cell by cell, counting shared cells. The result
+// is ra itself until a cell needs a joined entry.
+func joinRows(ra, rb []Entry, n int, shared *int) []Entry {
+	var out []Entry
+	for j := 0; j < n; j++ {
+		ea, eb := cellAt(ra, j), cellAt(rb, j)
+		if ea == nil && eb == nil {
+			continue
+		}
+		if ea != nil && equalEntries(ea, eb) && sigCanonical(ea) {
+			*shared++
+			if out != nil {
+				out[j] = ea
+			}
+			continue
+		}
+		if out == nil {
+			out = make([]Entry, n)
+			copy(out[:j], ra)
+		}
+		out[j] = joinEntries(ea, eb)
+	}
+	if out == nil {
+		return ra
+	}
+	return out
+}
+
+// Equal compares matrices for fixed-point detection. Rows the two share
+// compare equal without a scan.
 func (m *Matrix) Equal(o *Matrix) bool {
-	if len(m.cells) != len(o.cells) || len(m.viols) != len(o.viols) {
+	if len(m.viols) != len(o.viols) {
 		return false
 	}
-	for k, e := range m.cells {
-		if !equalEntries(e, o.cells[k]) {
-			return false
+	vm, vo := cellsOn(m, o)
+	if n := len(vm.ix.names); len(vm.rows) != len(vo.rows) || len(vm.rows) > 0 && &vm.rows[0] != &vo.rows[0] {
+		for i := 0; i < n; i++ {
+			ra, rb := rowAt(vm, i), rowAt(vo, i)
+			if len(ra) == len(rb) && (len(ra) == 0 || &ra[0] == &rb[0]) {
+				continue
+			}
+			for j := 0; j < n; j++ {
+				if !equalEntries(cellAt(ra, j), cellAt(rb, j)) {
+					return false
+				}
+			}
 		}
 	}
 	for v := range m.viols {
@@ -512,16 +699,17 @@ func (m *Matrix) String() string {
 // displayVars returns declared variables plus any temporaries that carry
 // relations.
 func (m *Matrix) displayVars() []string {
-	used := map[string]bool{}
-	for k, e := range m.cells {
-		if len(e) > 0 {
-			used[k[0]] = true
-			used[k[1]] = true
+	used := make([]bool, len(m.ix.names))
+	for i, r := range m.rows {
+		for j, e := range r {
+			if len(e) > 0 {
+				used[i], used[j] = true, true
+			}
 		}
 	}
 	var out []string
 	for _, v := range m.vars {
-		if !strings.HasPrefix(v, "@t") || used[v] {
+		if !strings.HasPrefix(v, "@t") || used[m.ix.pos[v]] {
 			out = append(out, v)
 		}
 	}

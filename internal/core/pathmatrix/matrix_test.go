@@ -1,6 +1,7 @@
 package pathmatrix
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -31,7 +32,7 @@ func TestMatrixAddAndQuery(t *testing.T) {
 func TestMatrixSelfCellIgnored(t *testing.T) {
 	m := NewMatrix([]string{"a"})
 	m.addRel("a", "a", alias(true))
-	if len(m.cells) != 0 {
+	if m.Entry("a", "a") != nil || len(m.rows) != 0 {
 		t.Error("diagonal must not be stored")
 	}
 	if !m.MustAlias("a", "a") {
@@ -163,5 +164,110 @@ func BenchmarkMatrixJoin(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Join(a, c)
+	}
+}
+
+// relKey spells a relation's identity the way the map-backed entries keyed
+// it: the order entries print in is the byte order of these keys.
+func relKey(r Rel) string {
+	switch r.Kind {
+	case RelAlias:
+		return "="
+	case RelTop:
+		return "??"
+	}
+	k := r.Path.Key()
+	if !r.Via.zero() {
+		k += "|via:" + r.Via.Var + "." + r.Via.Field
+		if r.Via.Stale {
+			k += "!"
+		}
+	}
+	return k
+}
+
+func randRel(rng *rand.Rand) Rel {
+	switch rng.Intn(6) {
+	case 0:
+		return Rel{Kind: RelAlias, Certain: rng.Intn(2) == 0}
+	case 1:
+		return Rel{Kind: RelTop}
+	}
+	r := Rel{Kind: RelPath, Certain: rng.Intn(2) == 0, Path: Intern(randPath(rng))}
+	if rng.Intn(2) == 0 {
+		vars := []string{"p", "q", "hd", "p1"}
+		fields := []string{"next", "nex", "left"}
+		r.Via = Via{Var: vars[rng.Intn(len(vars))], Field: fields[rng.Intn(len(fields))], Stale: rng.Intn(3) == 0}
+	}
+	return r
+}
+
+// TestEntryOrderMatchesKeys: relations are identified and ordered exactly as
+// the key strings of the map-backed layout, so every dump keeps its bytes.
+func TestEntryOrderMatchesKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 5000; i++ {
+		a, b := randRel(rng), randRel(rng)
+		if got, want := relLess(&a, &b), relKey(a) < relKey(b); got != want {
+			t.Fatalf("relLess(%q, %q) = %v, want %v", relKey(a), relKey(b), got, want)
+		}
+		if got, want := sameRel(&a, &b), relKey(a) == relKey(b); got != want {
+			t.Fatalf("sameRel(%q, %q) = %v, want %v", relKey(a), relKey(b), got, want)
+		}
+	}
+	for i := 0; i < 500; i++ {
+		var e Entry
+		for n := rng.Intn(6); n > 0; n-- {
+			e = e.add(randRel(rng))
+		}
+		for k := 1; k < len(e); k++ {
+			if relKey(e[k-1]) >= relKey(e[k]) {
+				t.Fatalf("entry %v out of key order", e)
+			}
+		}
+	}
+}
+
+// TestJoinSharesWithoutAliasing: a join shares the left matrix's rows and
+// entries, so later writes to either parent must not show through.
+func TestJoinSharesWithoutAliasing(t *testing.T) {
+	a := NewMatrix([]string{"p", "q", "r"})
+	a.addRel("p", "q", pathRel("next", true))
+	a.addRel("q", "r", alias(true))
+	b := a.Clone()
+	b.addRel("p", "r", pathRel("next", false))
+	j := Join(a, b)
+	want := j.String()
+	a.addRel("p", "q", alias(false))
+	a.kill("r")
+	b.kill("q")
+	if got := j.String(); got != want {
+		t.Fatalf("join changed after writes to its parents:\n%s\nwant\n%s", got, want)
+	}
+	if !j.Equal(Join(j.Clone(), j)) {
+		t.Error("joining a matrix with itself must be the identity")
+	}
+}
+
+// TestMatrixForeignNames: matrices over different variable lists, and
+// writes naming a variable outside the list, still join and compare by name.
+func TestMatrixForeignNames(t *testing.T) {
+	a := NewMatrix([]string{"p", "q"})
+	a.addRel("p", "q", alias(true))
+	a.addRel("p", "x", pathRel("next", true)) // x is not a declared variable
+	b := NewMatrix([]string{"q", "p"})
+	b.addRel("q", "p", alias(true))
+	b.addRel("p", "x", pathRel("next", true))
+	if !a.Equal(b) || !b.Equal(a) {
+		t.Fatal("same relations over permuted variable lists must compare equal")
+	}
+	if got := Join(a, b).Entry("p", "x").String(); got != "next" {
+		t.Errorf("PM(p, x) after join = %q, want next", got)
+	}
+	if got := a.relatedVars("p"); strings.Join(got, ",") != "q,x" {
+		t.Errorf("relatedVars(p) = %v", got)
+	}
+	if a.Entry("y", "p") != nil || a.Entry("p", "y") != nil {
+		t.Error("an unknown variable has no relations")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -147,5 +148,46 @@ func TestAnalyzeCtxCancel(t *testing.T) {
 	defer dcancel()
 	if _, err := AnalyzeCtx(dctx, g, info.Env); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("AnalyzeCtx error = %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// TestIterationMatrixConcurrent: a Result computes each loop's iteration
+// matrix once. Repeated calls return the same matrix, and concurrent callers
+// on one shared Result — which also read, clone and join its matrices —
+// agree on it (run under -race).
+func TestIterationMatrixConcurrent(t *testing.T) {
+	for _, file := range miniFiles(t) {
+		info := loadMini(t, file)
+		res, err := AnalyzeProgramCtx(context.Background(), info, info.Env, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, fr := range res {
+			r := fr.Result
+			for _, l := range r.Graph.Loops {
+				const callers = 8
+				got := make([]*Matrix, callers)
+				dumps := make([]string, callers)
+				var wg sync.WaitGroup
+				for c := 0; c < callers; c++ {
+					wg.Add(1)
+					go func(c int) {
+						defer wg.Done()
+						got[c] = r.IterationMatrix(l)
+						head := r.LoopHead(l)
+						dumps[c] = Join(head.Clone(), head).String() + got[c].String()
+					}(c)
+				}
+				wg.Wait()
+				for c := range got {
+					if got[c] != got[0] || dumps[c] != dumps[0] {
+						t.Fatalf("%s %s: concurrent callers disagree on the iteration matrix", filepath.Base(file), name)
+					}
+				}
+				if r.IterationMatrix(l) != got[0] {
+					t.Fatalf("%s %s: iteration matrix recomputed", filepath.Base(file), name)
+				}
+			}
+		}
 	}
 }

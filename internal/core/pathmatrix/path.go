@@ -134,23 +134,6 @@ func (p Path) computeKey() string {
 	return strings.Join(parts, ".")
 }
 
-// sig returns the path's field signature with counts erased (the sigKey
-// grouping), memoized by the intern table.
-func (p Path) sig() string {
-	if len(p) > 0 {
-		return interner.metaOf(p).sig
-	}
-	return ""
-}
-
-func (p Path) computeSig() string {
-	parts := make([]string, len(p))
-	for i, s := range p {
-		parts[i] = s.Field
-	}
-	return strings.Join(parts, ".")
-}
-
 // single returns the one-step path f^1, interned. One-step paths are the
 // most common path expression the transfer function builds, so they get
 // their own field-keyed cache in front of the intern table.

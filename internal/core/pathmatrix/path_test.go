@@ -179,7 +179,7 @@ func TestEntryAddSaturation(t *testing.T) {
 	for i := 0; i < entrySize+2; i++ {
 		e = e.add(Rel{Kind: RelPath, Path: Path{step("f", i+1, false)}})
 	}
-	if _, top := e["??"]; !top {
+	if !e.hasTop() {
 		t.Error("entry should saturate to Top")
 	}
 	if !e.mustAlias() {
@@ -194,7 +194,7 @@ func TestJoinEntriesSignatureMerge(t *testing.T) {
 	if j.String() != "next+" {
 		t.Errorf("join = %q, want next+", j.String())
 	}
-	for _, r := range j.rels() {
+	for _, r := range j {
 		if !r.Certain {
 			t.Error("same-signature certain paths must join certain")
 		}

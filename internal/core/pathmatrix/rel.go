@@ -59,97 +59,247 @@ func (r Rel) String() string {
 	return "<bad rel>"
 }
 
-// key returns a canonical identity for set membership; certainty is not part
-// of identity (two relations differing only in certainty merge).
-func (r Rel) key() string {
+// sameRel reports whether a and b are one relation up to certainty, the
+// identity an entry holds each relation under: the kind, plus for paths the
+// path and the Via tag. Two relations differing only in certainty merge.
+func sameRel(a, b *Rel) bool {
+	if a.Kind != b.Kind {
+		return false
+	}
+	return a.Kind != RelPath || (a.Path.Equal(b.Path) && sameVia(a.Via, b.Via))
+}
+
+// sameVia compares provenance tags; an unset tag carries no staleness.
+func sameVia(a, b Via) bool {
+	if a.zero() || b.zero() {
+		return a.zero() == b.zero()
+	}
+	return a == b
+}
+
+// sameSig reports whether a and b share a signature: same kind, and for paths
+// the same field sequence (counts erased) and Via tag. The join matches
+// relations by signature so that, e.g., next^1 on one branch and next^2 on
+// the other merge into a certain next+ rather than two uncertain entries —
+// exactly the paper's fixed-point entry for the shift loop.
+func sameSig(a, b *Rel) bool {
+	if a.Kind != b.Kind {
+		return false
+	}
+	if a.Kind != RelPath {
+		return true
+	}
+	if len(a.Path) != len(b.Path) || !sameVia(a.Via, b.Via) {
+		return false
+	}
+	for i := range a.Path {
+		if a.Path[i].Field != b.Path[i].Field {
+			return false
+		}
+	}
+	return true
+}
+
+// keyParts spells the relation's sort key — "=", "??", or the path key plus
+// an optional "|via:Var.Field" suffix, "!" when stale — as pieces whose
+// concatenation is the key, so ordering never builds the string.
+func keyParts(r *Rel, buf *[6]string) []string {
 	switch r.Kind {
 	case RelAlias:
-		return "="
+		buf[0] = "="
+		return buf[:1]
 	case RelTop:
-		return "??"
-	default:
-		k := r.Path.Key()
-		if !r.Via.zero() {
-			k += "|via:" + r.Via.Var + "." + r.Via.Field
-			if r.Via.Stale {
-				k += "!"
-			}
+		buf[0] = "??"
+		return buf[:1]
+	}
+	buf[0] = r.Path.Key()
+	if r.Via.zero() {
+		return buf[:1]
+	}
+	buf[1], buf[2], buf[3], buf[4] = "|via:", r.Via.Var, ".", r.Via.Field
+	if r.Via.Stale {
+		buf[5] = "!"
+		return buf[:6]
+	}
+	return buf[:5]
+}
+
+// relLess orders relations by their sort keys, bytewise.
+func relLess(a, b *Rel) bool {
+	var abuf, bbuf [6]string
+	pa, pb := keyParts(a, &abuf), keyParts(b, &bbuf)
+	i, j, ai, bj := 0, 0, 0, 0
+	for {
+		for i < len(pa) && ai == len(pa[i]) {
+			i, ai = i+1, 0
 		}
-		return k
+		for j < len(pb) && bj == len(pb[j]) {
+			j, bj = j+1, 0
+		}
+		if i == len(pa) || j == len(pb) {
+			return i == len(pa) && j < len(pb)
+		}
+		if ca, cb := pa[i][ai], pb[j][bj]; ca != cb {
+			return ca < cb
+		}
+		ai, bj = ai+1, bj+1
 	}
 }
 
-// Entry is a set of relations between two pointers. The nil entry means "no
-// relation": provably not aliases (while the abstraction is valid).
-type Entry map[string]Rel
+// Entry is a set of relations between two pointers, held as a slice sorted
+// by relation key (see relLess): the order String, the JSON encoding and
+// every matrix dump print. The nil entry means "no relation": provably not
+// aliases (while the abstraction is valid). Entries are small — 1.2 to 1.4
+// relations per non-empty cell on the bench corpora — so every operation is
+// a linear scan.
+type Entry []Rel
 
 // entrySize caps relation sets; larger entries collapse to Top.
 const entrySize = 8
 
+// Canonical one-relation entries for the relations without a path: a cell
+// that comes to hold exactly one of them shares it instead of allocating.
+// Like every entry a matrix does not own, they are cloned before any
+// mutation.
+var (
+	topEntry      = Entry{{Kind: RelTop}}
+	aliasEntry    = Entry{{Kind: RelAlias, Certain: true}}
+	mayAliasEntry = Entry{{Kind: RelAlias}}
+)
+
+// singleton returns the canonical entry holding exactly r, or nil.
+func singleton(r Rel) Entry {
+	if r.Kind == RelPath || len(r.Path) != 0 || r.Via != (Via{}) {
+		return nil
+	}
+	switch {
+	case r.Kind == RelTop && !r.Certain:
+		return topEntry
+	case r.Kind == RelAlias && r.Certain:
+		return aliasEntry
+	case r.Kind == RelAlias:
+		return mayAliasEntry
+	}
+	return nil
+}
+
+// clone copies the entry with room for one more relation, the add that
+// usually follows.
 func (e Entry) clone() Entry {
 	if e == nil {
 		return nil
 	}
-	out := make(Entry, len(e))
-	for k, v := range e {
-		out[k] = v
-	}
+	out := make(Entry, len(e), len(e)+1)
+	copy(out, e)
 	return out
 }
 
-// add inserts a relation, merging certainty (certain wins on same key) and
-// collapsing to Top when the entry grows too large. Alias relations and
-// certain path relations survive saturation: Top means "unknown paths may
-// exist", which cancels neither a known equality nor an edge a store
-// provably created. Keeping certain paths is what lets Def 4.6 backward
-// validation succeed right after the forward half of a doubly-linked store
-// pair even between Top-related pointers (e.g. a summary's generic formal
-// entry). It returns the updated entry (possibly freshly allocated).
-func (e Entry) add(r Rel) Entry {
-	if e == nil {
-		e = Entry{}
+// insert places r at its sorted position.
+func (e Entry) insert(r Rel) Entry {
+	i := 0
+	for i < len(e) && relLess(&e[i], &r) {
+		i++
 	}
-	if _, isTop := e["??"]; isTop && !r.survivesTop() {
+	e = append(e, Rel{})
+	copy(e[i+1:], e[i:])
+	e[i] = r
+	return e
+}
+
+// hasTop reports whether the entry is saturated.
+func (e Entry) hasTop() bool {
+	for i := range e {
+		if e[i].Kind == RelTop {
+			return true
+		}
+	}
+	return false
+}
+
+// add inserts a relation, merging certainty (certain wins on the same
+// relation) and collapsing to Top when the entry grows too large. Alias
+// relations and certain path relations survive saturation: Top means
+// "unknown paths may exist", which cancels neither a known equality nor an
+// edge a store provably created. Keeping certain paths is what lets Def 4.6
+// backward validation succeed right after the forward half of a
+// doubly-linked store pair even between Top-related pointers (e.g. a
+// summary's generic formal entry). The entry must be the caller's to mutate;
+// add returns the updated entry (possibly reallocated).
+func (e Entry) add(r Rel) Entry {
+	top := e.hasTop()
+	if top && !r.survivesTop() {
 		return e // saturated; only alias and certain-path facts still matter
 	}
 	if r.Kind == RelTop {
 		return e.saturate()
 	}
-	k := r.key()
-	if old, ok := e[k]; ok {
-		if r.Certain && !old.Certain {
-			e[k] = r
+	for i := range e {
+		if sameRel(&e[i], &r) {
+			if r.Certain && !e[i].Certain {
+				e[i] = r
+			}
+			return e
 		}
-		return e
 	}
-	e[k] = r
-	if _, isTop := e["??"]; !isTop && len(e) > entrySize {
+	e = e.insert(r)
+	if !top && len(e) > entrySize {
 		return e.saturate()
 	}
 	return e
 }
 
+// covers reports whether adding r would leave the entry unchanged, so a
+// caller can skip cloning a shared entry for a no-op add.
+func (e Entry) covers(r Rel) bool {
+	if r.Kind == RelTop {
+		for i := range e {
+			if e[i].Kind != RelTop && !e[i].survivesTop() {
+				return false
+			}
+		}
+		return e.hasTop()
+	}
+	for i := range e {
+		if sameRel(&e[i], &r) {
+			return e[i].Certain || !r.Certain
+		}
+	}
+	return !r.survivesTop() && e.hasTop()
+}
+
 // survivesTop reports whether the relation carries information Top cannot
 // subsume: a known equality, or a definitely-present path.
-func (r Rel) survivesTop() bool {
+func (r *Rel) survivesTop() bool {
 	return r.Kind == RelAlias || (r.Kind == RelPath && r.Certain)
 }
 
-// saturate collapses the entry to Top plus the facts Top cannot cancel.
+// saturate collapses the entry, in place, to Top plus the facts Top cannot
+// cancel.
 func (e Entry) saturate() Entry {
-	out := Entry{"??": {Kind: RelTop}}
-	for k, r := range e {
-		if r.survivesTop() {
-			out[k] = r
+	out := e[:0]
+	for i := range e {
+		if e[i].survivesTop() {
+			out = append(out, e[i])
 		}
 	}
-	return out
+	return out.insert(Rel{Kind: RelTop})
 }
 
 // hasAliasInfo reports whether the entry admits aliasing (alias or top).
 func (e Entry) hasAliasInfo() bool {
-	for _, r := range e {
-		if r.Kind == RelAlias || r.Kind == RelTop {
+	for i := range e {
+		if e[i].Kind == RelAlias || e[i].Kind == RelTop {
+			return true
+		}
+	}
+	return false
+}
+
+// hasAlias reports whether the entry holds an alias relation, certain or
+// not ("=" or "=?", never the unknown Top).
+func (e Entry) hasAlias() bool {
+	for i := range e {
+		if e[i].Kind == RelAlias {
 			return true
 		}
 	}
@@ -160,37 +310,12 @@ func (e Entry) hasAliasInfo() bool {
 // relations (paths, Top) describe possible extra connections and do not
 // weaken a known equality.
 func (e Entry) mustAlias() bool {
-	r, ok := e["="]
-	return ok && r.Certain
-}
-
-// rels returns the relations in a stable order. Entries are small (entrySize
-// caps them at 8 by default), so the keys are sorted in a stack buffer by
-// insertion sort; only the returned slice is heap-allocated.
-func (e Entry) rels() []Rel {
-	switch len(e) {
-	case 0:
-		return nil
-	case 1:
-		for _, r := range e {
-			return []Rel{r}
+	for i := range e {
+		if e[i].Kind == RelAlias {
+			return e[i].Certain
 		}
 	}
-	var kbuf [8]string
-	keys := kbuf[:0]
-	for k := range e {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	out := make([]Rel, len(keys))
-	for i, k := range keys {
-		out[i] = e[k]
-	}
-	return out
+	return false
 }
 
 // String renders the entry as a comma-separated relation list.
@@ -199,31 +324,10 @@ func (e Entry) String() string {
 		return ""
 	}
 	var parts []string
-	for _, r := range e.rels() {
+	for _, r := range e {
 		parts = append(parts, r.String())
 	}
 	return strings.Join(parts, ",")
-}
-
-// sigKey returns the path's field signature (counts erased): the join
-// matches relations by signature so that, e.g., next^1 on one branch and
-// next^2 on the other merge into a certain next+ rather than two uncertain
-// entries — exactly the paper's fixed-point entry for the shift loop.
-func sigKey(r Rel) string {
-	switch r.Kind {
-	case RelAlias:
-		return "="
-	case RelTop:
-		return "??"
-	}
-	k := r.Path.sig()
-	if !r.Via.zero() {
-		k += "|via:" + r.Via.Var + "." + r.Via.Field
-		if r.Via.Stale {
-			k += "!"
-		}
-	}
-	return k
 }
 
 // mergePaths widens two same-signature paths: per-step minimum count, plus
@@ -248,36 +352,28 @@ func mergePaths(a, b Path) Path {
 	return Intern(out)
 }
 
-// sigRel pairs a relation with its signature key. Entries are small, so the
-// join below matches signatures by linear scan over slices whose backing
-// arrays live on the caller's stack, instead of building two throwaway maps.
-type sigRel struct {
-	sig string
-	rel Rel
-}
-
 // bySignature folds an entry into signature-canonical form, appending to
-// buf: same-signature path relations merge (certain if any constituent was
-// certain, since each asserted a path of that signature).
-func bySignature(e Entry, buf []sigRel) []sigRel {
+// buf (whose backing array lives on the caller's stack): same-signature path
+// relations merge (certain if any constituent was certain, since each
+// asserted a path of that signature).
+func bySignature(e Entry, buf []Rel) []Rel {
 	for _, r := range e {
-		k := sigKey(r)
 		merged := false
 		for i := range buf {
-			if buf[i].sig != k {
+			if !sameSig(&buf[i], &r) {
 				continue
 			}
-			old := buf[i].rel
+			old := buf[i]
 			if r.Kind == RelPath {
 				r.Path = mergePaths(old.Path, r.Path)
 			}
 			r.Certain = r.Certain || old.Certain
-			buf[i].rel = r
+			buf[i] = r
 			merged = true
 			break
 		}
 		if !merged {
-			buf = append(buf, sigRel{k, r})
+			buf = append(buf, r)
 		}
 	}
 	return buf
@@ -290,17 +386,17 @@ func joinEntries(a, b Entry) Entry {
 	if len(a) == 0 && len(b) == 0 {
 		return nil
 	}
-	var abuf, bbuf [8]sigRel
+	var abuf, bbuf [entrySize + 1]Rel
 	sa := bySignature(a, abuf[:0])
 	sb := bySignature(b, bbuf[:0])
-	out := Entry{}
-	for _, pa := range sa {
-		ra := pa.rel
+	var obuf [entrySize + 1]Rel
+	out := Entry(obuf[:0])
+	for _, ra := range sa {
 		var rb Rel
 		ok := false
-		for _, pb := range sb {
-			if pb.sig == pa.sig {
-				rb, ok = pb.rel, true
+		for _, r := range sb {
+			if sameSig(&r, &ra) {
+				rb, ok = r, true
 				break
 			}
 		}
@@ -316,31 +412,38 @@ func joinEntries(a, b Entry) Entry {
 		merged.Certain = ra.Certain && rb.Certain
 		out = out.add(merged)
 	}
-	for _, pb := range sb {
+	for _, rb := range sb {
 		found := false
-		for _, pa := range sa {
-			if pa.sig == pb.sig {
+		for _, ra := range sa {
+			if sameSig(&ra, &rb) {
 				found = true
 				break
 			}
 		}
 		if !found {
-			rb := pb.rel
 			rb.Certain = false
 			out = out.add(rb)
 		}
 	}
-	return out
+	if len(out) == 1 {
+		if e := singleton(out[0]); e != nil {
+			return e
+		}
+	}
+	return append(make(Entry, 0, len(out)), out...)
 }
 
-// equalEntries compares entries for fixed-point detection.
+// equalEntries compares entries for fixed-point detection. Both are sorted,
+// so they compare position by position.
 func equalEntries(a, b Entry) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	for k, r := range a {
-		o, ok := b[k]
-		if !ok || o.Certain != r.Certain {
+	if len(a) == 0 || &a[0] == &b[0] {
+		return true
+	}
+	for i := range a {
+		if a[i].Certain != b[i].Certain || !sameRel(&a[i], &b[i]) {
 			return false
 		}
 	}

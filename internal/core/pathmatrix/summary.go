@@ -480,7 +480,7 @@ func (tab *SummaryTable) computeSummary(ctx context.Context, fi *types.FuncInfo,
 			}
 			var e Entry
 			if exit != nil {
-				for _, r := range exit.Entry(p+Shadow, q+Shadow).rels() {
+				for _, r := range exit.Entry(p+Shadow, q+Shadow) {
 					r.Via = Via{} // callee-local provenance
 					e = e.add(r)
 				}

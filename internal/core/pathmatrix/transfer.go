@@ -174,11 +174,13 @@ func (t *transferer) deref(m *Matrix, dst, src, field, record string) {
 		}
 	}
 
-	for _, x := range m.relatedVars(src) {
+	si, related := m.relatedOf(src)
+	for _, xi := range related {
+		x := m.ix.names[xi]
 		if x == dst {
 			continue // dst's old value dies; ignore stale relations
 		}
-		for _, r := range m.Entry(x, src).rels() {
+		for _, r := range m.at(xi, si) {
 			switch r.Kind {
 			case RelAlias:
 				// x == src, so x->f == dst.
@@ -193,7 +195,7 @@ func (t *transferer) deref(m *Matrix, dst, src, field, record string) {
 				}
 			}
 		}
-		for _, r := range m.Entry(src, x).rels() {
+		for _, r := range m.at(si, xi) {
 			switch r.Kind {
 			case RelAlias, RelTop:
 				// Mirrored in Entry(x, src); handled above.
@@ -353,24 +355,24 @@ func (t *transferer) derefBackward(m *Matrix, dst, src string, fld *shape.Field,
 
 	// If the backward edge itself was recorded (a store y->b = z through a
 	// must-alias of src), the target is known directly: dst aliases z.
-	for k, e := range m.cells {
-		y, z := k[0], k[1]
-		if y != src && !m.MustAlias(y, src) {
+	for i := range m.rows {
+		if y := m.ix.names[i]; y != src && !m.MustAlias(y, src) {
 			continue
 		}
-		for _, r := range e.rels() {
-			if r.Kind == RelPath && exactOneStep(r.Path, fld.Name) {
-				add("", z, Rel{Kind: RelAlias, Certain: r.Certain && m.MustAlias(y, src)})
+		for j, e := range m.rows[i] {
+			for _, r := range e {
+				if r.Kind == RelPath && exactOneStep(r.Path, fld.Name) {
+					add("", m.ix.names[j], Rel{Kind: RelAlias, Certain: r.Certain})
+				}
 			}
 		}
-		_ = z
 	}
 
 	for _, x := range m.relatedVars(src) {
 		if x == dst {
 			continue
 		}
-		for _, r := range m.Entry(x, src).rels() {
+		for _, r := range m.Entry(x, src) {
 			switch r.Kind {
 			case RelAlias:
 				// x == src: dst->uf == x for one of the partners.
@@ -383,7 +385,7 @@ func (t *transferer) derefBackward(m *Matrix, dst, src string, fld *shape.Field,
 				t.backwardIn(x, r, partners, add)
 			}
 		}
-		for _, r := range m.Entry(src, x).rels() {
+		for _, r := range m.Entry(src, x) {
 			switch r.Kind {
 			case RelAlias, RelTop:
 				// Mirrored; handled above.
@@ -504,7 +506,9 @@ func (t *transferer) store(m *Matrix, base, field, src, record string) {
 	}
 
 	// The new edge: base --field--> src's node.
-	m.addRel(base, src, Rel{
+	b := m.slot(base)
+	s := m.slot(src)
+	m.addRelAt(b, s, Rel{
 		Kind: RelPath, Certain: true, Path: single(field),
 		Via: Via{Var: base, Field: field},
 	})
@@ -522,57 +526,58 @@ func (t *transferer) store(m *Matrix, base, field, src, record string) {
 	// empty across `a->next = b` because a junk (b,c) entry from an earlier
 	// join made related(c,b) true, and the analysis went on to refute a
 	// real alias downstream.
-	xs := append(m.relatedVars(base), base)
-	ys := append(m.relatedVars(src), src)
+	xs := append(m.relatedIdx(b), b)
+	ys := append(m.relatedIdx(s), s)
+	via := Via{Var: base, Field: field}
 	for _, x := range xs {
 		for _, y := range ys {
 			if x == y {
 				continue
 			}
-			if x == base && y == src {
+			if x == b && y == s {
 				continue
 			}
-			t.mergeRelation(m, x, y, base, field, src, st)
+			t.mergeRelation(m, x, y, b, s, via, st)
 		}
 	}
 }
 
-// mergeRelation relates x (on base's side) with y (on src's side) after the
-// store base->field = src.
-func (t *transferer) mergeRelation(m *Matrix, x, y, base, field, src string, st *shape.Type) {
-	via := Via{Var: base, Field: field}
+// mergeRelation relates variable x (on base's side) with y (on src's side),
+// by index, after the store base->field = src (via).
+func (t *transferer) mergeRelation(m *Matrix, x, y, base, src int, via Via, st *shape.Type) {
 	toBase := pathOrAlias(m, x, base)
 	fromSrc := pathOrAlias(m, src, y)
 	if toBase == nil || fromSrc == nil {
-		m.addRel(x, y, Rel{Kind: RelTop})
+		m.addRelAt(x, y, Rel{Kind: RelTop})
 		return
 	}
-	full := append(append(Path{}, toBase...), Step{Field: field, Min: 1})
+	full := append(append(Path{}, toBase...), Step{Field: via.Field, Min: 1})
 	full = append(full, fromSrc...)
 	if p, ok := canon(widenPath(full, st)); ok {
-		m.addRel(x, y, Rel{Kind: RelPath, Path: p, Via: via})
+		m.addRelAt(x, y, Rel{Kind: RelPath, Path: p, Via: via})
 	} else {
-		m.addRel(x, y, Rel{Kind: RelTop})
+		m.addRelAt(x, y, Rel{Kind: RelTop})
 	}
 }
 
-// pathOrAlias returns a path from p to q derivable from the matrix: the
-// empty (zero-length) path when they must alias, a recorded path, or nil
-// when no path form exists. A non-nil zero-length result uses an empty Path.
-func pathOrAlias(m *Matrix, p, q string) Path {
+// pathOrAlias returns a path from variable p to q (by index) derivable from
+// the matrix: the empty (zero-length) path when they must alias, a recorded
+// path, or nil when no path form exists. A non-nil zero-length result uses
+// an empty Path.
+func pathOrAlias(m *Matrix, p, q int) Path {
 	if p == q {
 		return Path{}
 	}
-	e := m.Entry(p, q)
+	e := m.at(p, q)
 	var best Path
 	found := false
-	for _, r := range e.rels() {
-		switch r.Kind {
+	for i := range e {
+		switch e[i].Kind {
 		case RelAlias:
 			return Path{}
 		case RelPath:
-			if !found || len(r.Path) < len(best) {
-				best, found = r.Path, true
+			if !found || len(e[i].Path) < len(best) {
+				best, found = e[i].Path, true
 			}
 		}
 	}
@@ -595,42 +600,56 @@ func pathOrAlias(m *Matrix, p, q string) Path {
 func (t *transferer) removeOverwrittenEdge(m *Matrix, base, field string, st *shape.Type) {
 	backLinked := st != nil && st.BackwardPartner(field) != nil
 	var demote [][2]string
-	for k, e := range m.cells {
-		var out Entry
-		changed := false
-		for _, r := range e.rels() {
-			drop := false
-			if r.Kind == RelPath {
-				fromMust := k[0] == base || m.MustAlias(k[0], base)
-				if fromMust && r.Path.startsWith(field) {
-					drop = true
-				}
-				if r.Via.Var == base && r.Via.Field == field && !r.Via.Stale {
-					drop = true
-				}
-				if !drop && r.Certain && pathUsesField(r.Path, field) {
-					r.Certain = false
-					changed = true
-				}
-				// Paths from a possible (not certain) alias of base
-				// starting with field may also be stale.
-				if !drop && !fromMust && r.Certain &&
-					r.Path.startsWith(field) && m.MayAlias(k[0], base) {
-					r.Certain = false
-					changed = true
-				}
-			}
-			if drop {
-				changed = true
-				if backLinked {
-					demote = append(demote, k)
-				}
+	for i := range m.rows {
+		x := m.ix.names[i]
+		fromMust := x == base || m.MustAlias(x, base)
+		for j, e := range m.rows[i] {
+			if e == nil {
 				continue
 			}
-			out = out.add(r)
-		}
-		if changed {
-			m.set(k[0], k[1], out)
+			// out is rebuilt only once a relation drops or loses
+			// certainty; untouched entries stay shared.
+			var out Entry
+			changed := false
+			for k := range e {
+				r := e[k]
+				drop := false
+				if r.Kind == RelPath {
+					if fromMust && r.Path.startsWith(field) {
+						drop = true
+					}
+					if r.Via.Var == base && r.Via.Field == field && !r.Via.Stale {
+						drop = true
+					}
+					if !drop && r.Certain && pathUsesField(r.Path, field) {
+						r.Certain = false
+					}
+					// Paths from a possible (not certain) alias of base
+					// starting with field may also be stale.
+					if !drop && !fromMust && r.Certain &&
+						r.Path.startsWith(field) && m.MayAlias(x, base) {
+						r.Certain = false
+					}
+				}
+				if !changed && (drop || r.Certain != e[k].Certain) {
+					changed = true
+					for _, kept := range e[:k] {
+						out = out.add(kept)
+					}
+				}
+				if drop {
+					if backLinked {
+						demote = append(demote, [2]string{x, m.ix.names[j]})
+					}
+					continue
+				}
+				if changed {
+					out = out.add(r)
+				}
+			}
+			if changed {
+				m.setAt(i, j, out)
+			}
 		}
 	}
 	// Outside the scan: addRel mirrors Top into the opposite cell, and the
@@ -705,24 +724,29 @@ func (t *transferer) validateStore(m *Matrix, base, field, src string, suspectCy
 		if len(group) > 1 {
 			prop = "group-disjoint"
 		}
-		for k, e := range m.cells {
-			y, z := k[0], k[1]
+		for i := range m.rows {
+			y := m.ix.names[i]
 			if y == base || m.MustAlias(y, base) {
 				continue // overwritten edge was already removed
 			}
-			if z != src && !explicitAlias(m, z, src) {
-				continue
-			}
-			for _, r := range e.rels() {
-				if r.Kind != RelPath {
+			for j, e := range m.rows[i] {
+				if e == nil {
 					continue
 				}
-				last := r.Path[len(r.Path)-1]
-				for _, g := range group {
-					if last.Field == g && last.Min == 1 && !last.Plus && len(r.Path) == 1 {
-						m.addViolation(Violation{
-							Prop: prop, Field: field, Base: base, Other: y,
-						})
+				if z := m.ix.names[j]; z != src && !explicitAlias(m, z, src) {
+					continue
+				}
+				for _, r := range e {
+					if r.Kind != RelPath {
+						continue
+					}
+					last := r.Path[len(r.Path)-1]
+					for _, g := range group {
+						if last.Field == g && last.Min == 1 && !last.Plus && len(r.Path) == 1 {
+							m.addViolation(Violation{
+								Prop: prop, Field: field, Base: base, Other: y,
+							})
+						}
 					}
 				}
 			}
@@ -745,7 +769,7 @@ func (t *transferer) validateStore(m *Matrix, base, field, src string, suspectCy
 			e := m.Entry(src, base)
 			ok := false
 			first := partners[0]
-			for _, r := range e.rels() {
+			for _, r := range e {
 				if r.Kind != RelPath || !r.Certain {
 					continue // only a definite one-step path proves consistency
 				}
@@ -769,20 +793,24 @@ func (t *transferer) validateStore(m *Matrix, base, field, src string, suspectCy
 		// base->f = src: src's backward partner, if known, must point back
 		// at base.
 		if bp := st.BackwardPartner(field); bp != nil {
-			for k, e := range m.cells {
-				if k[0] != src && !m.MustAlias(k[0], src) {
+			for i := range m.rows {
+				if x := m.ix.names[i]; x != src && !m.MustAlias(x, src) {
 					continue
 				}
-				z := k[1]
-				if z == base || m.MayAlias(z, base) {
-					continue
-				}
-				for _, r := range e.rels() {
-					if r.Kind == RelPath && r.Certain && exactOneStep(r.Path, bp.Name) {
-						m.addViolation(Violation{
-							Prop: "backward", Field: bp.Name, Partner: field,
-							Base: base, Other: src,
-						})
+				for j, e := range m.rows[i] {
+					if e == nil {
+						continue
+					}
+					if z := m.ix.names[j]; z == base || m.MayAlias(z, base) {
+						continue
+					}
+					for _, r := range e {
+						if r.Kind == RelPath && r.Certain && exactOneStep(r.Path, bp.Name) {
+							m.addViolation(Violation{
+								Prop: "backward", Field: bp.Name, Partner: field,
+								Base: base, Other: src,
+							})
+						}
 					}
 				}
 			}
@@ -793,12 +821,7 @@ func (t *transferer) validateStore(m *Matrix, base, field, src string, suspectCy
 // explicitAlias reports whether the matrix explicitly denotes p and q as
 // (possible) aliases — an "=" or "=?" entry, not the unknown Top relation.
 func explicitAlias(m *Matrix, p, q string) bool {
-	for _, e := range []Entry{m.Entry(p, q), m.Entry(q, p)} {
-		if _, ok := e["="]; ok {
-			return true
-		}
-	}
-	return false
+	return m.Entry(p, q).hasAlias() || m.Entry(q, p).hasAlias()
 }
 
 // forwardCycleRisk reports whether the matrix explicitly denotes that src's
@@ -808,12 +831,10 @@ func forwardCycleRisk(m *Matrix, src, base string, fld *shape.Field, st *shape.T
 	if src == base {
 		return true
 	}
-	for _, e := range []Entry{m.Entry(src, base), m.Entry(base, src)} {
-		if _, ok := e["="]; ok {
-			return true
-		}
+	if m.Entry(src, base).hasAlias() || m.Entry(base, src).hasAlias() {
+		return true
 	}
-	for _, r := range m.Entry(src, base).rels() {
+	for _, r := range m.Entry(src, base) {
 		if r.Kind != RelPath {
 			continue
 		}
@@ -1057,12 +1078,12 @@ func (t *transferer) applySummary(m *Matrix, s *norm.Stmt, sum *FuncSummary, eff
 func (t *transferer) instantiateRows(m *Matrix, ai, aj string, rowIJ, rowJI Entry) {
 	build := func(old, row Entry) Entry {
 		ne := Entry{}
-		for _, r := range old.rels() {
+		for _, r := range old {
 			if r.Kind == RelAlias {
 				ne = ne.add(r)
 			}
 		}
-		for _, r := range row.rels() {
+		for _, r := range row {
 			if r.Kind != RelAlias {
 				ne = ne.add(r)
 			}
@@ -1071,9 +1092,9 @@ func (t *transferer) instantiateRows(m *Matrix, ai, aj string, rowIJ, rowJI Entr
 	}
 	a := build(m.Entry(ai, aj), rowIJ)
 	b := build(m.Entry(aj, ai), rowJI)
-	if _, topA := a["??"]; topA {
+	if a.hasTop() {
 		b = b.add(Rel{Kind: RelTop})
-	} else if _, topB := b["??"]; topB {
+	} else if b.hasTop() {
 		a = a.add(Rel{Kind: RelTop})
 	}
 	m.set(ai, aj, a)

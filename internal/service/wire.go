@@ -173,6 +173,11 @@ func BuildAnalyze(ctx context.Context, req *AnalyzeRequest) (*AnalyzeResponse, e
 		}
 		resp.Functions = append(resp.Functions, fr)
 	}
+	// A done context degrades the classic oracle to the conservative one;
+	// such an answer is never encoded or cached.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	return resp, nil
 }
 
@@ -247,6 +252,9 @@ func BuildDepgraph(ctx context.Context, req *DepgraphRequest) (*DepgraphResponse
 			CarriedMemEdges: len(dg.CarriedMemEdges()),
 		})
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err // possibly a degraded oracle; see BuildAnalyze
+	}
 	return resp, nil
 }
 
@@ -294,6 +302,9 @@ func BuildPipeline(ctx context.Context, req *PipelineRequest) (*PipelineResponse
 	default:
 		resp.Info = info
 		resp.VLIW = prog.String()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err // possibly a degraded oracle; see BuildAnalyze
 	}
 	return resp, nil
 }
