@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,6 +11,8 @@ import (
 
 	"repro/adds"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite golden addsc dumps")
 
 // runCmd drives run() in-process and returns (status, stdout, stderr).
 func runCmd(t *testing.T, args ...string) (int, string, string) {
@@ -97,6 +100,43 @@ func TestTestdataPrograms(t *testing.T) {
 		if !strings.Contains(out, "=== function") {
 			t.Errorf("%s: output missing function header", f)
 		}
+	}
+}
+
+// TestGoldenDumps pins the text dump of every testdata program byte for
+// byte: matrices, iteration matrices, validation and dependences. Run
+// `go test ./cmd/addsc -run GoldenDumps -update` to regenerate after an
+// intentional output change; the diff then documents what moved.
+func TestGoldenDumps(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.mini"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no testdata programs: %v", err)
+	}
+	for _, f := range files {
+		name := strings.TrimSuffix(filepath.Base(f), ".mini")
+		t.Run(name, func(t *testing.T) {
+			status, out, stderr := runCmd(t, "-show", "matrix,iter,validate,deps", f)
+			if status != 0 {
+				t.Fatalf("status %d, stderr %q", status, stderr)
+			}
+			path := filepath.Join("testdata", "golden", name+".txt")
+			if *updateGolden {
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("read golden %s: %v (run with -update to create)", path, err)
+			}
+			if out != string(want) {
+				t.Errorf("output drifted from %s.\ngot:\n%s\nwant:\n%s\n(run with -update if intentional)", path, out, want)
+			}
+		})
 	}
 }
 
