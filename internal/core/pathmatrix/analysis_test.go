@@ -654,7 +654,10 @@ func TestAnalyzeProgramAllFuncs(t *testing.T) {
 void a(TwoWayLL *p) { p = p->next; }
 void b(TwoWayLL *p) { p = NULL; }
 `))
-	res := AnalyzeProgram(info, info.Env)
+	res, err := AnalyzeProgramCtx(context.Background(), info, info.Env, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res) != 2 || res["a"] == nil || res["b"] == nil {
 		t.Fatalf("results = %v", res)
 	}

@@ -40,7 +40,7 @@ func miniFiles(t *testing.T) []string {
 }
 
 // TestMemoDeterminism: analyzing a program function by function, straight
-// through analyzeFull, must be byte-identical to AnalyzeProgramCtx on one
+// through AnalyzeCtxWith, must be byte-identical to AnalyzeProgramCtx on one
 // worker and on eight, and to a second run of each against the warm
 // summary cache, intern table and header slabs the first one left behind.
 func TestMemoDeterminism(t *testing.T) {
@@ -68,7 +68,7 @@ func TestMemoDeterminism(t *testing.T) {
 }
 
 // analyzeEachFunction is AnalyzeProgramCtx without the worker pool: the
-// same summary table, one analyzeFull run per function.
+// same summary table, one AnalyzeCtxWith run per function.
 func analyzeEachFunction(t *testing.T, info *types.Info) map[string]*FuncResult {
 	t.Helper()
 	ctx := context.Background()
@@ -79,7 +79,7 @@ func analyzeEachFunction(t *testing.T, info *types.Info) map[string]*FuncResult 
 	out := make(map[string]*FuncResult, len(info.Funcs))
 	for name, fi := range info.Funcs {
 		g := norm.Build(fi, info.Env)
-		r, err := analyzeFull(ctx, g, info.Env, &analyzeOpts{tab: tab})
+		r, err := AnalyzeCtxWith(ctx, g, info.Env, tab)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -114,7 +114,10 @@ void zero(TwoWayLL *hd) {
 }
 `
 	info := types.MustCheck(parser.MustParse(src))
-	results := AnalyzeProgram(info, info.Env)
+	results, err := AnalyzeProgramCtx(context.Background(), info, info.Env, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(results) != 2 {
 		t.Fatalf("got %d results, want 2", len(results))
 	}
@@ -136,8 +139,8 @@ func TestAnalyzeCtxCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the run starts
-	if _, err := AnalyzeCtx(ctx, g, info.Env); !errors.Is(err, context.Canceled) {
-		t.Fatalf("AnalyzeCtx error = %v, want context.Canceled", err)
+	if _, err := AnalyzeCtxWith(ctx, g, info.Env, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("AnalyzeCtxWith error = %v, want context.Canceled", err)
 	}
 	if _, err := AnalyzeProgramCtx(ctx, info, info.Env, 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("AnalyzeProgramCtx error = %v, want context.Canceled", err)
@@ -146,8 +149,8 @@ func TestAnalyzeCtxCancel(t *testing.T) {
 	// An expired deadline behaves the same way.
 	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer dcancel()
-	if _, err := AnalyzeCtx(dctx, g, info.Env); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("AnalyzeCtx error = %v, want context.DeadlineExceeded", err)
+	if _, err := AnalyzeCtxWith(dctx, g, info.Env, nil); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("AnalyzeCtxWith error = %v, want context.DeadlineExceeded", err)
 	}
 }
 

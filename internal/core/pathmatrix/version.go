@@ -33,7 +33,7 @@ const EngineVersion = "gpm-5"
 // counters are monotone and cheap (one atomic add per event) unless noted;
 // they feed the service /metrics endpoint and capacity debugging.
 type Stats struct {
-	Analyses      uint64 // completed AnalyzeCtx runs
+	Analyses      uint64 // completed function and summary fixpoint runs
 	Iterations    uint64 // fixed-point worklist iterations across all runs
 	Widenings     uint64 // nodes forcibly widened after exhausting the budget
 	Clones        uint64 // COW matrix clones across all runs
