@@ -4,12 +4,11 @@
 // The package bundles the whole pipeline behind a small surface. The
 // context-first entry points are the canonical ones:
 //
-//	unit, err := adds.Load(src)           // parse + type-check mini source
-//	an, err := unit.AnalyzeOpt(ctx, "shift",
-//	    adds.WithOracle("gpm"))           // general path matrix analysis
-//	m := an.LoopMatrix(0)                 // PM at the loop's fixed point
-//	dg := an.Dependences(0, an.Oracle())
-//	pl, _ := an.Pipeline(0, 8)            // software-pipelined VLIW code
+//	unit, err := adds.Load(src)              // parse + type-check mini source
+//	an, err := unit.AnalyzeOpt(ctx, "shift") // general path matrix analysis
+//	m := an.LoopMatrix(0)                    // PM at the loop's fixed point
+//	dg := an.Dependences(0, an.GPMOracle())  // dependences under the GPM oracle
+//	pl, _ := an.Pipeline(0, 8)               // software-pipelined VLIW code
 //
 // Recoverable failures are typed (ErrUnknownFunction, ErrNoSuchLoop,
 // ErrBadWidth, *SourceError) and match with errors.Is/As; MustLoad and
@@ -160,7 +159,6 @@ type Analysis struct {
 	GPM   *pathmatrix.Result
 
 	prog *ir.Program
-	cfg  config
 }
 
 // MustAnalyze panics on error. It is a test and example helper only —

@@ -51,12 +51,8 @@ func Oracles() []OracleInfo {
 // config collects the effect of the functional options.
 type config struct {
 	workers int
-	oracle  string // canonical or raw oracle name; "" = default (gpm)
-	k       int
 	tracer  *Tracer
 }
-
-func defaultConfig() config { return config{oracle: "gpm", k: 2} }
 
 // Option configures AnalyzeOpt and AnalyzeAllOpt.
 type Option func(*config)
@@ -65,16 +61,6 @@ type Option func(*config)
 // (n <= 0 means one worker per CPU). It has no effect on single-function
 // analysis.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
-
-// WithOracle selects, by registry name ("gpm", "classic", "conservative",
-// "klimit", "smg", ...; see OracleNames), the default oracle the Analysis
-// hands out from Oracle(); dependence and pipelining helpers that take an
-// explicit Oracle are unaffected. Unknown names fall back to gpm at Oracle()
-// time — boundary-facing callers validate with ParseOracle first.
-func WithOracle(name string) Option { return func(c *config) { c.oracle = name } }
-
-// WithK sets k for the k-limited oracle (default 2).
-func WithK(k int) Option { return func(c *config) { c.k = k } }
 
 // WithTracer attaches a tracer to the analysis so every phase (parse and
 // typecheck happen in LoadCtx; normalization, the per-statement fixpoint,
@@ -85,15 +71,14 @@ func WithK(k int) Option { return func(c *config) { c.k = k } }
 // lookup and one nil check per phase.
 func WithTracer(t *Tracer) Option { return func(c *config) { c.tracer = t } }
 
-// AnalyzeOpt runs general path matrix analysis over one function. It is the
-// context-first entry point the older Analyze wraps:
+// AnalyzeOpt runs general path matrix analysis over one function:
 //
-//	an, err := u.AnalyzeOpt(ctx, "shift", adds.WithOracle("gpm"))
+//	an, err := u.AnalyzeOpt(ctx, "shift", adds.WithTracer(tr))
 //
 // Cancelling ctx abandons the fixed-point computation and returns ctx's
 // error. An unknown function name reports ErrUnknownFunction.
 func (u *Unit) AnalyzeOpt(ctx context.Context, fn string, opts ...Option) (*Analysis, error) {
-	cfg := defaultConfig()
+	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -126,7 +111,7 @@ func (u *Unit) AnalyzeOpt(ctx context.Context, fn string, opts ...Option) (*Anal
 	span.End()
 	return &Analysis{
 		Unit: u, Fn: fi, Graph: g, GPM: r,
-		prog: prog, cfg: cfg,
+		prog: prog,
 	}, nil
 }
 
@@ -135,7 +120,7 @@ func (u *Unit) AnalyzeOpt(ctx context.Context, fn string, opts ...Option) (*Anal
 // scheduling; cancelling ctx abandons the remaining functions and returns
 // ctx's error.
 func (u *Unit) AnalyzeAllOpt(ctx context.Context, opts ...Option) (map[string]*Analysis, error) {
-	cfg := defaultConfig()
+	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -154,21 +139,10 @@ func (u *Unit) AnalyzeAllOpt(ctx context.Context, opts ...Option) (map[string]*A
 		span.End()
 		out[name] = &Analysis{
 			Unit: u, Fn: fr.Info, Graph: fr.Graph, GPM: fr.Result,
-			prog: prog, cfg: cfg,
+			prog: prog,
 		}
 	}
 	return out, nil
-}
-
-// Oracle returns the oracle selected with WithOracle (gpm by default),
-// constructed for this analysis. Unregistered names fall back to gpm; use
-// OracleNamed to get the typed error instead.
-func (a *Analysis) Oracle() Oracle {
-	o, err := a.OracleNamed(context.Background(), a.cfg.oracle, a.cfg.k)
-	if err != nil {
-		return a.GPMOracle()
-	}
-	return o
 }
 
 // OracleNamed builds the named registered oracle for this analysis (see

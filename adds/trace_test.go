@@ -24,7 +24,7 @@ func TestTracedAnalysisPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	an.DependencesCtx(ctx, 0, an.Oracle())
+	an.DependencesCtx(ctx, 0, an.GPMOracle())
 	root.End()
 
 	trace := tr.Ring().Get(root.TraceID())

@@ -573,6 +573,23 @@ func (s *Server) resolve(ctx context.Context, label, endpoint, key string, canon
 	return s.localResolve(ctx, label, key, "", compute)
 }
 
+// admit takes a pool slot behind the admission queue for one computation,
+// under a "queue" span that is marked shed when the slot is refused, and
+// records the request's queue wait. The caller releases the slot once admit
+// returns nil; counting a shed stays with the caller.
+func (s *Server) admit(ctx context.Context, rs *reqStats) error {
+	qstart := time.Now()
+	_, qspan := obs.Start(ctx, "queue")
+	if err := s.pool.acquire(ctx); err != nil {
+		qspan.SetAttr("shed", true)
+		qspan.End()
+		return err
+	}
+	qspan.End()
+	rs.setQueueWait(time.Since(qstart))
+	return nil
+}
+
 // localResolve is the single-process path: the content-addressed cache with
 // singleflight, computing on a pool slot behind the admission queue. prefix
 // qualifies the cache outcome when this is a cluster fallback.
@@ -580,15 +597,9 @@ func (s *Server) localResolve(reqCtx context.Context, label, key, prefix string,
 	rs := reqStatsFrom(reqCtx)
 	val, outcome, err := s.cache.Do(reqCtx, key, func(ctx context.Context) ([]byte, error) {
 		ctx = obs.Adopt(ctx, reqCtx)
-		qstart := time.Now()
-		_, qspan := obs.Start(ctx, "queue")
-		if err := s.pool.acquire(ctx); err != nil {
-			qspan.SetAttr("shed", true)
-			qspan.End()
+		if err := s.admit(ctx, rs); err != nil {
 			return nil, err
 		}
-		qspan.End()
-		rs.setQueueWait(time.Since(qstart))
 		defer s.pool.release()
 		resp, err := compute(ctx)
 		if err != nil {
@@ -659,11 +670,7 @@ func (s *Server) handleReanalyze(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
 		defer cancel()
 	}
-	qstart := time.Now()
-	_, qspan := obs.Start(ctx, "queue")
-	if err := s.pool.acquire(ctx); err != nil {
-		qspan.SetAttr("shed", true)
-		qspan.End()
+	if err := s.admit(ctx, rs); err != nil {
 		if errors.Is(err, ErrOverloaded) {
 			s.metrics.ObserveShed("reanalyze")
 			rs.setShed()
@@ -671,8 +678,6 @@ func (s *Server) handleReanalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	qspan.End()
-	rs.setQueueWait(time.Since(qstart))
 	defer s.pool.release()
 	resp, err := BuildReanalyze(ctx, &req)
 	if err != nil {
