@@ -57,7 +57,7 @@ func analyzeAllocBytes(tb testing.TB, infos []*types.Info) uint64 {
 func TestFixpointAllocBudget(t *testing.T) {
 	const mapLayoutBytes = 63759384
 	infos := hostileInfos(t)
-	analyzeAllocBytes(t, infos) // warm the intern table and the header slabs
+	analyzeAllocBytes(t, infos) // warm the matrix header slab pool
 	got := analyzeAllocBytes(t, infos)
 	t.Logf("allocated %d bytes (%.0f%% of the map layout)", got, 100*float64(got)/mapLayoutBytes)
 	if limit := uint64(mapLayoutBytes) * 4 / 10; got > limit {

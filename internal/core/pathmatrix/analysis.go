@@ -126,7 +126,6 @@ func analyzeFunc(ctx context.Context, g *norm.Graph, env *shape.Env, tab *Summar
 		span.SetAttr("iterations", f.iterations)
 		span.SetAttr("widenings", f.widenings)
 		span.SetAttr("matrixClones", engineStats.clones.Load()-clones0)
-		span.SetAttr("internedPaths", InternerStats())
 		span.SetAttr("sharedRows", engineStats.sharedRows.Load()-sharedRows0)
 		if tab != nil {
 			span.SetAttr("summaryApplied", engineStats.summaryApplied.Load()-summaryApplied0)

@@ -42,7 +42,7 @@ func miniFiles(t *testing.T) []string {
 // TestMemoDeterminism: analyzing a program function by function, straight
 // through AnalyzeCtxWith, must be byte-identical to AnalyzeProgramCtx on one
 // worker and on eight, and to a second run of each against the warm
-// summary cache, intern table and header slabs the first one left behind.
+// summary cache and header slabs the first one left behind.
 func TestMemoDeterminism(t *testing.T) {
 	for _, file := range miniFiles(t) {
 		t.Run(filepath.Base(file), func(t *testing.T) {
@@ -96,7 +96,7 @@ func TestJoinSharesEntries(t *testing.T) {
 	mk := func() *Matrix {
 		m := NewMatrix([]string{"p", "q", "r"})
 		m.addRel("p", "q", Rel{Kind: RelAlias, Certain: true})
-		m.addRel("p", "r", Rel{Kind: RelPath, Certain: true, Path: Intern(Path{{Field: "next", Min: 1}})})
+		m.addRel("p", "r", Rel{Kind: RelPath, Certain: true, Path: Path{{Field: "next", Min: 1}}})
 		return m
 	}
 	a, b := mk(), mk()
@@ -128,8 +128,8 @@ func TestJoinSharesEntries(t *testing.T) {
 	// Non-sig-canonical entries (same signature, different counts) must NOT
 	// be shared: joining them folds the relations.
 	c := NewMatrix([]string{"p", "q"})
-	c.addRel("p", "q", Rel{Kind: RelPath, Certain: true, Path: Intern(Path{{Field: "next", Min: 1}})})
-	c.addRel("p", "q", Rel{Kind: RelPath, Certain: true, Path: Intern(Path{{Field: "next", Min: 2}})})
+	c.addRel("p", "q", Rel{Kind: RelPath, Certain: true, Path: Path{{Field: "next", Min: 1}}})
+	c.addRel("p", "q", Rel{Kind: RelPath, Certain: true, Path: Path{{Field: "next", Min: 2}}})
 	d := c.Clone()
 	j := Join(c, d)
 	if want := joinEntries(c.Entry("p", "q"), d.Entry("p", "q")); !equalEntries(j.Entry("p", "q"), want) {

@@ -1,6 +1,7 @@
 package pathmatrix
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -167,6 +168,42 @@ func BenchmarkMatrixJoin(b *testing.B) {
 	}
 }
 
+// refKey and refString are the fmt-based path renderings of the interned
+// layout, kept here as an independent reference for Path.Key and
+// Path.String, which now share relLess's appender.
+func refKey(p Path) string {
+	parts := make([]string, len(p))
+	for i, s := range p {
+		switch {
+		case s.Min == 1 && !s.Plus:
+			parts[i] = s.Field
+		case s.Plus:
+			parts[i] = fmt.Sprintf("%s^%d+", s.Field, s.Min)
+		default:
+			parts[i] = fmt.Sprintf("%s^%d", s.Field, s.Min)
+		}
+	}
+	return strings.Join(parts, ".")
+}
+
+func refString(p Path) string {
+	parts := make([]string, len(p))
+	for i, s := range p {
+		f := strings.TrimPrefix(s.Field, "~")
+		switch {
+		case s.Min == 1 && !s.Plus:
+			parts[i] = f
+		case s.Min == 1 && s.Plus:
+			parts[i] = f + "+"
+		case s.Plus:
+			parts[i] = fmt.Sprintf("%s^%d+", f, s.Min)
+		default:
+			parts[i] = fmt.Sprintf("%s^%d", f, s.Min)
+		}
+	}
+	return strings.Join(parts, ".")
+}
+
 // relKey spells a relation's identity the way the map-backed entries keyed
 // it: the order entries print in is the byte order of these keys.
 func relKey(r Rel) string {
@@ -176,7 +213,7 @@ func relKey(r Rel) string {
 	case RelTop:
 		return "??"
 	}
-	k := r.Path.Key()
+	k := refKey(r.Path)
 	if !r.Via.zero() {
 		k += "|via:" + r.Via.Var + "." + r.Via.Field
 		if r.Via.Stale {
@@ -186,6 +223,22 @@ func relKey(r Rel) string {
 	return k
 }
 
+// randPath builds a random path over a small field universe, spanning the
+// whole domain the analysis can produce (dimension pseudo-fields included).
+func randPath(rng *rand.Rand) Path {
+	fields := []string{"next", "prev", "left", "right", "parent", "~down", "~X"}
+	n := rng.Intn(maxSteps) + 1
+	p := make(Path, n)
+	for i := range p {
+		p[i] = Step{
+			Field: fields[rng.Intn(len(fields))],
+			Min:   rng.Intn(countCap) + 1,
+			Plus:  rng.Intn(2) == 0,
+		}
+	}
+	return p
+}
+
 func randRel(rng *rand.Rand) Rel {
 	switch rng.Intn(6) {
 	case 0:
@@ -193,7 +246,7 @@ func randRel(rng *rand.Rand) Rel {
 	case 1:
 		return Rel{Kind: RelTop}
 	}
-	r := Rel{Kind: RelPath, Certain: rng.Intn(2) == 0, Path: Intern(randPath(rng))}
+	r := Rel{Kind: RelPath, Certain: rng.Intn(2) == 0, Path: randPath(rng)}
 	if rng.Intn(2) == 0 {
 		vars := []string{"p", "q", "hd", "p1"}
 		fields := []string{"next", "nex", "left"}
@@ -203,10 +256,24 @@ func randRel(rng *rand.Rand) Rel {
 }
 
 // TestEntryOrderMatchesKeys: relations are identified and ordered exactly as
-// the key strings of the map-backed layout, so every dump keeps its bytes.
+// the key strings of the map-backed layout, so every dump keeps its bytes;
+// paths render, and compare equal, exactly as the reference spellings say.
 func TestEntryOrderMatchesKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 5000; i++ {
+		p, q := randPath(rng), randPath(rng)
+		if rng.Intn(4) == 0 {
+			q = append(Path(nil), p...)
+		}
+		if got, want := p.String(), refString(p); got != want {
+			t.Fatalf("%#v.String() = %q, want %q", p, got, want)
+		}
+		if got, want := p.Key(), refKey(p); got != want {
+			t.Fatalf("%#v.Key() = %q, want %q", p, got, want)
+		}
+		if got, want := p.Equal(q), refKey(p) == refKey(q); got != want {
+			t.Fatalf("%q.Equal(%q) = %v, want %v", refKey(p), refKey(q), got, want)
+		}
 		a, b := randRel(rng), randRel(rng)
 		if got, want := relLess(&a, &b), relKey(a) < relKey(b); got != want {
 			t.Fatalf("relLess(%q, %q) = %v, want %v", relKey(a), relKey(b), got, want)

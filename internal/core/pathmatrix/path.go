@@ -12,10 +12,7 @@
 // are not aliases while the abstraction is valid.
 package pathmatrix
 
-import (
-	"fmt"
-	"strings"
-)
+import "strconv"
 
 // countCap is the widening bound on per-field traversal counts: a path with
 // more than countCap repetitions of a field widens to "field^countCap+"
@@ -55,50 +52,64 @@ func displayField(f string) string {
 	return f
 }
 
-// String renders the step: next, next^2, next+, next^2+.
-func (s Step) String() string {
-	f := displayField(s.Field)
-	switch {
-	case s.Min == 1 && !s.Plus:
-		return f
-	case s.Min == 1 && s.Plus:
-		return f + "+"
-	case s.Plus:
-		return fmt.Sprintf("%s^%d+", f, s.Min)
-	default:
-		return fmt.Sprintf("%s^%d", f, s.Min)
-	}
-}
-
 // Path is a sequence of steps: "next^2.down+" means two next links then one
 // or more down links. The zero-length path never appears in a relation
 // (a zero-length path is an alias).
+//
+// A path is an immutable value: once built it is never mutated or appended
+// to, because any number of matrices, cached summaries and goroutines may
+// share it. Every operation here that changes a path builds a new slice.
 type Path []Step
 
-// String renders the path with "." separators, memoized by the intern table.
+// String renders the path in the paper's notation with "." separators:
+// next, next^2, next+, next^2+, and dimension pseudo-fields by their bare
+// dimension name (down+).
 func (p Path) String() string {
-	if len(p) > 0 {
-		return interner.metaOf(p).str
+	if len(p) == 0 {
+		return ""
 	}
-	return ""
+	var buf [64]byte
+	return string(p.appendTo(buf[:0], false))
 }
 
-func (p Path) computeString() string {
-	parts := make([]string, len(p))
+// Key returns a canonical map key for the path. Unlike String it keeps the
+// '~' marker of dimension pseudo-fields, so a pseudo-field never collides
+// with a real field that happens to share the dimension's name, and it
+// spells f+ as f^1+.
+func (p Path) Key() string {
+	if len(p) == 0 {
+		return ""
+	}
+	var buf [64]byte
+	return string(p.appendTo(buf[:0], true))
+}
+
+// appendTo appends the path's key form (key set) or display form to dst.
+func (p Path) appendTo(dst []byte, key bool) []byte {
 	for i, s := range p {
-		parts[i] = s.String()
+		if i > 0 {
+			dst = append(dst, '.')
+		}
+		if key {
+			dst = append(dst, s.Field...)
+		} else {
+			dst = append(dst, displayField(s.Field)...)
+		}
+		if s.Min != 1 || (s.Plus && key) {
+			dst = append(dst, '^')
+			dst = strconv.AppendInt(dst, int64(s.Min), 10)
+		}
+		if s.Plus {
+			dst = append(dst, '+')
+		}
 	}
-	return strings.Join(parts, ".")
+	return dst
 }
 
-// Equal reports structural equality. Interned paths share one backing
-// slice, so the slice-header comparison short-circuits the common case.
+// Equal reports structural equality.
 func (p Path) Equal(q Path) bool {
 	if len(p) != len(q) {
 		return false
-	}
-	if len(p) > 0 && &p[0] == &q[0] {
-		return true
 	}
 	for i := range p {
 		if p[i] != q[i] {
@@ -108,48 +119,15 @@ func (p Path) Equal(q Path) bool {
 	return true
 }
 
-// Key returns a canonical map key for the path. Unlike String it keeps the
-// '~' marker of dimension pseudo-fields, so a pseudo-field never collides
-// with a real field that happens to share the dimension's name. The key is
-// memoized by the intern table.
-func (p Path) Key() string {
-	if len(p) > 0 {
-		return interner.metaOf(p).key
-	}
-	return ""
-}
-
-func (p Path) computeKey() string {
-	parts := make([]string, len(p))
-	for i, s := range p {
-		switch {
-		case s.Min == 1 && !s.Plus:
-			parts[i] = s.Field
-		case s.Plus:
-			parts[i] = fmt.Sprintf("%s^%d+", s.Field, s.Min)
-		default:
-			parts[i] = fmt.Sprintf("%s^%d", s.Field, s.Min)
-		}
-	}
-	return strings.Join(parts, ".")
-}
-
-// single returns the one-step path f^1, interned. One-step paths are the
-// most common path expression the transfer function builds, so they get
-// their own field-keyed cache in front of the intern table.
+// single returns the one-step path f^1, the most common path expression the
+// transfer function builds.
 func single(field string) Path {
-	if v, ok := singleCache.Load(field); ok {
-		return v.(Path)
-	}
-	p := Intern(Path{{Field: field, Min: 1}})
-	singleCache.Store(field, p)
-	return p
+	return Path{{Field: field, Min: 1}}
 }
 
 // canon merges adjacent steps over the same field and applies the count cap.
 // It returns ok=false when the path exceeds maxSteps and the caller must
-// degrade to Top. Already-canonical paths (the common case once expressions
-// are interned) pass through without rebuilding.
+// degrade to Top. An already-canonical path is returned as is.
 func canon(p Path) (Path, bool) {
 	isCanon := len(p) <= maxSteps
 	for i := 0; isCanon && i < len(p); i++ {
@@ -158,7 +136,7 @@ func canon(p Path) (Path, bool) {
 		}
 	}
 	if isCanon {
-		return Intern(p), true
+		return p, true
 	}
 	out := make(Path, 0, len(p))
 	for _, s := range p {
@@ -178,7 +156,7 @@ func canon(p Path) (Path, bool) {
 	if len(out) > maxSteps {
 		return nil, false
 	}
-	return Intern(out), true
+	return out, true
 }
 
 // concat appends q to p and canonicalizes. ok=false means Top.
@@ -206,63 +184,37 @@ func stripLeading(p Path, field string) []stripResult {
 	if len(p) == 0 || p[0].Field != field {
 		return []stripResult{{ok: false}}
 	}
-	head, rest := p[0], p[1:]
-	var out []stripResult
-	switch {
-	case head.Min == 1 && !head.Plus:
-		if len(rest) == 0 {
-			out = append(out, stripResult{alias: true, ok: true})
-		} else {
-			out = append(out, stripResult{path: Intern(rest), ok: true})
-		}
-	case head.Min == 1 && head.Plus:
-		// One step consumed: either that was the last (alias with rest),
-		// or at least one more remains (f+ again).
-		if len(rest) == 0 {
-			out = append(out, stripResult{alias: true, ok: true})
-		} else {
-			out = append(out, stripResult{path: Intern(rest), ok: true})
-		}
-		remainder := append(Path{{Field: field, Min: 1, Plus: true}}, rest...)
-		out = append(out, stripResult{path: Intern(remainder), ok: true})
-	default: // Min >= 2
-		remainder := append(Path{{Field: field, Min: head.Min - 1, Plus: head.Plus}}, rest...)
-		out = append(out, stripResult{path: Intern(remainder), ok: true})
-		if head.Plus {
-			// Min-1 could also be exceeded; already covered by Plus remainder.
-			_ = remainder
-		}
-	}
-	return out
+	return stripEnd(p, 0, p[1:])
 }
 
 // stripTrailing removes one trailing traversal of field (used for backward
 // steps: p = q->b where paths into q end with the forward partner).
 func stripTrailing(p Path, field string) []stripResult {
-	if len(p) == 0 || p[len(p)-1].Field != field {
+	n := len(p)
+	if n == 0 || p[n-1].Field != field {
 		return []stripResult{{ok: false}}
 	}
-	reversed := reversePath(p)
-	var out []stripResult
-	for _, r := range stripLeading(reversed, field) {
-		if !r.ok {
-			out = append(out, r)
-			continue
-		}
-		out = append(out, stripResult{alias: r.alias, path: Intern(reversePath(r.path)), ok: true})
-	}
-	return out
+	return stripEnd(p, n-1, p[:n-1:n-1])
 }
 
-func reversePath(p Path) Path {
-	if p == nil {
-		return nil
+// stripEnd removes one traversal of the end step p[i] (the first or the
+// last), where rest is p without that step.
+func stripEnd(p Path, i int, rest Path) []stripResult {
+	if s := p[i]; s.Min == 1 {
+		// One step consumed: either that was the last (alias with rest),
+		// or, under f+, at least one more remains (f+ again: p itself).
+		out := []stripResult{{alias: true, ok: true}}
+		if len(rest) > 0 {
+			out[0] = stripResult{path: rest, ok: true}
+		}
+		if s.Plus {
+			out = append(out, stripResult{path: p, ok: true})
+		}
+		return out
 	}
-	out := make(Path, len(p))
-	for i, s := range p {
-		out[len(p)-1-i] = s
-	}
-	return out
+	q := append(Path(nil), p...)
+	q[i].Min--
+	return []stripResult{{path: q, ok: true}}
 }
 
 // startsWith reports whether the path begins by traversing field.
@@ -273,17 +225,4 @@ func (p Path) startsWith(field string) bool {
 // endsWith reports whether the path ends by traversing field.
 func (p Path) endsWith(field string) bool {
 	return len(p) > 0 && p[len(p)-1].Field == field
-}
-
-// Fields returns the set of fields the path traverses.
-func (p Path) Fields() []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, s := range p {
-		if !seen[s.Field] {
-			seen[s.Field] = true
-			out = append(out, s.Field)
-		}
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package pathmatrix
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 )
@@ -100,50 +101,34 @@ func sameSig(a, b *Rel) bool {
 	return true
 }
 
-// keyParts spells the relation's sort key — "=", "??", or the path key plus
-// an optional "|via:Var.Field" suffix, "!" when stale — as pieces whose
-// concatenation is the key, so ordering never builds the string.
-func keyParts(r *Rel, buf *[6]string) []string {
+// appendKey appends the relation's sort key to dst: "=", "??", or the path
+// key plus an optional "|via:Var.Field" suffix, "!" when stale.
+func (r *Rel) appendKey(dst []byte) []byte {
 	switch r.Kind {
 	case RelAlias:
-		buf[0] = "="
-		return buf[:1]
+		return append(dst, '=')
 	case RelTop:
-		buf[0] = "??"
-		return buf[:1]
+		return append(dst, "??"...)
 	}
-	buf[0] = r.Path.Key()
+	dst = r.Path.appendTo(dst, true)
 	if r.Via.zero() {
-		return buf[:1]
+		return dst
 	}
-	buf[1], buf[2], buf[3], buf[4] = "|via:", r.Via.Var, ".", r.Via.Field
+	dst = append(dst, "|via:"...)
+	dst = append(dst, r.Via.Var...)
+	dst = append(dst, '.')
+	dst = append(dst, r.Via.Field...)
 	if r.Via.Stale {
-		buf[5] = "!"
-		return buf[:6]
+		dst = append(dst, '!')
 	}
-	return buf[:5]
+	return dst
 }
 
-// relLess orders relations by their sort keys, bytewise.
+// relLess orders relations by their sort keys, bytewise. The keys are
+// spelled into stack buffers, so ordering allocates nothing.
 func relLess(a, b *Rel) bool {
-	var abuf, bbuf [6]string
-	pa, pb := keyParts(a, &abuf), keyParts(b, &bbuf)
-	i, j, ai, bj := 0, 0, 0, 0
-	for {
-		for i < len(pa) && ai == len(pa[i]) {
-			i, ai = i+1, 0
-		}
-		for j < len(pb) && bj == len(pb[j]) {
-			j, bj = j+1, 0
-		}
-		if i == len(pa) || j == len(pb) {
-			return i == len(pa) && j < len(pb)
-		}
-		if ca, cb := pa[i][ai], pb[j][bj]; ca != cb {
-			return ca < cb
-		}
-		ai, bj = ai+1, bj+1
-	}
+	var abuf, bbuf [64]byte
+	return bytes.Compare(a.appendKey(abuf[:0]), b.appendKey(bbuf[:0])) < 0
 }
 
 // Entry is a set of relations between two pointers, held as a slice sorted
@@ -331,10 +316,10 @@ func (e Entry) String() string {
 }
 
 // mergePaths widens two same-signature paths: per-step minimum count, plus
-// whenever the steps differ or either had plus. Identical (interned) paths
-// merge to themselves without rebuilding.
+// whenever the steps differ or either had plus. Equal paths merge to
+// themselves without rebuilding.
 func mergePaths(a, b Path) Path {
-	if len(a) > 0 && len(a) == len(b) && &a[0] == &b[0] {
+	if a.Equal(b) {
 		return a
 	}
 	out := make(Path, len(a))
@@ -349,7 +334,7 @@ func mergePaths(a, b Path) Path {
 			Plus:  a[i].Plus || b[i].Plus || a[i].Min != b[i].Min,
 		}
 	}
-	return Intern(out)
+	return out
 }
 
 // bySignature folds an entry into signature-canonical form, appending to

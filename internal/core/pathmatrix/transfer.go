@@ -154,13 +154,13 @@ func (t *transferer) deref(m *Matrix, dst, src, field, record string) {
 		for _, x := range m.relatedVars(src) {
 			add(x, dst, Rel{Kind: RelTop})
 		}
-		t.install(m, dst, src, adds)
+		t.install(m, dst, adds)
 		return
 	}
 
 	if fld.Dir == shape.Backward {
 		t.derefBackward(m, dst, src, fld, st, add)
-		t.install(m, dst, src, adds)
+		t.install(m, dst, adds)
 		return
 	}
 
@@ -204,7 +204,7 @@ func (t *transferer) deref(m *Matrix, dst, src, field, record string) {
 			}
 		}
 	}
-	t.install(m, dst, src, adds)
+	t.install(m, dst, adds)
 }
 
 // derefForwardOut handles a path src -> x while deriving dst = src->f:
@@ -452,7 +452,7 @@ func (t *transferer) backwardIn(x string, r Rel, partners []*shape.Field, add fu
 
 // install kills dst and applies pending relations, resolving the "" marker
 // used by derefForwardOut for the destination.
-func (t *transferer) install(m *Matrix, dst, src string, adds []pending) {
+func (t *transferer) install(m *Matrix, dst string, adds []pending) {
 	m.kill(dst)
 	for _, a := range adds {
 		p, q := a.p, a.q
@@ -464,7 +464,6 @@ func (t *transferer) install(m *Matrix, dst, src string, adds []pending) {
 		}
 		m.addRel(p, q, a.rel)
 	}
-	_ = src
 }
 
 // ---------------------------------------------------------------------------

@@ -33,13 +33,14 @@ const EngineVersion = "gpm-5"
 // counters are monotone and cheap (one atomic add per event) unless noted;
 // they feed the service /metrics endpoint and capacity debugging.
 type Stats struct {
-	Analyses      uint64 // completed function and summary fixpoint runs
-	Iterations    uint64 // fixed-point worklist iterations across all runs
-	Widenings     uint64 // nodes forcibly widened after exhausting the budget
-	Clones        uint64 // COW matrix clones across all runs
-	InternedPaths uint64 // distinct paths in the intern table (gauge)
-	SharedRows    uint64 // join cells shared pointer-equal with a parent
+	Analyses   uint64 // completed function and summary fixpoint runs
+	Iterations uint64 // fixed-point worklist iterations across all runs
+	Widenings  uint64 // nodes forcibly widened after exhausting the budget
+	Clones     uint64 // COW matrix clones across all runs
+	SharedRows uint64 // join cells shared pointer-equal with a parent
 
+	// Deprecated: always 0; paths are plain values, not interned.
+	InternedPaths uint64
 	// Deprecated: always 0; the engine has no transfer memo.
 	MemoHits uint64
 	// Deprecated: always 0; the engine has no transfer memo.
@@ -67,17 +68,16 @@ var engineStats struct {
 	summaryFallbacks atomic.Uint64
 }
 
-// ReadStats returns the engine counters. InternedPaths and SummaryEntries
-// are read from their tables at call time, so they reflect current sizes
-// rather than running totals.
+// ReadStats returns the engine counters. SummaryEntries is read from the
+// summary cache at call time, so it reflects the current size rather than a
+// running total.
 func ReadStats() Stats {
 	return Stats{
-		Analyses:      engineStats.analyses.Load(),
-		Iterations:    engineStats.iterations.Load(),
-		Widenings:     engineStats.widenings.Load(),
-		Clones:        engineStats.clones.Load(),
-		InternedPaths: uint64(InternerStats()),
-		SharedRows:    engineStats.sharedRows.Load(),
+		Analyses:   engineStats.analyses.Load(),
+		Iterations: engineStats.iterations.Load(),
+		Widenings:  engineStats.widenings.Load(),
+		Clones:     engineStats.clones.Load(),
+		SharedRows: engineStats.sharedRows.Load(),
 
 		SummaryComputed:  engineStats.summaryComputed.Load(),
 		SummaryReused:    engineStats.summaryReused.Load(),

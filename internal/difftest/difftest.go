@@ -9,8 +9,9 @@
 //     xform-transformed variants (Unroll, LICM, software pipelining) must
 //     be observationally equivalent on concrete inputs;
 //  3. analysis consistency — the path-matrix engine must produce identical
-//     results regardless of worker count (the hash-consed parallel engine
-//     vs. the sequential path);
+//     results regardless of worker count (the parallel engine, sharing
+//     rows, entries and cached summaries across goroutines, vs. the
+//     sequential path);
 //  4. smg — the SMG-lite oracle vs. the path-matrix oracle: a must-alias
 //     either derives that the other refutes is always a fatal bug in one of
 //     them, while bare may-alias disagreements are precision deltas,
@@ -399,9 +400,10 @@ func checkSoundness(p *gen.Program, cfg Config) string {
 // Check 4: analysis consistency (sequential vs. parallel engine)
 
 // checkConsistency analyzes the whole program twice — one worker vs. four
-// — and requires byte-identical matrices for every function: the interned,
-// hash-consed parallel engine must be observationally indistinguishable
-// from the sequential one.
+// — and requires byte-identical matrices for every function: the parallel
+// engine, whose goroutines share immutable paths, copy-on-write entries and
+// cached summaries, must be observationally indistinguishable from the
+// sequential one.
 func checkConsistency(p *gen.Program, cfg Config) string {
 	_, info, msg := load(p)
 	if msg != "" {

@@ -18,8 +18,8 @@ import (
 )
 
 // Attr is one key/value annotation on a span. Values are kept as any and
-// rendered with %v; spans carry engine stats (iteration counts, interned
-// paths), not user payloads.
+// rendered with %v; spans carry engine stats (iteration counts, matrix
+// clones), not user payloads.
 type Attr struct {
 	Key   string `json:"key"`
 	Value any    `json:"value"`

@@ -389,8 +389,6 @@ func (m *Metrics) WriteProm(w io.Writer, cacheLen, poolInUse, poolCap, queued, q
 	fmt.Fprintf(w, "addsd_engine_widenings_total %d\n", es.Widenings)
 	fmt.Fprintf(w, "# TYPE addsd_engine_matrix_clones_total counter\n")
 	fmt.Fprintf(w, "addsd_engine_matrix_clones_total %d\n", es.Clones)
-	fmt.Fprintf(w, "# TYPE addsd_engine_interned_paths gauge\n")
-	fmt.Fprintf(w, "addsd_engine_interned_paths %d\n", es.InternedPaths)
 	fmt.Fprintf(w, "# TYPE addsd_engine_shared_rows_total counter\n")
 	fmt.Fprintf(w, "addsd_engine_shared_rows_total %d\n", es.SharedRows)
 	fmt.Fprintf(w, "# HELP addsd_engine_summary_computed_total Function summaries computed (content-addressed cache misses).\n")
