@@ -206,9 +206,9 @@ func (a *Analysis) Validation() *validation.Result {
 func (a *Analysis) GPMOracle() Oracle { return alias.GPMOf(a.GPM) }
 
 // ClassicOracle returns the annotation-free path matrix oracle, built by the
-// registry's classic factory.
+// oracle table's classic factory.
 func (a *Analysis) ClassicOracle() Oracle {
-	o, _ := a.OracleNamed(context.Background(), "classic", 0) // registered in package alias; cannot fail
+	o, _ := a.OracleNamed(context.Background(), "classic", 0) // listed in package alias; cannot fail
 	return o
 }
 

@@ -3,10 +3,11 @@ package alias
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 
+	"repro/internal/alias/klimit"
+	"repro/internal/alias/smg"
 	"repro/internal/core/pathmatrix"
 	"repro/internal/norm"
 	"repro/internal/shape"
@@ -37,12 +38,11 @@ type BuildOpts struct {
 	K int
 }
 
-// Factory describes one registered oracle: its canonical name, what the
+// Factory describes one oracle: its canonical name, what the
 // flag/endpoint documentation should say about it, and how to build it.
-// Oracles self-register from their package's init, so linking a package in
-// is all it takes to make its oracle selectable everywhere — CLI -oracle
+// The factories table below is the single list of oracles: CLI -oracle
 // flags, /v1 request validation, GET /v1/oracles, and the fuzzing harness
-// all enumerate this registry.
+// all enumerate it.
 type Factory struct {
 	// Name is the canonical spelling ("gpm", "klimit", ...).
 	Name string
@@ -50,10 +50,6 @@ type Factory struct {
 	Description string
 	// NeedsK reports whether the oracle consumes BuildOpts.K (-k).
 	NeedsK bool
-	// Rank orders listings and error messages; the historical four keep
-	// their documented order (gpm, classic, conservative, klimit) and new
-	// oracles append after them.
-	Rank int
 	// Aliases are accepted alternate spellings ("klimited").
 	Aliases []string
 	// Build constructs the oracle for one function. The context carries the
@@ -62,100 +58,23 @@ type Factory struct {
 	Build func(ctx context.Context, g *norm.Graph, opts BuildOpts) Oracle
 }
 
-var registry = struct {
-	sync.RWMutex
-	byName map[string]*Factory // canonical names and aliases, lowercase
-	all    []*Factory
-}{byName: map[string]*Factory{}}
-
-// Register adds a factory to the oracle registry. It panics on a duplicate
-// or empty name — registration happens in package inits, where a conflict
-// is a programming error, not a runtime condition.
-func Register(f Factory) {
-	if f.Name == "" || f.Build == nil {
-		panic("alias: Register: factory needs a Name and a Build func")
-	}
-	registry.Lock()
-	defer registry.Unlock()
-	fc := f
-	for _, name := range append([]string{fc.Name}, fc.Aliases...) {
-		key := strings.ToLower(name)
-		if _, dup := registry.byName[key]; dup {
-			panic("alias: Register: duplicate oracle name " + name)
-		}
-		registry.byName[key] = &fc
-	}
-	registry.all = append(registry.all, &fc)
-	sort.SliceStable(registry.all, func(i, j int) bool {
-		a, b := registry.all[i], registry.all[j]
-		if a.Rank != b.Rank {
-			return a.Rank < b.Rank
-		}
-		return a.Name < b.Name
-	})
-}
-
-// Lookup resolves a CLI/API oracle spelling (case-insensitive; aliases
-// accepted; "" selects the default, gpm). Unknown names report an error
-// listing every registered oracle.
-func Lookup(name string) (*Factory, error) {
-	registry.RLock()
-	defer registry.RUnlock()
-	key := strings.ToLower(name)
-	if key == "" {
-		key = "gpm"
-	}
-	if f, ok := registry.byName[key]; ok {
-		return f, nil
-	}
-	names := namesLocked()
-	return nil, fmt.Errorf("unknown oracle %q (known: %s)", name, strings.Join(names, ", "))
-}
-
-// Names returns the canonical registered names in listing order.
-func Names() []string {
-	registry.RLock()
-	defer registry.RUnlock()
-	return namesLocked()
-}
-
-func namesLocked() []string {
-	out := make([]string, len(registry.all))
-	for i, f := range registry.all {
-		out[i] = f.Name
-	}
-	return out
-}
-
-// Factories returns the registered factories in listing order. The slice is
-// fresh; the pointed-to factories are shared and must not be mutated.
-func Factories() []*Factory {
-	registry.RLock()
-	defer registry.RUnlock()
-	out := make([]*Factory, len(registry.all))
-	copy(out, registry.all)
-	return out
-}
-
-// The path-matrix oracles and the conservative baseline live in this
-// package, so they register here; klimit and smg register from their own
-// package inits.
-func init() {
-	Register(Factory{
+// factories lists every oracle in listing order: the historical four keep
+// their documented order (gpm, classic, conservative, klimit) and newer
+// oracles follow. Names and aliases are lowercase.
+var factories = []*Factory{
+	{
 		Name:        "gpm",
 		Description: "general path matrix analysis with ADDS declarations (the paper's analysis; default)",
-		Rank:        0,
 		Build: func(_ context.Context, g *norm.Graph, opts BuildOpts) Oracle {
 			if opts.Result != nil {
 				return GPMOf(opts.Result)
 			}
 			return NewGPMWith(g, opts.Env, opts.Summaries)
 		},
-	})
-	Register(Factory{
+	},
+	{
 		Name:        "classic",
 		Description: "path matrix analysis with the ADDS declarations stripped",
-		Rank:        1,
 		Build: func(ctx context.Context, g *norm.Graph, opts BuildOpts) Oracle {
 			// Summary rows are environment-dependent; the classic oracle
 			// needs a table computed under the stripped environment, never
@@ -175,13 +94,63 @@ func init() {
 			}
 			return o
 		},
-	})
-	Register(Factory{
+	},
+	{
 		Name:        "conservative",
 		Description: "worst-case baseline: same-type pointers may always alias",
-		Rank:        2,
 		Build: func(_ context.Context, g *norm.Graph, _ BuildOpts) Oracle {
 			return NewConservative(g)
 		},
-	})
+	},
+	{
+		Name:        "klimit",
+		Description: "k-limited storage graphs (Jones & Muchnick); -k bounds per-site materialization",
+		NeedsK:      true,
+		Aliases:     []string{"klimited"},
+		Build: func(_ context.Context, g *norm.Graph, opts BuildOpts) Oracle {
+			k := opts.K
+			if k <= 0 {
+				k = klimit.DefaultK
+			}
+			return klimit.Analyze(g, opts.Env, k)
+		},
+	},
+	{
+		Name:        "smg",
+		Description: "SMG-lite symbolic memory graphs (Predator-style segments with materialization)",
+		Build: func(ctx context.Context, g *norm.Graph, opts BuildOpts) Oracle {
+			return smg.AnalyzeCtx(ctx, g, opts.Env)
+		},
+	},
+}
+
+// Lookup resolves a CLI/API oracle spelling (case-insensitive; aliases
+// accepted; "" selects the default, gpm). Unknown names report an error
+// listing every oracle.
+func Lookup(name string) (*Factory, error) {
+	key := strings.ToLower(name)
+	if key == "" {
+		key = "gpm"
+	}
+	for _, f := range factories {
+		if f.Name == key || slices.Contains(f.Aliases, key) {
+			return f, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown oracle %q (known: %s)", name, strings.Join(Names(), ", "))
+}
+
+// Names returns the canonical names in listing order.
+func Names() []string {
+	out := make([]string, len(factories))
+	for i, f := range factories {
+		out[i] = f.Name
+	}
+	return out
+}
+
+// Factories returns the factories in listing order. The slice is fresh;
+// the pointed-to factories are shared and must not be mutated.
+func Factories() []*Factory {
+	return slices.Clone(factories)
 }

@@ -1,8 +1,7 @@
 package alias_test
 
-// The registry tests live in an external test package that imports both
-// subpackage registrants, so they see the registry exactly as the tools do
-// (every oracle registered).
+// The registry tests live in an external test package, so they see the
+// oracle table exactly as the tools do.
 
 import (
 	"context"
@@ -10,8 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/alias"
-	_ "repro/internal/alias/klimit"
-	_ "repro/internal/alias/smg"
 	"repro/internal/core/pathmatrix"
 	"repro/internal/norm"
 	"repro/internal/source/parser"

@@ -76,8 +76,8 @@ type OracleFlags struct {
 }
 
 // RegisterOracleFlags adds -oracle and -k to the flag set. The usage text
-// enumerates the oracle registry, so a newly registered oracle shows up in
-// every tool's -help without touching the tools.
+// enumerates the oracle table, so a new oracle shows up in every tool's
+// -help without touching the tools.
 func RegisterOracleFlags(fs *flag.FlagSet) *OracleFlags {
 	of := &OracleFlags{}
 	fs.StringVar(&of.Name, "oracle", "gpm", "alias oracle: "+strings.Join(adds.OracleNames(), ", "))

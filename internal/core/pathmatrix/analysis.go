@@ -94,42 +94,38 @@ func AnalyzeCtxWith(ctx context.Context, g *norm.Graph, env *shape.Env, tab *Sum
 }
 
 // analyzeFunc runs the function-level fixpoint from g's entry, whose state
-// is init, and records the run in engineStats and the fixpoint span. It
-// serves AnalyzeCtxWith and the summary runs, which differ only in init.
+// is init, and records the run's counts in the engine sums and the fixpoint
+// span. It serves AnalyzeCtxWith and the summary runs, which differ only in
+// init.
 func analyzeFunc(ctx context.Context, g *norm.Graph, env *shape.Env, tab *SummaryTable, init *Matrix) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	// The fixpoint span covers the whole per-statement worklist run. When no
 	// tracer rides the context this is one nil check; when one does, the
-	// engine stats land as span attributes so a slow analysis can name its
-	// cost (clone counts are process-wide deltas: exact when serial,
-	// indicative under concurrent analyses).
+	// run's own counts land as span attributes so a slow analysis can name
+	// its cost.
 	_, span := obs.Start(ctx, "fixpoint")
-	clones0 := engineStats.clones.Load()
-	sharedRows0 := engineStats.sharedRows.Load()
-	summaryApplied0 := engineStats.summaryApplied.Load()
-	summaryFallbacks0 := engineStats.summaryFallbacks.Load()
-
 	f := newFixpoint(g, env, tab)
 	if err := f.solve(ctx, g.Entry, init); err != nil {
 		span.SetAttr("cancelled", true)
 		span.End()
 		return nil, err
 	}
-	engineStats.analyses.Add(1)
-	engineStats.iterations.Add(uint64(f.iterations))
-	engineStats.widenings.Add(uint64(f.widenings))
+	st := f.stats
+	st.Analyses = 1
+	st.SummaryApplied, st.SummaryFallbacks = f.trans.applied, f.trans.fallbacks
+	record(st)
 	if span != nil {
 		span.SetAttr("fn", g.Fn.Decl.Name)
 		span.SetAttr("nodes", len(g.Nodes))
-		span.SetAttr("iterations", f.iterations)
-		span.SetAttr("widenings", f.widenings)
-		span.SetAttr("matrixClones", engineStats.clones.Load()-clones0)
-		span.SetAttr("sharedRows", engineStats.sharedRows.Load()-sharedRows0)
+		span.SetAttr("iterations", int(st.Iterations))
+		span.SetAttr("widenings", int(st.Widenings))
+		span.SetAttr("matrixClones", int(st.Clones))
+		span.SetAttr("sharedRows", int(st.SharedRows))
 		if tab != nil {
-			span.SetAttr("summaryApplied", engineStats.summaryApplied.Load()-summaryApplied0)
-			span.SetAttr("summaryFallbacks", engineStats.summaryFallbacks.Load()-summaryFallbacks0)
+			span.SetAttr("summaryApplied", int(st.SummaryApplied))
+			span.SetAttr("summaryFallbacks", int(st.SummaryFallbacks))
 		}
 		span.End()
 	}
@@ -149,8 +145,10 @@ type fixpoint struct {
 	stop   *norm.Node
 	onStop func(*Matrix)
 
-	before, after         []*Matrix // per node ID; nil where never reached
-	iterations, widenings int
+	before, after []*Matrix // per node ID; nil where never reached
+	// stats counts the run's iterations, widenings, the clones the solver
+	// makes and the join cells it shares.
+	stats Stats
 }
 
 // newFixpoint prepares a run over g. A non-nil summary table enables
@@ -202,8 +200,11 @@ func (f *fixpoint) solve(ctx context.Context, seed *norm.Node, in *Matrix) error
 				}
 				if acc == nil {
 					acc = st.Clone()
+					f.stats.Clones++
 				} else {
-					acc = Join(acc, st)
+					var shared int
+					acc, shared = Join(acc, st)
+					f.stats.SharedRows += uint64(shared)
 				}
 			}
 		}
@@ -226,10 +227,10 @@ func (f *fixpoint) solve(ctx context.Context, seed *norm.Node, in *Matrix) error
 	visits := make([]int, len(g.Nodes))
 	var wide *Matrix
 	for head < len(work) {
-		if f.iterations++; f.iterations > maxIterations {
+		if f.stats.Iterations++; f.stats.Iterations > maxIterations {
 			panic("pathmatrix: fixed point not reached")
 		}
-		if f.iterations&ctxCheckMask == 0 {
+		if f.stats.Iterations&ctxCheckMask == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
@@ -245,7 +246,7 @@ func (f *fixpoint) solve(ctx context.Context, seed *norm.Node, in *Matrix) error
 		var before, after *Matrix
 		if visits[n.ID]++; visits[n.ID] > nodeVisitBudget {
 			if visits[n.ID] == nodeVisitBudget+1 {
-				f.widenings++
+				f.stats.Widenings++
 			}
 			if wide == nil {
 				wide = widened(in.vars, recordsOf(g))
@@ -254,6 +255,7 @@ func (f *fixpoint) solve(ctx context.Context, seed *norm.Node, in *Matrix) error
 		} else {
 			before = inState(n)
 			after = before.Clone()
+			f.stats.Clones++
 			if n.Kind == norm.NodeStmt {
 				f.trans.apply(after, n.Stmt)
 			}
@@ -264,7 +266,9 @@ func (f *fixpoint) solve(ctx context.Context, seed *norm.Node, in *Matrix) error
 		for si, succ := range n.Succs {
 			out := after
 			if n.Kind == norm.NodeBranch && visits[n.ID] <= nodeVisitBudget {
-				out = refine(after, n.Cond, si == 0)
+				if out = refine(after, n.Cond, si == 0); out != after {
+					f.stats.Clones++
+				}
 			}
 			if succ == f.stop {
 				f.onStop(out)
@@ -355,7 +359,8 @@ func initParams(m *Matrix, g *norm.Graph) {
 	}
 }
 
-// refine applies a branch condition to the matrix along one edge.
+// refine applies a branch condition to the matrix along one edge. It
+// returns a clone exactly when the result differs from m.
 func refine(m *Matrix, c *norm.Cond, taken bool) *Matrix {
 	kind := c.Kind
 	if !taken {
@@ -521,7 +526,7 @@ func (r *Result) iterationMatrix(l *norm.Loop) *Matrix {
 	// own transferer (which carries per-goroutine scratch state, and
 	// IterationMatrix may be called concurrently on one Result) under the
 	// function run's summary table, so calls in the body transfer the same
-	// way. Its counters stay out of engineStats.
+	// way. It records nothing.
 	f := newFixpoint(r.Graph, r.Env, r.Summaries)
 	f.body, f.stop = l.Body, l.Head
 	var result *Matrix
@@ -530,7 +535,7 @@ func (r *Result) iterationMatrix(l *norm.Loop) *Matrix {
 		if result == nil {
 			result = out.Clone()
 		} else {
-			result = Join(result, out)
+			result, _ = Join(result, out)
 		}
 	}
 	// IterationMatrix's signature carries no context, and an uncancellable

@@ -121,7 +121,6 @@ func (m *Matrix) dropRights() {
 // already shares everything writes nothing to it, so finished results may
 // be cloned concurrently.
 func (m *Matrix) Clone() *Matrix {
-	engineStats.clones.Add(1)
 	if !m.sharedRows || !m.sharedViols || m.ownAny {
 		m.sharedRows, m.sharedViols = true, true
 		m.dropRights()
@@ -580,8 +579,9 @@ func cellAt(r []Entry, j int) Entry {
 // parents. Sharing requires sig-canonical entries (see sigCanonical): for
 // those, signature matching pairs each relation with itself, merges paths
 // to identical content and keeps certainty, so the joined entry is
-// contentwise the shared one. a gives up its mutation rights.
-func Join(a, b *Matrix) *Matrix {
+// contentwise the shared one. a gives up its mutation rights. The second
+// result counts the shared cells.
+func Join(a, b *Matrix) (*Matrix, int) {
 	a.dropRights()
 	va, vb := cellsOn(a, b)
 	n := len(va.ix.names)
@@ -591,14 +591,13 @@ func Join(a, b *Matrix) *Matrix {
 	for i := range out.rows {
 		out.rows[i] = joinRows(rowAt(va, i), rowAt(vb, i), n, &shared)
 	}
-	engineStats.sharedRows.Add(uint64(shared))
 	for v := range a.viols {
 		out.addViolation(v)
 	}
 	for v := range b.viols {
 		out.addViolation(v)
 	}
-	return out
+	return out, shared
 }
 
 // joinRows joins two rows cell by cell, counting shared cells. The result

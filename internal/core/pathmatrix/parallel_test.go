@@ -178,7 +178,8 @@ func TestIterationMatrixConcurrent(t *testing.T) {
 						defer wg.Done()
 						got[c] = r.IterationMatrix(l)
 						head := r.LoopHead(l)
-						dumps[c] = Join(head.Clone(), head).String() + got[c].String()
+						j, _ := Join(head.Clone(), head)
+						dumps[c] = j.String() + got[c].String()
 					}(c)
 				}
 				wg.Wait()

@@ -402,6 +402,11 @@ func ComputeSummariesCtx(ctx context.Context, info *types.Info, env *shape.Env) 
 		recursive: map[string]bool{},
 		reach:     reachClosure(env),
 	}
+	// The pass's counts reach the engine sums even when it is cancelled:
+	// the summaries it computed stay cached.
+	defer func() {
+		record(Stats{SummaryComputed: uint64(tab.Computed), SummaryReused: uint64(tab.Reused)})
+	}()
 	callees := callGraph(info.Prog)
 	sccs, recursive := callOrder(info.Prog, callees)
 	functions := 0
@@ -421,7 +426,6 @@ func ComputeSummariesCtx(ctx context.Context, info *types.Info, env *shape.Env) 
 			if sum, ok := summaryCacheGet(key); ok {
 				tab.byFn[name] = sum
 				tab.Reused++
-				engineStats.summaryReused.Add(1)
 				continue
 			}
 			sum, err := tab.computeSummary(ctx, fi, info)
@@ -434,7 +438,6 @@ func ComputeSummariesCtx(ctx context.Context, info *types.Info, env *shape.Env) 
 			summaryCachePut(key, sum)
 			tab.byFn[name] = sum
 			tab.Computed++
-			engineStats.summaryComputed.Add(1)
 		}
 	}
 	if span != nil {

@@ -86,13 +86,15 @@ void f(TwoWayLL *p) {
 		t.Fatalf("chop effects = %+v, want shape-mutating", eff)
 	}
 
-	before := ReadStats().SummaryFallbacks
-	r, err := AnalyzeCtxWith(context.Background(), g, info.Env, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ReadStats().SummaryFallbacks == before {
-		t.Error("recursive shape mutator must count a summary fallback")
+	var r *Result
+	spans := traceSpans(t, "fixpoint", func(ctx context.Context) {
+		var err error
+		if r, err = AnalyzeCtxWith(ctx, g, info.Env, tab); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n := spanAttr(spans[0], "summaryFallbacks"); n != 1 {
+		t.Errorf("recursive shape mutator must count one summary fallback, got %v", n)
 	}
 	m := exitMatrix(r, g)
 	if !m.MayAlias("p", "q") {
@@ -192,13 +194,15 @@ void f(TwoWayLL *p) {
 }`
 	info, g := summaryProgram(t, src, "f")
 	tab := ComputeSummaries(info, info.Env)
-	before := ReadStats().SummaryApplied
-	r, err := AnalyzeCtxWith(context.Background(), g, info.Env, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ReadStats().SummaryApplied == before {
-		t.Error("unrelated actuals must take the summary path")
+	var r *Result
+	spans := traceSpans(t, "fixpoint", func(ctx context.Context) {
+		var err error
+		if r, err = AnalyzeCtxWith(ctx, g, info.Env, tab); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n := spanAttr(spans[0], "summaryApplied"); n != 1 {
+		t.Errorf("unrelated actuals must take the summary path once, got %v applied", n)
 	}
 	if !exitMatrix(r, g).Valid() {
 		t.Error("generic-entry-compatible call must keep the caller valid")

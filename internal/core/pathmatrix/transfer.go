@@ -94,6 +94,10 @@ type transferer struct {
 	// analysis (shadow variables included). Both nil for havoc-only runs.
 	summaries *SummaryTable
 	varRecord map[string]string
+
+	// applied and fallbacks count the call sites transferred via a summary
+	// and those that fell back to the havoc.
+	applied, fallbacks uint64
 }
 
 // apply mutates m according to stmt.
@@ -870,15 +874,16 @@ func (t *transferer) call(m *Matrix, s *norm.Stmt) {
 		// relations or break the declared abstraction, and by-value
 		// arguments mean caller bindings are untouched. The matrix carries
 		// through the call verbatim.
-		engineStats.summaryApplied.Add(1)
+		t.applied++
 		return
 	}
 	risky := t.callBreakRisk(m, s, eff)
 	if sum := t.callSummary(m, s); sum != nil {
+		t.applied++
 		t.applySummary(m, s, sum, eff)
 	} else {
 		if t.summaries != nil {
-			engineStats.summaryFallbacks.Add(1)
+			t.fallbacks++
 		}
 		t.callHavoc(m, s.Args)
 	}
@@ -1010,8 +1015,6 @@ func (t *transferer) typeTainted(v string, eff *FuncEffects) bool {
 // matrix, checked by callSummary) the variable's structure is disjoint from
 // everything the callee could reach.
 func (t *transferer) applySummary(m *Matrix, s *norm.Stmt, sum *FuncSummary, eff *FuncEffects) {
-	engineStats.summaryApplied.Add(1)
-
 	act := make([]string, len(sum.Formals))
 	isActual := map[string]bool{}
 	for i, pos := range sum.FormalPos {

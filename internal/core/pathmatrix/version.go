@@ -1,6 +1,6 @@
 package pathmatrix
 
-import "sync/atomic"
+import "sync"
 
 // EngineVersion stamps analysis results produced by this package. It is part
 // of the content-addressed cache key in internal/service AND of the summary
@@ -29,14 +29,16 @@ import "sync/atomic"
 // bodies, and report digests change for programs with re-linking stores.
 const EngineVersion = "gpm-5"
 
-// Stats is a snapshot of engine-wide counters since process start. The
-// counters are monotone and cheap (one atomic add per event) unless noted;
-// they feed the service /metrics endpoint and capacity debugging.
+// Stats counts engine work. Each function or summary fixpoint run and each
+// summary pass counts its own work in one Stats value, which becomes its
+// fixpoint or summaries span's attributes and is added once, when the run
+// ends, to the process-wide sums that ReadStats returns. Cancelled runs and
+// IterationMatrix runs add nothing.
 type Stats struct {
 	Analyses   uint64 // completed function and summary fixpoint runs
-	Iterations uint64 // fixed-point worklist iterations across all runs
+	Iterations uint64 // fixed-point worklist iterations
 	Widenings  uint64 // nodes forcibly widened after exhausting the budget
-	Clones     uint64 // COW matrix clones across all runs
+	Clones     uint64 // COW matrix clones the solver made
 	SharedRows uint64 // join cells shared pointer-equal with a parent
 
 	// Deprecated: always 0; paths are plain values, not interned.
@@ -55,34 +57,36 @@ type Stats struct {
 	SummaryFallbacks uint64 // call sites that fell back to havoc (recursion, preconditions)
 }
 
-var engineStats struct {
-	analyses   atomic.Uint64
-	iterations atomic.Uint64
-	widenings  atomic.Uint64
-	clones     atomic.Uint64
-	sharedRows atomic.Uint64
-
-	summaryComputed  atomic.Uint64
-	summaryReused    atomic.Uint64
-	summaryApplied   atomic.Uint64
-	summaryFallbacks atomic.Uint64
+// engine holds the process-wide sums of every recorded run.
+var engine struct {
+	mu  sync.Mutex
+	sum Stats
 }
 
-// ReadStats returns the engine counters. SummaryEntries is read from the
-// summary cache at call time, so it reflects the current size rather than a
-// running total.
-func ReadStats() Stats {
-	return Stats{
-		Analyses:   engineStats.analyses.Load(),
-		Iterations: engineStats.iterations.Load(),
-		Widenings:  engineStats.widenings.Load(),
-		Clones:     engineStats.clones.Load(),
-		SharedRows: engineStats.sharedRows.Load(),
+// record adds one run's or summary pass's counts to the process-wide sums.
+// It is the only writer of those sums.
+func record(s Stats) {
+	engine.mu.Lock()
+	defer engine.mu.Unlock()
+	t := &engine.sum
+	t.Analyses += s.Analyses
+	t.Iterations += s.Iterations
+	t.Widenings += s.Widenings
+	t.Clones += s.Clones
+	t.SharedRows += s.SharedRows
+	t.SummaryComputed += s.SummaryComputed
+	t.SummaryReused += s.SummaryReused
+	t.SummaryApplied += s.SummaryApplied
+	t.SummaryFallbacks += s.SummaryFallbacks
+}
 
-		SummaryComputed:  engineStats.summaryComputed.Load(),
-		SummaryReused:    engineStats.summaryReused.Load(),
-		SummaryEntries:   uint64(summaryCacheLen()),
-		SummaryApplied:   engineStats.summaryApplied.Load(),
-		SummaryFallbacks: engineStats.summaryFallbacks.Load(),
-	}
+// ReadStats returns the sums of every run recorded since process start.
+// SummaryEntries is read from the summary cache at call time, so it
+// reflects the current size rather than a running total.
+func ReadStats() Stats {
+	engine.mu.Lock()
+	s := engine.sum
+	engine.mu.Unlock()
+	s.SummaryEntries = uint64(summaryCacheLen())
+	return s
 }

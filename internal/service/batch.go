@@ -88,7 +88,7 @@ func (s *Server) batchLine(ctx context.Context, idx int, item *AnalyzeRequest, f
 		}
 	}
 	var res resolved
-	if canonical, err := json.Marshal(item); err != nil {
+	if canonical, err := json.Marshal(workerless(item)); err != nil {
 		res = resolved{err: fmt.Errorf("%w: %v", ErrBadRequest, err)}
 	} else {
 		key := Key("analyze", pathmatrix.EngineVersion, string(canonical))

@@ -619,13 +619,23 @@ func (s *Server) localResolve(reqCtx context.Context, label, key, prefix string,
 	return resolved{status: http.StatusOK, body: val, cache: prefix + outcome.String()}
 }
 
+// workerless returns the copy of req that keys and forwards it: Workers
+// is zeroed because the analysis result does not depend on the worker
+// count (see pathmatrix.AnalyzeProgramCtx). The computation itself still
+// runs with req's own value.
+func workerless(req *AnalyzeRequest) *AnalyzeRequest {
+	keyed := *req
+	keyed.Workers = 0
+	return &keyed
+}
+
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req AnalyzeRequest
 	if err := s.decodeBody(r, &req); err != nil {
 		writeError(w, err)
 		return
 	}
-	s.serveCached(w, r, "analyze", &req, func(ctx context.Context) (any, error) {
+	s.serveCached(w, r, "analyze", workerless(&req), func(ctx context.Context) (any, error) {
 		return BuildAnalyze(ctx, &req)
 	})
 }
@@ -695,11 +705,10 @@ func (s *Server) handleExperimentList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, defs)
 }
 
-// handleOracleList answers GET /v1/oracles with the alias-oracle registry,
-// in registry (rank) order — the same list the -oracle flag accepts and the
+// handleOracleList answers GET /v1/oracles with the alias-oracle table,
+// in listing order — the same list the -oracle flag accepts and the
 // analyze/depgraph "oracle" field validates against. The rows derive from
-// the registry, so a newly registered oracle appears here without a server
-// change.
+// the table, so a new oracle appears here without a server change.
 func (s *Server) handleOracleList(w http.ResponseWriter, _ *http.Request) {
 	infos := []OracleInfo{}
 	for _, o := range adds.Oracles() {

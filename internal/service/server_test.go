@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -283,6 +284,45 @@ func TestAnalyzeCacheHitOnRepeat(t *testing.T) {
 	}
 	if m := s.Metrics().CacheMisses(); m != 1 {
 		t.Errorf("cache misses = %d, want 1", m)
+	}
+}
+
+// TestAnalyzeWorkersNotInKey: the worker count does not change the answer,
+// so it is not part of the content address. Requests differing only in
+// workers share one cache entry, through /v1/analyze and /v1/batch alike.
+func TestAnalyzeWorkersNotInKey(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	src, err := os.ReadFile("../../testdata/listops.mini")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first []byte
+	for i, c := range []struct {
+		workers int
+		want    string
+	}{{0, "miss"}, {1, "hit"}, {3, "hit"}} {
+		resp, data := postJSON(t, ts.URL+"/v1/analyze", AnalyzeRequest{Source: string(src), Workers: c.workers})
+		if resp.StatusCode != 200 {
+			t.Fatalf("workers=%d: status %d: %s", c.workers, resp.StatusCode, data)
+		}
+		if got := resp.Header.Get("X-Cache"); got != c.want {
+			t.Errorf("workers=%d: X-Cache = %q, want %s", c.workers, got, c.want)
+		}
+		if i == 0 {
+			first = data
+		} else if !bytes.Equal(data, first) {
+			t.Errorf("workers=%d: body differs from the workers=0 body", c.workers)
+		}
+	}
+	body, err := json.Marshal(BatchRequest{Items: []AnalyzeRequest{{Source: string(src), Workers: 2}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, out := postBatch(t, ts.URL, body); resp.StatusCode != 200 {
+		t.Fatalf("batch status %d: %s", resp.StatusCode, out)
+	}
+	if h := s.Metrics().CacheHits(); h != 3 {
+		t.Errorf("cache hits = %d, want 3 (two analyze repeats and the batch item)", h)
 	}
 }
 

@@ -3,9 +3,11 @@ package service
 import (
 	"context"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/adds"
+	"repro/internal/obs"
 )
 
 // TestBuildRunsEachFixpointOnce: no request runs the same path-matrix
@@ -45,6 +47,81 @@ func TestBuildRunsEachFixpointOnce(t *testing.T) {
 		}
 		if got := adds.ReadEngineStats().Analyses - before; got != c.want {
 			t.Errorf("%s ran %d fixpoints, want %d", c.name, got, c.want)
+		}
+	}
+}
+
+// TestEngineSumsMatchSpans: the engine sums are the runs' own counts, added
+// once per run. Over a serial, traced BuildAnalyze of each testdata
+// program, the ReadEngineStats delta equals the sum of the trace's
+// fixpoint and summaries span attributes, and Analyses counts the fixpoint
+// spans. Not parallel: the sums are process-wide.
+func TestEngineSumsMatchSpans(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.mini"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no testdata programs: %v", err)
+	}
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := obs.NewTracer(1)
+		ctx, root := tr.StartRoot(context.Background(), "test", obs.TraceID{})
+		before := adds.ReadEngineStats()
+		if _, err := BuildAnalyze(ctx, &AnalyzeRequest{Source: string(src), Workers: 1}); err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		after := adds.ReadEngineStats()
+		root.End()
+
+		var spans adds.EngineStats
+		for _, rec := range tr.Ring().Get(root.TraceID()).Snapshot() {
+			attr := func(key string) uint64 {
+				for _, a := range rec.Attrs {
+					if a.Key != key {
+						continue
+					}
+					switch v := a.Value.(type) {
+					case int:
+						return uint64(v)
+					case uint64:
+						return v
+					}
+					t.Fatalf("%s attribute %s = %#v, want a count", rec.Name, key, a.Value)
+				}
+				return 0
+			}
+			switch rec.Name {
+			case "fixpoint":
+				spans.Analyses++
+				spans.Iterations += attr("iterations")
+				spans.Widenings += attr("widenings")
+				spans.Clones += attr("matrixClones")
+				spans.SharedRows += attr("sharedRows")
+				spans.SummaryApplied += attr("summaryApplied")
+				spans.SummaryFallbacks += attr("summaryFallbacks")
+			case "summaries":
+				spans.SummaryComputed += attr("computed")
+				spans.SummaryReused += attr("reused")
+			}
+		}
+		delta := adds.EngineStats{
+			Analyses:         after.Analyses - before.Analyses,
+			Iterations:       after.Iterations - before.Iterations,
+			Widenings:        after.Widenings - before.Widenings,
+			Clones:           after.Clones - before.Clones,
+			SharedRows:       after.SharedRows - before.SharedRows,
+			SummaryComputed:  after.SummaryComputed - before.SummaryComputed,
+			SummaryReused:    after.SummaryReused - before.SummaryReused,
+			SummaryApplied:   after.SummaryApplied - before.SummaryApplied,
+			SummaryFallbacks: after.SummaryFallbacks - before.SummaryFallbacks,
+		}
+		if delta != spans {
+			t.Errorf("%s: engine sums moved by\n%+v\nbut the trace's spans add up to\n%+v", filepath.Base(file), delta, spans)
+		}
+		if spans.Analyses == 0 {
+			t.Errorf("%s: the trace has no fixpoint span", filepath.Base(file))
 		}
 	}
 }
