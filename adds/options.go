@@ -7,7 +7,6 @@ import (
 	"repro/internal/alias"
 	"repro/internal/core/pathmatrix"
 	"repro/internal/ir"
-	"repro/internal/norm"
 	"repro/internal/obs"
 )
 
@@ -92,21 +91,19 @@ func (u *Unit) AnalyzeOpt(ctx context.Context, fn string, opts ...Option) (*Anal
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	_, span := obs.Start(ctx, "normalize")
-	span.SetAttr("fn", fn)
-	g := norm.Build(fi, u.Info.Env)
-	span.End()
-	// Single-function analysis shares the program-wide summary table; the
-	// content-addressed cache makes repeated computation cheap.
+	// Single-function analysis shares the program-wide summary table, which
+	// also lowers the function; the content-addressed cache makes repeated
+	// computation cheap.
 	tab, err := pathmatrix.ComputeSummariesCtx(ctx, u.Info, u.Info.Env)
 	if err != nil {
 		return nil, err
 	}
+	g := tab.Graph(fn)
 	r, err := pathmatrix.AnalyzeCtxWith(ctx, g, u.Info.Env, tab)
 	if err != nil {
 		return nil, err
 	}
-	_, span = obs.Start(ctx, "ir")
+	_, span := obs.Start(ctx, "ir")
 	prog := ir.Build(fi, u.Info.Env)
 	span.End()
 	return &Analysis{

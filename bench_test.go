@@ -7,6 +7,7 @@ package repro
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -21,6 +22,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/machine"
 	"repro/internal/norm"
+	"repro/internal/service"
 	"repro/internal/source/parser"
 	"repro/internal/source/types"
 	"repro/internal/structures"
@@ -298,12 +300,8 @@ func BenchmarkAnalyzeShift(b *testing.B) {
 // dominate a miss request.
 func BenchmarkAnalyzeHostile(b *testing.B) {
 	var infos []*types.Info
-	for _, name := range []string{"ptree", "skiplist", "ringlol", "repair"} {
-		pr, err := gen.ProfileByName(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		infos = append(infos, types.MustCheck(parser.MustParse(string(gen.Generate(1, pr).Source()))))
+	for _, src := range hostileSources(b) {
+		infos = append(infos, types.MustCheck(parser.MustParse(src)))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -311,6 +309,44 @@ func BenchmarkAnalyzeHostile(b *testing.B) {
 		pathmatrix.ResetSummaryCache()
 		for _, info := range infos {
 			if _, err := pathmatrix.AnalyzeProgramCtx(context.Background(), info, info.Env, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// hostileSources returns generator seed 1 of the four hostile profiles.
+func hostileSources(b *testing.B) []string {
+	var out []string
+	for _, name := range []string{"ptree", "skiplist", "ringlol", "repair"} {
+		pr, err := gen.ProfileByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out = append(out, string(gen.Generate(1, pr).Source()))
+	}
+	return out
+}
+
+// BenchmarkBuildAnalyzeHostile times what a cold-summary /v1/analyze
+// request does with each of BenchmarkAnalyzeHostile's programs: parse,
+// type-check, analyze every function, build the comparison oracles and
+// dependence graphs, and encode the response.
+func BenchmarkBuildAnalyzeHostile(b *testing.B) {
+	var reqs []*service.AnalyzeRequest
+	for _, src := range hostileSources(b) {
+		reqs = append(reqs, &service.AnalyzeRequest{Source: src})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pathmatrix.ResetSummaryCache()
+		for _, req := range reqs {
+			resp, err := service.BuildAnalyze(context.Background(), req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := json.Marshal(resp); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -53,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 	fs.SetOutput(stderr)
 	fn := fs.String("fn", "", "function to analyze (default: every function)")
 	show := fs.String("show", "matrix", "comma-separated: check,ir,matrix,iter,deps,dot,validate,pipeline,unroll")
-	width := fs.Int("width", 8, "VLIW width for -show pipeline")
+	width := fs.Int("width", 8, "VLIW width for -show pipeline (at least 1)")
 	unroll := fs.Int("unroll", 3, "factor for -show unroll")
 	trace := fs.Bool("trace", false, "trace the run and render the span tree to stderr")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -115,6 +115,10 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 			return adds.ExitUsage
 		}
 		wants[s] = true
+	}
+	// One width check for both formats, before any analysis runs.
+	if wants["pipeline"] && *width < 1 {
+		return fail(fmt.Errorf("%w: %d", adds.ErrBadWidth, *width))
 	}
 
 	// With -trace the whole run happens under one root span; every phase the
@@ -244,7 +248,8 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 }
 
 // runJSON prints the daemon's wire encoding: an AnalyzeResponse, plus one
-// PipelineResponse per loop when -show pipeline was requested.
+// PipelineResponse per loop when -show pipeline was requested, built from
+// the same analyses.
 func runJSON(ctx context.Context, stdout, stderr io.Writer, fail func(error) int, src, fn, oracle string, k, par, width int, withPipeline bool) int {
 	// Request-shape mistakes (an unknown oracle) are usage errors here, the
 	// same class the flag parser reports.
@@ -255,28 +260,19 @@ func runJSON(ctx context.Context, stdout, stderr io.Writer, fail func(error) int
 		}
 		return fail(err)
 	}
-	resp, err := service.BuildAnalyze(ctx, &service.AnalyzeRequest{
-		Source: src, Fn: fn, Oracle: oracle, K: k, Workers: par,
-	})
-	if err != nil {
-		return jfail(err)
-	}
+	req := &service.AnalyzeRequest{Source: src, Fn: fn, Oracle: oracle, K: k, Workers: par}
 	out := struct {
 		*service.AnalyzeResponse
 		Pipelines []*service.PipelineResponse `json:"pipelines,omitempty"`
-	}{AnalyzeResponse: resp}
+	}{}
+	var err error
 	if withPipeline {
-		for _, fr := range resp.Functions {
-			for i := 0; i < fr.Loops; i++ {
-				p, err := service.BuildPipeline(ctx, &service.PipelineRequest{
-					Source: src, Fn: fr.Name, Loop: i, Width: width, Oracle: oracle, K: k,
-				})
-				if err != nil {
-					return jfail(err)
-				}
-				out.Pipelines = append(out.Pipelines, p)
-			}
-		}
+		out.AnalyzeResponse, out.Pipelines, err = service.BuildAnalyzePipelines(ctx, req, width)
+	} else {
+		out.AnalyzeResponse, err = service.BuildAnalyze(ctx, req)
+	}
+	if err != nil {
+		return jfail(err)
 	}
 	enc := json.NewEncoder(stdout)
 	enc.SetIndent("", "  ")

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -10,6 +12,7 @@ import (
 	"testing"
 
 	"repro/adds"
+	"repro/internal/service"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden addsc dumps")
@@ -181,6 +184,8 @@ func TestExitCodes(t *testing.T) {
 		{"json source error", []string{"-format", "json", bad}, adds.ExitSource},
 		{"json unknown function", []string{"-format", "json", "-fn", "nope", good}, adds.ExitNoFunc},
 		{"json unknown oracle", []string{"-format", "json", "-oracle", "psychic", good}, adds.ExitUsage},
+		{"bad width", []string{"-show", "pipeline", "-width", "0", good}, adds.ExitWidth},
+		{"json bad width", []string{"-format", "json", "-show", "pipeline", "-width", "0", good}, adds.ExitWidth},
 	}
 	for _, tc := range cases {
 		status, _, stderr := runCmd(t, tc.args...)
@@ -307,6 +312,86 @@ func TestTraceSpanTree(t *testing.T) {
 	// phase of slack.
 	if slack := 0.01 * float64(len(phaseOrder)+1); phaseSum > spans[0].ms+slack {
 		t.Errorf("phases sum to %.2fms, more than the %.2fms root", phaseSum, spans[0].ms)
+	}
+}
+
+// TestJSONPipelineTraceCounts: JSON mode builds its pipelines from the
+// analyses it already ran, so listops.mini is parsed once, builds two
+// summary tables (ADDS-informed and stripped) and pipelines its four loops.
+func TestJSONPipelineTraceCounts(t *testing.T) {
+	f := filepath.Join("..", "..", "testdata", "listops.mini")
+	status, _, stderr := runCmd(t, "-trace", "-format", "json", "-show", "pipeline", f)
+	if status != 0 {
+		t.Fatalf("status %d, stderr:\n%s", status, stderr)
+	}
+	count := map[string]int{}
+	for _, sp := range parseTraceTree(t, stderr) {
+		count[sp.name]++
+	}
+	for name, want := range map[string]int{"parse": 1, "summaries": 2, "pipeline": 4} {
+		if count[name] != want {
+			t.Errorf("%d %s spans, want %d", count[name], name, want)
+		}
+	}
+}
+
+// TestJSONPipelinesMatchDaemon: every element of JSON mode's pipelines is
+// the body POST /v1/pipeline answers for the same fn and loop, under the
+// default and the classic oracle.
+func TestJSONPipelinesMatchDaemon(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.mini"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no testdata programs: %v", err)
+	}
+	files = append(files, filepath.Join("..", "..", "examples", "shift.mini"))
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, oracle := range []string{"gpm", "classic"} {
+			status, out, stderr := runCmd(t, "-format", "json", "-show", "pipeline", "-oracle", oracle, f)
+			if status != 0 {
+				t.Fatalf("%s %s: status %d, stderr %q", f, oracle, status, stderr)
+			}
+			var resp struct {
+				Pipelines []json.RawMessage `json:"pipelines"`
+			}
+			if err := json.Unmarshal([]byte(out), &resp); err != nil {
+				t.Fatalf("%s %s: output is not JSON: %v", f, oracle, err)
+			}
+			if len(resp.Pipelines) == 0 {
+				t.Fatalf("%s %s: no pipelines", f, oracle)
+			}
+			for _, raw := range resp.Pipelines {
+				var key struct {
+					Fn   string `json:"fn"`
+					Loop int    `json:"loop"`
+				}
+				if err := json.Unmarshal(raw, &key); err != nil {
+					t.Fatal(err)
+				}
+				want, err := service.BuildPipeline(context.Background(), &service.PipelineRequest{
+					Source: string(src), Fn: key.Fn, Loop: key.Loop, Oracle: oracle,
+				})
+				if err != nil {
+					t.Fatalf("%s %s loop %d: %v", key.Fn, oracle, key.Loop, err)
+				}
+				var got, wantJSON bytes.Buffer
+				if err := json.Compact(&got, raw); err != nil {
+					t.Fatal(err)
+				}
+				enc := json.NewEncoder(&wantJSON)
+				enc.SetEscapeHTML(false)
+				if err := enc.Encode(want); err != nil {
+					t.Fatal(err)
+				}
+				if got.String() != strings.TrimSuffix(wantJSON.String(), "\n") {
+					t.Errorf("%s %s %s loop %d:\naddsc:  %s\ndaemon: %s",
+						filepath.Base(f), oracle, key.Fn, key.Loop, got.String(), wantJSON.String())
+				}
+			}
+		}
 	}
 }
 

@@ -119,9 +119,10 @@ func NewClassic(g *norm.Graph, env *shape.Env) *GPM {
 }
 
 // NewClassicWith is NewClassic with an interprocedural summary table. The
-// table must have been computed under env.Stripped() — summary rows depend
-// on the environment they were derived in, and mixing them across
-// environments would smuggle ADDS-informed facts into the classic oracle.
+// table must have been computed under env.Stripped() (SummaryTable.Stripped
+// derives one) — summary rows depend on the environment they were derived
+// in, and mixing them across environments would smuggle ADDS-informed facts
+// into the classic oracle. The analysis runs under the table's environment.
 func NewClassicWith(g *norm.Graph, env *shape.Env, tab *pathmatrix.SummaryTable) *GPM {
 	o, err := newClassicCtx(context.Background(), g, env, tab)
 	if err != nil {
@@ -134,7 +135,11 @@ func NewClassicWith(g *norm.Graph, env *shape.Env, tab *pathmatrix.SummaryTable)
 // newClassicCtx is NewClassicWith under ctx: it fails with ctx's error when
 // ctx is done before the fixpoint completes.
 func newClassicCtx(ctx context.Context, g *norm.Graph, env *shape.Env, tab *pathmatrix.SummaryTable) (*GPM, error) {
-	res, err := pathmatrix.AnalyzeCtxWith(ctx, g, env.Stripped(), tab)
+	stripped := tab.Env()
+	if stripped == nil {
+		stripped = env.Stripped()
+	}
+	res, err := pathmatrix.AnalyzeCtxWith(ctx, g, stripped, tab)
 	if err != nil {
 		return nil, err
 	}

@@ -17,17 +17,18 @@ import (
 // BuildOpts carries everything a Factory may need to construct its oracle
 // for one function. Factories ignore the fields they have no use for: the
 // conservative baseline only reads the graph, the path-matrix oracles use
-// Env/Info/Summaries (and gpm the Result), the storage-graph analyses use
+// Env and Summaries (and gpm the Result), the storage-graph analyses use
 // Env and K.
 type BuildOpts struct {
 	// Env is the ADDS shape environment of the unit's declarations.
 	Env *shape.Env
-	// Info is the type-checked program (summary-table computation needs the
-	// whole unit, not just the function under analysis).
+	// Info is the type-checked program. No factory reads it: the summary
+	// table carries the unit the classic factory's stripped table needs.
 	Info *types.Info
 	// Summaries is the interprocedural summary table the surrounding
-	// analysis ran with; nil selects the opaque call havoc. Factories whose
-	// tables are environment-dependent (classic) recompute their own.
+	// analysis ran with; nil selects the opaque call havoc. The classic
+	// factory analyzes under the table's stripped table (Stripped), which
+	// the table computes once and shares with every later classic build.
 	Summaries *pathmatrix.SummaryTable
 	// Result is the analysis the caller already ran for this function under
 	// Env and Summaries. The gpm oracle answers from it; nil makes gpm run
@@ -78,13 +79,14 @@ var factories = []*Factory{
 		Build: func(ctx context.Context, g *norm.Graph, opts BuildOpts) Oracle {
 			// Summary rows are environment-dependent; the classic oracle
 			// needs a table computed under the stripped environment, never
-			// the ADDS-informed one the caller ran with. A done context
-			// stops both fixpoints; the conservative oracle it answers with
-			// instead is sound.
+			// the ADDS-informed one the caller ran with. The caller's table
+			// memoizes its stripped table, so every classic build of one
+			// request shares one. A done context stops both fixpoints; the
+			// conservative oracle it answers with instead is sound.
 			var tab *pathmatrix.SummaryTable
-			if opts.Summaries != nil && opts.Info != nil {
+			if opts.Summaries != nil {
 				var err error
-				if tab, err = pathmatrix.ComputeSummariesCtx(ctx, opts.Info, opts.Env.Stripped()); err != nil {
+				if tab, err = opts.Summaries.Stripped(ctx); err != nil {
 					return NewConservative(g)
 				}
 			}

@@ -573,7 +573,8 @@ func AnalyzeProgramCtx(ctx context.Context, info *types.Info, env *shape.Env, wo
 
 	// The summary table is computed serially up front (bottom-up over the
 	// call graph) and then shared read-only by all workers, so the result is
-	// independent of worker count and scheduling.
+	// independent of worker count and scheduling. Each worker analyzes the
+	// graph the table lowered.
 	tab, err := ComputeSummariesCtx(ctx, info, env)
 	if err != nil {
 		return nil, err
@@ -583,7 +584,7 @@ func AnalyzeProgramCtx(ctx context.Context, info *types.Info, env *shape.Env, wo
 		fi := info.Funcs[name]
 		fctx, span := obs.Start(ctx, "analyze")
 		span.SetAttr("fn", name)
-		g := norm.Build(fi, info.Env)
+		g := tab.Graph(name)
 		r, err := AnalyzeCtxWith(fctx, g, env, tab)
 		span.End()
 		if err != nil {

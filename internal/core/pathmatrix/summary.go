@@ -111,14 +111,19 @@ type FuncEffects struct {
 }
 
 // SummaryTable holds the summaries for one program under one shape
-// environment. It is immutable after ComputeSummariesCtx returns and is
-// shared read-only by all analysis goroutines.
+// environment, together with the unit's lowered graphs. Its summaries,
+// effects and graphs are fixed when ComputeSummariesCtx returns and are
+// shared read-only by all analysis goroutines; the one thing filled in
+// later is the memoized stripped table (see Stripped), under a lock.
 type SummaryTable struct {
-	env       *shape.Env
-	byFn      map[string]*FuncSummary
-	effects   map[string]*FuncEffects
-	recursive map[string]bool
-	reach     map[string]map[string]bool // record type → reachable record types (incl. itself)
+	env     *shape.Env
+	unit    *loweredUnit
+	byFn    map[string]*FuncSummary
+	effects map[string]*FuncEffects
+	reach   map[string]map[string]bool // record type → reachable record types (incl. itself)
+
+	strippedMu sync.Mutex
+	stripped   *SummaryTable
 
 	// Computed and Reused count this table's cache misses and hits; the
 	// /v1/reanalyze endpoint reports them per request.
@@ -142,9 +147,47 @@ func (t *SummaryTable) Effects(fn string) *FuncEffects {
 	return t.effects[fn]
 }
 
+// Graph returns fn's lowered graph, or nil for a function outside the
+// program. Every table of the unit returns the same graph, and analyses
+// only read it.
+func (t *SummaryTable) Graph(fn string) *norm.Graph {
+	if t == nil {
+		return nil
+	}
+	return t.unit.graphs[fn]
+}
+
+// Env returns the shape environment the table's summaries were computed
+// under (nil for a nil table).
+func (t *SummaryTable) Env() *shape.Env {
+	if t == nil {
+		return nil
+	}
+	return t.env
+}
+
+// Stripped returns the table of the same unit under the stripped,
+// annotation-free environment, which the classic oracle analyzes with. It
+// is computed on first use from the graphs this table already lowered and
+// then served to every caller; concurrent first callers wait for one
+// computation. A cancelled or failed computation is not kept, so the next
+// caller computes the table again under its own context.
+func (t *SummaryTable) Stripped(ctx context.Context) (*SummaryTable, error) {
+	t.strippedMu.Lock()
+	defer t.strippedMu.Unlock()
+	if t.stripped == nil {
+		s, err := computeSummaries(ctx, t.env.Stripped(), t.unit)
+		if err != nil {
+			return nil, err
+		}
+		t.stripped = s
+	}
+	return t.stripped, nil
+}
+
 // Recursive reports whether fn sits on a call cycle (and thus has no
 // summary by design, as opposed to being unknown).
-func (t *SummaryTable) Recursive(fn string) bool { return t != nil && t.recursive[fn] }
+func (t *SummaryTable) Recursive(fn string) bool { return t != nil && t.unit.recursive[fn] }
 
 // Len returns the number of summarized functions.
 func (t *SummaryTable) Len() int {
@@ -200,6 +243,37 @@ func reachClosure(env *shape.Env) map[string]map[string]bool {
 		out[name] = set
 	}
 	return out
+}
+
+// ---------------------------------------------------------------------------
+// Lowered unit
+
+// loweredUnit is the environment-independent work of a table: the call
+// graph, its bottom-up order, and each function's lowered graph and
+// canonical source. ComputeSummariesCtx builds it once per table build,
+// and the table's stripped table shares it.
+type loweredUnit struct {
+	graphs    map[string]*norm.Graph
+	src       map[string]string // ast.FuncString, summary-key material
+	callees   map[string][]string
+	sccs      [][]string
+	recursive map[string]bool
+}
+
+// lower lowers every function of a checked program and renders its
+// canonical source.
+func lower(info *types.Info) *loweredUnit {
+	u := &loweredUnit{
+		graphs: make(map[string]*norm.Graph, len(info.Funcs)),
+		src:    make(map[string]string, len(info.Funcs)),
+	}
+	for name, fi := range info.Funcs {
+		u.graphs[name] = norm.Build(fi, info.Env)
+		u.src[name] = ast.FuncString(fi.Decl)
+	}
+	u.callees = callGraph(info.Prog)
+	u.sccs, u.recursive = callOrder(info.Prog, u.callees)
+	return u
 }
 
 // ---------------------------------------------------------------------------
@@ -346,10 +420,10 @@ func enginePrefix(env *shape.Env) string {
 // recursive callee edit that changes its effects re-keys its callers while
 // an effect-preserving edit keeps their cached summaries valid. Summaries
 // re-key transitively when any summarized callee's body changes.
-func summaryKey(env *shape.Env, fd *ast.FuncDecl, callees []string, tab *SummaryTable) string {
+func summaryKey(env *shape.Env, src string, callees []string, tab *SummaryTable) string {
 	var b strings.Builder
 	b.WriteString(enginePrefix(env))
-	b.WriteString(ast.FuncString(fd))
+	b.WriteString(src)
 	for _, c := range callees {
 		b.WriteByte('\x1e')
 		if s := tab.byFn[c]; s != nil {
@@ -392,43 +466,47 @@ func ComputeSummaries(info *types.Info, env *shape.Env) *SummaryTable {
 // summary served from the process-wide content-addressed cache when its
 // key — SHA-256(canonical body, callee summary hashes, engine version,
 // environment fingerprint) — has been computed before, by any run
-// of any program.
+// of any program. It lowers every function once, under a "normalize" span
+// just before the "summaries" one; the table keeps the graphs (Graph).
 func ComputeSummariesCtx(ctx context.Context, info *types.Info, env *shape.Env) (*SummaryTable, error) {
+	_, span := obs.Start(ctx, "normalize")
+	u := lower(info)
+	span.SetAttr("functions", len(u.graphs))
+	span.End()
+	return computeSummaries(ctx, env, u)
+}
+
+// computeSummaries builds the table of a lowered unit under env.
+func computeSummaries(ctx context.Context, env *shape.Env, u *loweredUnit) (*SummaryTable, error) {
 	_, span := obs.Start(ctx, "summaries")
 	tab := &SummaryTable{
-		env:       env,
-		byFn:      map[string]*FuncSummary{},
-		effects:   map[string]*FuncEffects{},
-		recursive: map[string]bool{},
-		reach:     reachClosure(env),
+		env:     env,
+		unit:    u,
+		byFn:    map[string]*FuncSummary{},
+		effects: map[string]*FuncEffects{},
+		reach:   reachClosure(env),
 	}
 	// The pass's counts reach the engine sums even when it is cancelled:
 	// the summaries it computed stay cached.
 	defer func() {
 		record(Stats{SummaryComputed: uint64(tab.Computed), SummaryReused: uint64(tab.Reused)})
 	}()
-	callees := callGraph(info.Prog)
-	sccs, recursive := callOrder(info.Prog, callees)
 	functions := 0
-	for _, scc := range sccs {
+	for _, scc := range u.sccs {
 		functions += len(scc)
-		tab.computeEffects(scc, info)
+		tab.computeEffects(scc)
 		for _, name := range scc {
-			if recursive[name] {
-				tab.recursive[name] = true
+			g := u.graphs[name]
+			if u.recursive[name] || g == nil {
 				continue
 			}
-			fi := info.Funcs[name]
-			if fi == nil {
-				continue
-			}
-			key := summaryKey(env, fi.Decl, callees[name], tab)
+			key := summaryKey(env, u.src[name], u.callees[name], tab)
 			if sum, ok := summaryCacheGet(key); ok {
 				tab.byFn[name] = sum
 				tab.Reused++
 				continue
 			}
-			sum, err := tab.computeSummary(ctx, fi, info)
+			sum, err := tab.computeSummary(ctx, g)
 			if err != nil {
 				span.SetAttr("cancelled", true)
 				span.End()
@@ -452,8 +530,8 @@ func ComputeSummariesCtx(ctx context.Context, info *types.Info, env *shape.Env) 
 // computeSummary runs the shadow-formal fixpoint for one function and
 // extracts the summary. Callee summaries already in tab (bottom-up order)
 // make inner call sites compositional too.
-func (tab *SummaryTable) computeSummary(ctx context.Context, fi *types.FuncInfo, info *types.Info) (*FuncSummary, error) {
-	g := norm.Build(fi, info.Env)
+func (tab *SummaryTable) computeSummary(ctx context.Context, g *norm.Graph) (*FuncSummary, error) {
+	fi := g.Fn
 	// The variable set is extended with a primed shadow per pointer formal,
 	// seeded as a certain alias of its formal and never assigned, so exit
 	// rows between shadows relate the formals' ENTRY values.
@@ -515,7 +593,7 @@ func (tab *SummaryTable) computeSummary(ctx context.Context, fi *types.FuncInfo,
 // the union. Calls to functions outside the program contribute the full
 // reachable closure of every pointer argument's record type and count as
 // shape-mutating.
-func (tab *SummaryTable) computeEffects(scc []string, info *types.Info) {
+func (tab *SummaryTable) computeEffects(scc []string) {
 	eff := &FuncEffects{Writes: map[string]bool{}}
 	inSCC := make(map[string]bool, len(scc))
 	for _, name := range scc {
@@ -531,11 +609,10 @@ func (tab *SummaryTable) computeEffects(scc []string, info *types.Info) {
 		}
 	}
 	for _, name := range scc {
-		fi := info.Funcs[name]
-		if fi == nil {
+		g := tab.unit.graphs[name]
+		if g == nil {
 			continue
 		}
-		g := norm.Build(fi, info.Env)
 		for _, n := range g.Nodes {
 			if n.Kind != norm.NodeStmt {
 				continue

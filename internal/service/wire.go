@@ -93,13 +93,55 @@ func oracleFor(ctx context.Context, an *adds.Analysis, name string, k int) (adds
 // the response. It is the single implementation behind POST /v1/analyze and
 // addsc -format json, so the daemon and the CLI can never drift apart.
 func BuildAnalyze(ctx context.Context, req *AnalyzeRequest) (*AnalyzeResponse, error) {
+	resp, _, err := buildAnalyze(ctx, req)
+	return resp, err
+}
+
+// BuildAnalyzePipelines is BuildAnalyze plus one pipeline response per loop
+// of every analyzed function, in response order: what addsc -format json
+// -show pipeline prints. The pipelines come from the analyses and request
+// oracles the response was built from, assembled exactly as BuildPipeline
+// assembles a POST /v1/pipeline body. Width 0 selects that endpoint's
+// default.
+func BuildAnalyzePipelines(ctx context.Context, req *AnalyzeRequest, width int) (*AnalyzeResponse, []*PipelineResponse, error) {
+	width, err := pipelineWidth(width)
+	if err != nil {
+		return nil, nil, err
+	}
+	resp, analyzed, err := buildAnalyze(ctx, req)
+	if err != nil {
+		return nil, nil, err
+	}
+	var out []*PipelineResponse
+	for _, fa := range analyzed {
+		for i := 0; i < fa.an.Loops(); i++ {
+			p, err := buildPipeline(ctx, fa.an, fa.oracle, i, width)
+			if err != nil {
+				return nil, nil, err
+			}
+			out = append(out, p)
+		}
+	}
+	return resp, out, nil
+}
+
+// analyzedFunc is one function of an analyze response with the request
+// oracle its dependences were computed under.
+type analyzedFunc struct {
+	an     *adds.Analysis
+	oracle adds.Oracle
+}
+
+// buildAnalyze is BuildAnalyze, also returning each response function's
+// analysis and request oracle in response order.
+func buildAnalyze(ctx context.Context, req *AnalyzeRequest) (*AnalyzeResponse, []analyzedFunc, error) {
 	oracleName, err := adds.ParseOracle(req.Oracle)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return nil, nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	unit, err := adds.LoadCtx(ctx, []byte(req.Source))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	var names []string
@@ -107,14 +149,14 @@ func BuildAnalyze(ctx context.Context, req *AnalyzeRequest) (*AnalyzeResponse, e
 	if req.Fn != "" {
 		an, err := unit.AnalyzeOpt(ctx, req.Fn)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		names = []string{req.Fn}
 		analyses[req.Fn] = an
 	} else {
 		analyses, err = unit.AnalyzeAllOpt(ctx, adds.WithWorkers(req.Workers))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		for _, fd := range unit.Prog.Funcs {
 			names = append(names, fd.Name)
@@ -122,12 +164,14 @@ func BuildAnalyze(ctx context.Context, req *AnalyzeRequest) (*AnalyzeResponse, e
 	}
 
 	resp := &AnalyzeResponse{EngineVersion: pathmatrix.EngineVersion, Functions: []FunctionResult{}}
+	analyzed := make([]analyzedFunc, 0, len(names))
 	for _, name := range names {
 		an := analyses[name]
 		oracle, err := oracleFor(ctx, an, req.Oracle, req.K)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
+		analyzed = append(analyzed, analyzedFunc{an: an, oracle: oracle})
 		fr := FunctionResult{
 			Name:     name,
 			Loops:    an.Loops(),
@@ -142,8 +186,8 @@ func BuildAnalyze(ctx context.Context, req *AnalyzeRequest) (*AnalyzeResponse, e
 			fr.Validation.Intervals = append(fr.Validation.Intervals, iv.String())
 		}
 		// Each comparison oracle is built once per function, at its first
-		// loop; the request's own oracle serves its name.
-		cmpOracles := map[string]adds.Oracle{oracleName: oracle}
+		// loop; the request oracle's own row reuses its dependence graph.
+		cmpOracles := map[string]adds.Oracle{}
 		for i := 0; i < an.Loops(); i++ {
 			dg := an.DependencesCtx(ctx, i, oracle)
 			fr.LoopData = append(fr.LoopData, LoopResult{
@@ -157,17 +201,21 @@ func BuildAnalyze(ctx context.Context, req *AnalyzeRequest) (*AnalyzeResponse, e
 			// (pinned byte-identical by the goldens), so it stays a literal
 			// instead of enumerating the registry.
 			for _, cmp := range []string{"conservative", "classic", "gpm"} {
-				o, ok := cmpOracles[cmp]
-				if !ok {
-					if o, err = oracleFor(ctx, an, cmp, req.K); err != nil {
-						return nil, err
+				cdg := dg
+				if cmp != oracleName {
+					o, ok := cmpOracles[cmp]
+					if !ok {
+						if o, err = oracleFor(ctx, an, cmp, req.K); err != nil {
+							return nil, nil, err
+						}
+						cmpOracles[cmp] = o
 					}
-					cmpOracles[cmp] = o
+					cdg = an.Dependences(i, o)
 				}
 				fr.Oracles = append(fr.Oracles, OracleComparison{
 					Oracle:          cmp,
 					Loop:            i,
-					CarriedMemEdges: len(an.Dependences(i, o).CarriedMemEdges()),
+					CarriedMemEdges: len(cdg.CarriedMemEdges()),
 				})
 			}
 		}
@@ -176,9 +224,9 @@ func BuildAnalyze(ctx context.Context, req *AnalyzeRequest) (*AnalyzeResponse, e
 	// A done context degrades the classic oracle to the conservative one;
 	// such an answer is never encoded or cached.
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return resp, nil
+	return resp, analyzed, nil
 }
 
 // BuildReanalyze re-runs whole-program analysis for a ReanalyzeRequest and
@@ -259,17 +307,15 @@ func BuildDepgraph(ctx context.Context, req *DepgraphRequest) (*DepgraphResponse
 }
 
 // BuildPipeline runs the pipelining analysis a PipelineRequest describes.
-// Shared by POST /v1/pipeline and addsc -format json -show pipeline.
+// Backs POST /v1/pipeline; addsc -format json -show pipeline assembles the
+// same bodies through BuildAnalyzePipelines.
 func BuildPipeline(ctx context.Context, req *PipelineRequest) (*PipelineResponse, error) {
 	if req.Fn == "" {
 		return nil, fmt.Errorf("%w: missing fn", ErrBadRequest)
 	}
-	width := req.Width
-	if width == 0 {
-		width = 8
-	}
-	if width < 1 {
-		return nil, fmt.Errorf("adds: %w: %d", adds.ErrBadWidth, width)
+	width, err := pipelineWidth(req.Width)
+	if err != nil {
+		return nil, err
 	}
 	unit, err := adds.LoadCtx(ctx, []byte(req.Source))
 	if err != nil {
@@ -286,14 +332,33 @@ func BuildPipeline(ctx context.Context, req *PipelineRequest) (*PipelineResponse
 	if err != nil {
 		return nil, err
 	}
-	// The raw-loop II bounds under the requested oracle; replaced by the
-	// emitted schedule's info when the full paper transformation succeeds.
+	return buildPipeline(ctx, an, oracle, req.Loop, width)
+}
+
+// pipelineWidth applies the pipeline endpoints' default machine width (8
+// for 0) and rejects a negative one.
+func pipelineWidth(width int) (int, error) {
+	if width == 0 {
+		width = 8
+	}
+	if width < 1 {
+		return 0, fmt.Errorf("adds: %w: %d", adds.ErrBadWidth, width)
+	}
+	return width, nil
+}
+
+// buildPipeline assembles one pipeline response for loop i of an analysis
+// under the request oracle: the raw loop's II bounds under that oracle,
+// replaced by the emitted schedule's info when the paper's full
+// transformation succeeds. It is the one assembly behind BuildPipeline and
+// BuildAnalyzePipelines.
+func buildPipeline(ctx context.Context, an *adds.Analysis, oracle adds.Oracle, i, width int) (*PipelineResponse, error) {
 	resp := &PipelineResponse{
 		EngineVersion: pathmatrix.EngineVersion,
-		Fn:            req.Fn, Loop: req.Loop, Width: width,
-		Info: an.AnalyzePipeline(req.Loop, oracle, width),
+		Fn:            an.Fn.Decl.Name, Loop: i, Width: width,
+		Info: an.AnalyzePipeline(i, oracle, width),
 	}
-	prog, info, err := an.PipelineCtx(ctx, req.Loop, width)
+	prog, info, err := an.PipelineCtx(ctx, i, width)
 	switch {
 	case errors.Is(err, adds.ErrBadWidth) || errors.Is(err, adds.ErrNoSuchLoop):
 		return nil, err

@@ -51,6 +51,38 @@ func TestBuildRunsEachFixpointOnce(t *testing.T) {
 	}
 }
 
+// TestBuildAnalyzeBuildsTablesOnce: one request lowers its unit once and
+// builds two summary tables, the ADDS-informed one and the stripped one
+// every classic comparison oracle of the request shares. A traced
+// BuildAnalyze of each testdata program opens one "normalize" and two
+// "summaries" spans.
+func TestBuildAnalyzeBuildsTablesOnce(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.mini"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no testdata programs: %v", err)
+	}
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := obs.NewTracer(1)
+		ctx, root := tr.StartRoot(context.Background(), "test", obs.TraceID{})
+		if _, err := BuildAnalyze(ctx, &AnalyzeRequest{Source: string(src)}); err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		root.End()
+		count := map[string]int{}
+		for _, rec := range tr.Ring().Get(root.TraceID()).Snapshot() {
+			count[rec.Name]++
+		}
+		if count["normalize"] != 1 || count["summaries"] != 2 {
+			t.Errorf("%s: %d normalize and %d summaries spans, want 1 and 2",
+				filepath.Base(file), count["normalize"], count["summaries"])
+		}
+	}
+}
+
 // TestEngineSumsMatchSpans: the engine sums are the runs' own counts, added
 // once per run. Over a serial, traced BuildAnalyze of each testdata
 // program, the ReadEngineStats delta equals the sum of the trace's
