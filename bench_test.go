@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/adds"
+	"repro/adds/wire"
 	"repro/internal/alias"
 	"repro/internal/core/pathmatrix"
 	"repro/internal/depgraph"
@@ -333,9 +334,9 @@ func hostileSources(b *testing.B) []string {
 // type-check, analyze every function, build the comparison oracles and
 // dependence graphs, and encode the response.
 func BenchmarkBuildAnalyzeHostile(b *testing.B) {
-	var reqs []*service.AnalyzeRequest
+	var reqs []*wire.AnalyzeRequest
 	for _, src := range hostileSources(b) {
-		reqs = append(reqs, &service.AnalyzeRequest{Source: src})
+		reqs = append(reqs, &wire.AnalyzeRequest{Source: src})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -29,6 +29,7 @@ import (
 	"strings"
 
 	"repro/adds"
+	"repro/adds/wire"
 	"repro/internal/cli"
 	"repro/internal/obs"
 	"repro/internal/service"
@@ -260,10 +261,10 @@ func runJSON(ctx context.Context, stdout, stderr io.Writer, fail func(error) int
 		}
 		return fail(err)
 	}
-	req := &service.AnalyzeRequest{Source: src, Fn: fn, Oracle: oracle, K: k, Workers: par}
+	req := &wire.AnalyzeRequest{Source: src, Fn: fn, Oracle: oracle, K: k, Workers: par}
 	out := struct {
-		*service.AnalyzeResponse
-		Pipelines []*service.PipelineResponse `json:"pipelines,omitempty"`
+		*wire.AnalyzeResponse
+		Pipelines []*wire.PipelineResponse `json:"pipelines,omitempty"`
 	}{}
 	var err error
 	if withPipeline {

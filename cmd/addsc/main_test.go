@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/adds"
+	"repro/adds/wire"
 	"repro/internal/service"
 )
 
@@ -371,7 +372,7 @@ func TestJSONPipelinesMatchDaemon(t *testing.T) {
 				if err := json.Unmarshal(raw, &key); err != nil {
 					t.Fatal(err)
 				}
-				want, err := service.BuildPipeline(context.Background(), &service.PipelineRequest{
+				want, err := service.BuildPipeline(context.Background(), &wire.PipelineRequest{
 					Source: string(src), Fn: key.Fn, Loop: key.Loop, Oracle: oracle,
 				})
 				if err != nil {

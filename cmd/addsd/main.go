@@ -168,6 +168,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	}
 	m := svc.Metrics()
 	fmt.Fprintf(stdout, "addsd: bye (cache hits %d, misses %d, coalesced %d)\n",
-		m.CacheHits(), m.CacheMisses(), m.CacheCoalesced())
+		m.Count(service.CacheHits), m.Count(service.CacheMisses), m.Count(service.CacheCoalesced))
 	return 0
 }

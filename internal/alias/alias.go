@@ -115,16 +115,7 @@ func GPMOf(res *pathmatrix.Result) *GPM {
 // NewClassic runs the engine with directions stripped, modelling path matrix
 // analysis without ADDS declarations.
 func NewClassic(g *norm.Graph, env *shape.Env) *GPM {
-	return NewClassicWith(g, env, nil)
-}
-
-// NewClassicWith is NewClassic with an interprocedural summary table. The
-// table must have been computed under env.Stripped() (SummaryTable.Stripped
-// derives one) — summary rows depend on the environment they were derived
-// in, and mixing them across environments would smuggle ADDS-informed facts
-// into the classic oracle. The analysis runs under the table's environment.
-func NewClassicWith(g *norm.Graph, env *shape.Env, tab *pathmatrix.SummaryTable) *GPM {
-	o, err := newClassicCtx(context.Background(), g, env, tab)
+	o, err := newClassicCtx(context.Background(), g, env, nil)
 	if err != nil {
 		// Background contexts never expire; this is unreachable.
 		panic("alias: " + err.Error())
@@ -132,8 +123,13 @@ func NewClassicWith(g *norm.Graph, env *shape.Env, tab *pathmatrix.SummaryTable)
 	return o
 }
 
-// newClassicCtx is NewClassicWith under ctx: it fails with ctx's error when
-// ctx is done before the fixpoint completes.
+// newClassicCtx is NewClassic under ctx and an interprocedural summary
+// table: it fails with ctx's error when ctx is done before the fixpoint
+// completes. A non-nil table must have been computed under env.Stripped()
+// (SummaryTable.Stripped derives one) — summary rows depend on the
+// environment they were derived in, and mixing them across environments
+// would smuggle ADDS-informed facts into the classic oracle. The analysis
+// runs under the table's environment.
 func newClassicCtx(ctx context.Context, g *norm.Graph, env *shape.Env, tab *pathmatrix.SummaryTable) (*GPM, error) {
 	stripped := tab.Env()
 	if stripped == nil {

@@ -42,8 +42,8 @@ type BuildOpts struct {
 // Factory describes one oracle: its canonical name, what the
 // flag/endpoint documentation should say about it, and how to build it.
 // The factories table below is the single list of oracles: CLI -oracle
-// flags, /v1 request validation, GET /v1/oracles, and the fuzzing harness
-// all enumerate it.
+// flags, /v1 request validation, GET /v1/oracles, and the fuzzing
+// harness's soundness check all enumerate it.
 type Factory struct {
 	// Name is the canonical spelling ("gpm", "klimit", ...).
 	Name string

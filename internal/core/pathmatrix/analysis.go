@@ -497,18 +497,8 @@ func (r *Result) iterationMatrix(l *norm.Loop) *Matrix {
 	for _, v := range base.vars {
 		vars = append(vars, v+Shadow)
 	}
-	m := NewMatrix(vars)
-	to := make([]int, len(base.ix.names))
-	for i, v := range base.ix.names {
-		to[i] = m.slot(v)
-	}
-	for i, row := range base.rows {
-		for j, e := range row {
-			if e != nil {
-				m.setShared(to[i], to[j], e)
-			}
-		}
-	}
+	m := base.onIndex(newVarIndex(vars))
+	m.vars = vars
 	for _, v := range base.Violations() {
 		m.addViolation(v)
 	}

@@ -146,35 +146,33 @@ func (t *transferer) deref(m *Matrix, dst, src, field, record string) {
 		fld = st.Field(field)
 	}
 
-	adds := t.scratch[:0]
-	defer func() { t.scratch = adds[:0] }()
-	add := func(p, q string, r Rel) { adds = append(adds, pending{p, q, r}) }
+	t.scratch = t.scratch[:0]
 
 	// Unknown or circular traversal: the paper's conservative case — the
 	// target may be any node of the structure, so dst may alias src and
 	// every variable related to src.
 	if st == nil || fld == nil || !fld.Acyclic() {
-		add(src, dst, Rel{Kind: RelTop})
+		t.add(src, dst, Rel{Kind: RelTop})
 		for _, x := range m.relatedVars(src) {
-			add(x, dst, Rel{Kind: RelTop})
+			t.add(x, dst, Rel{Kind: RelTop})
 		}
-		t.install(m, dst, adds)
+		t.install(m, dst)
 		return
 	}
 
 	if fld.Dir == shape.Backward {
-		t.derefBackward(m, dst, src, fld, st, add)
-		t.install(m, dst, adds)
+		t.derefBackward(m, dst, src, fld, st)
+		t.install(m, dst)
 		return
 	}
 
 	// Forward or uniquely forward: Def 4.2 — the target is one step deeper
 	// and was never visited before.
-	add(src, dst, Rel{Kind: RelPath, Certain: true, Path: single(field)})
+	t.add(src, dst, Rel{Kind: RelPath, Certain: true, Path: single(field)})
 	if fld.Dir == shape.UniquelyForward {
 		if bp := st.BackwardPartner(field); bp != nil {
 			// Def 4.6: dst->b is src or NULL.
-			add(dst, src, Rel{Kind: RelPath, Path: single(bp.Name)})
+			t.add(dst, src, Rel{Kind: RelPath, Path: single(bp.Name)})
 		}
 	}
 
@@ -188,14 +186,14 @@ func (t *transferer) deref(m *Matrix, dst, src, field, record string) {
 			switch r.Kind {
 			case RelAlias:
 				// x == src, so x->f == dst.
-				add(x, dst, Rel{Kind: RelPath, Certain: r.Certain, Path: single(field)})
+				t.add(x, dst, Rel{Kind: RelPath, Certain: r.Certain, Path: single(field)})
 			case RelTop:
-				add(x, dst, Rel{Kind: RelTop})
+				t.add(x, dst, Rel{Kind: RelTop})
 			case RelPath:
 				if ext, ok := normConcat(st, r.Path, single(field)); ok {
-					add(x, dst, Rel{Kind: RelPath, Certain: r.Certain, Path: ext})
+					t.add(x, dst, Rel{Kind: RelPath, Certain: r.Certain, Path: ext})
 				} else {
-					add(x, dst, Rel{Kind: RelTop})
+					t.add(x, dst, Rel{Kind: RelTop})
 				}
 			}
 		}
@@ -204,16 +202,16 @@ func (t *transferer) deref(m *Matrix, dst, src, field, record string) {
 			case RelAlias, RelTop:
 				// Mirrored in Entry(x, src); handled above.
 			case RelPath:
-				t.derefForwardOut(x, r, fld, st, add)
+				t.derefForwardOut(x, r, fld, st)
 			}
 		}
 	}
-	t.install(m, dst, adds)
+	t.install(m, dst)
 }
 
 // derefForwardOut handles a path src -> x while deriving dst = src->f:
 // what relation does dst have with x?
-func (t *transferer) derefForwardOut(x string, r Rel, fld *shape.Field, st *shape.Type, add func(string, string, Rel)) {
+func (t *transferer) derefForwardOut(x string, r Rel, fld *shape.Field, st *shape.Type) {
 	field := fld.Name
 	if r.Path.startsWith(field) {
 		// Field dereference is functional: src->f is a single node, so a
@@ -223,9 +221,9 @@ func (t *transferer) derefForwardOut(x string, r Rel, fld *shape.Field, st *shap
 				continue
 			}
 			if sr.alias {
-				add("", x, Rel{Kind: RelAlias, Certain: r.Certain && exactOneStep(r.Path, field)})
+				t.add("", x, Rel{Kind: RelAlias, Certain: r.Certain && exactOneStep(r.Path, field)})
 			} else {
-				add("", x, Rel{Kind: RelPath, Certain: r.Certain && !headIsPlus(r.Path, field), Path: sr.path})
+				t.add("", x, Rel{Kind: RelPath, Certain: r.Certain && !headIsPlus(r.Path, field), Path: sr.path})
 			}
 		}
 		return
@@ -239,9 +237,9 @@ func (t *transferer) derefForwardOut(x string, r Rel, fld *shape.Field, st *shap
 				continue
 			}
 			if sr.alias {
-				add("", x, Rel{Kind: RelAlias})
+				t.add("", x, Rel{Kind: RelAlias})
 			} else {
-				add("", x, Rel{Kind: RelPath, Path: sr.path})
+				t.add("", x, Rel{Kind: RelPath, Path: sr.path})
 			}
 		}
 		return
@@ -252,7 +250,7 @@ func (t *transferer) derefForwardOut(x string, r Rel, fld *shape.Field, st *shap
 	if t.disjointDeparture(r.Path, fld, st) {
 		return // provably unrelated: leave the entry empty
 	}
-	add("", x, Rel{Kind: RelTop})
+	t.add("", x, Rel{Kind: RelTop})
 }
 
 // exactOneStep reports whether the path is exactly field^1.
@@ -339,13 +337,13 @@ func (t *transferer) disjointDeparture(p Path, fld *shape.Field, st *shape.Type)
 
 // derefBackward applies dst = src->b for a backward field (Def 4.6): dst is
 // the unique-forward predecessor of src along b's dimension.
-func (t *transferer) derefBackward(m *Matrix, dst, src string, fld *shape.Field, st *shape.Type, add func(string, string, Rel)) {
+func (t *transferer) derefBackward(m *Matrix, dst, src string, fld *shape.Field, st *shape.Type) {
 	partners := st.ForwardPartners(fld.Name)
 	if len(partners) == 0 {
 		// No unique-forward partner at all: treat like unknown.
-		add(src, dst, Rel{Kind: RelTop})
+		t.add(src, dst, Rel{Kind: RelTop})
 		for _, x := range m.relatedVars(src) {
-			add(x, dst, Rel{Kind: RelTop})
+			t.add(x, dst, Rel{Kind: RelTop})
 		}
 		return
 	}
@@ -354,7 +352,7 @@ func (t *transferer) derefBackward(m *Matrix, dst, src string, fld *shape.Field,
 	// group member g, so every derived relation is uncertain.
 	grouped := len(partners) > 1
 	for _, p := range partners {
-		add(dst, src, Rel{Kind: RelPath, Certain: !grouped, Path: single(p.Name)})
+		t.add(dst, src, Rel{Kind: RelPath, Certain: !grouped, Path: single(p.Name)})
 	}
 
 	// If the backward edge itself was recorded (a store y->b = z through a
@@ -366,7 +364,7 @@ func (t *transferer) derefBackward(m *Matrix, dst, src string, fld *shape.Field,
 		for j, e := range m.rows[i] {
 			for _, r := range e {
 				if r.Kind == RelPath && exactOneStep(r.Path, fld.Name) {
-					add("", m.ix.names[j], Rel{Kind: RelAlias, Certain: r.Certain})
+					t.add("", m.ix.names[j], Rel{Kind: RelAlias, Certain: r.Certain})
 				}
 			}
 		}
@@ -381,12 +379,12 @@ func (t *transferer) derefBackward(m *Matrix, dst, src string, fld *shape.Field,
 			case RelAlias:
 				// x == src: dst->uf == x for one of the partners.
 				for _, p := range partners {
-					add(dst, x, Rel{Kind: RelPath, Certain: r.Certain && !grouped, Path: single(p.Name)})
+					t.add(dst, x, Rel{Kind: RelPath, Certain: r.Certain && !grouped, Path: single(p.Name)})
 				}
 			case RelTop:
-				add(x, dst, Rel{Kind: RelTop})
+				t.add(x, dst, Rel{Kind: RelTop})
 			case RelPath:
-				t.backwardIn(x, r, partners, add)
+				t.backwardIn(x, r, partners)
 			}
 		}
 		for _, r := range m.Entry(src, x) {
@@ -397,9 +395,9 @@ func (t *transferer) derefBackward(m *Matrix, dst, src string, fld *shape.Field,
 				// dst --uf--> src --path--> x, for one of the partners.
 				for _, p := range partners {
 					if ext, ok := normConcat(st, single(p.Name), r.Path); ok {
-						add(dst, x, Rel{Kind: RelPath, Certain: r.Certain && !grouped, Path: ext})
+						t.add(dst, x, Rel{Kind: RelPath, Certain: r.Certain && !grouped, Path: ext})
 					} else {
-						add(dst, x, Rel{Kind: RelTop})
+						t.add(dst, x, Rel{Kind: RelTop})
 					}
 				}
 			}
@@ -411,16 +409,16 @@ func (t *transferer) derefBackward(m *Matrix, dst, src string, fld *shape.Field,
 // computing dst = src->b: dst is src's forward predecessor, so π minus its
 // trailing forward step leads from x to dst. A trailing dimension
 // pseudo-step of the partners' dimension also strips (uncertainly).
-func (t *transferer) backwardIn(x string, r Rel, partners []*shape.Field, add func(string, string, Rel)) {
+func (t *transferer) backwardIn(x string, r Rel, partners []*shape.Field) {
 	if df := DimField(partners[0].Dim); r.Path.endsWith(df) {
 		for _, sr := range stripTrailing(r.Path, df) {
 			if !sr.ok {
 				continue
 			}
 			if sr.alias {
-				add(x, "", Rel{Kind: RelAlias})
+				t.add(x, "", Rel{Kind: RelAlias})
 			} else {
-				add(x, "", Rel{Kind: RelPath, Path: sr.path})
+				t.add(x, "", Rel{Kind: RelPath, Path: sr.path})
 			}
 		}
 		return
@@ -440,25 +438,31 @@ func (t *transferer) backwardIn(x string, r Rel, partners []*shape.Field, add fu
 			if sr.alias {
 				// x's forward child is src, so x IS src's predecessor —
 				// certain even for grouped partners (Def 4.6 per member).
-				add(x, "", Rel{Kind: RelAlias,
+				t.add(x, "", Rel{Kind: RelAlias,
 					Certain: r.Certain && tailExact && len(r.Path) == 1})
 			} else {
-				add(x, "", Rel{Kind: RelPath, Certain: false, Path: sr.path})
+				t.add(x, "", Rel{Kind: RelPath, Certain: false, Path: sr.path})
 			}
 		}
 	}
 	if !matched {
 		// Reaches src by some other final step; its relation to src's
 		// forward predecessor is unknown.
-		add(x, "", Rel{Kind: RelTop})
+		t.add(x, "", Rel{Kind: RelTop})
 	}
 }
 
-// install kills dst and applies pending relations, resolving the "" marker
-// used by derefForwardOut for the destination.
-func (t *transferer) install(m *Matrix, dst string, adds []pending) {
+// add queues a relation derived for the statement being transferred; ""
+// marks the destination.
+func (t *transferer) add(p, q string, r Rel) {
+	t.scratch = append(t.scratch, pending{p, q, r})
+}
+
+// install kills dst and applies the queued relations, resolving the ""
+// marker for the destination.
+func (t *transferer) install(m *Matrix, dst string) {
 	m.kill(dst)
-	for _, a := range adds {
+	for _, a := range t.scratch {
 		p, q := a.p, a.q
 		if p == "" {
 			p = dst
@@ -625,12 +629,6 @@ func (t *transferer) removeOverwrittenEdge(m *Matrix, base, field string, st *sh
 						drop = true
 					}
 					if !drop && r.Certain && pathUsesField(r.Path, field) {
-						r.Certain = false
-					}
-					// Paths from a possible (not certain) alias of base
-					// starting with field may also be stale.
-					if !drop && !fromMust && r.Certain &&
-						r.Path.startsWith(field) && m.MayAlias(x, base) {
 						r.Certain = false
 					}
 				}
@@ -1024,18 +1022,7 @@ func (t *transferer) applySummary(m *Matrix, s *norm.Stmt, sum *FuncSummary, eff
 		}
 	}
 
-	affected := map[string]bool{}
-	for _, a := range s.Args {
-		affected[a] = true
-		for _, x := range m.relatedVars(a) {
-			affected[x] = true
-		}
-	}
-	vars := make([]string, 0, len(affected))
-	for v := range affected {
-		vars = append(vars, v)
-	}
-	sort.Strings(vars)
+	vars := affectedVars(m, s.Args)
 	taint := make(map[string]bool, len(vars))
 	for _, v := range vars {
 		taint[v] = t.typeTainted(v, eff)
@@ -1108,6 +1095,17 @@ func (t *transferer) instantiateRows(m *Matrix, ai, aj string, rowIJ, rowJI Entr
 // nothing about whether the declaration still holds on return — that half
 // of the call's effect is callBreakRisk's violation in call().
 func (t *transferer) callHavoc(m *Matrix, args []string) {
+	vars := affectedVars(m, args)
+	for i, x := range vars {
+		for _, y := range vars[i+1:] {
+			m.addRel(x, y, Rel{Kind: RelTop})
+		}
+	}
+}
+
+// affectedVars returns, sorted, the call's arguments and every variable
+// related to one of them: the variables whose pairs a call may change.
+func affectedVars(m *Matrix, args []string) []string {
 	affected := map[string]bool{}
 	for _, a := range args {
 		affected[a] = true
@@ -1119,9 +1117,6 @@ func (t *transferer) callHavoc(m *Matrix, args []string) {
 	for v := range affected {
 		vars = append(vars, v)
 	}
-	for i, x := range vars {
-		for _, y := range vars[i+1:] {
-			m.addRel(x, y, Rel{Kind: RelTop})
-		}
-	}
+	sort.Strings(vars)
+	return vars
 }

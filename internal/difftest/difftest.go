@@ -33,7 +33,6 @@ import (
 	"sync"
 
 	"repro/internal/alias"
-	"repro/internal/alias/klimit"
 	"repro/internal/alias/smg"
 	"repro/internal/core/pathmatrix"
 	"repro/internal/gen"
@@ -59,6 +58,13 @@ const (
 // construction (tiny generated programs) and never need cancellation.
 var noCancel = context.Background()
 
+// maxSteps bounds each interpretation (the soundness fuzz budget), and
+// shrinkBudget caps the shrinker's check executions per divergence.
+const (
+	maxSteps     = 1 << 16
+	shrinkBudget = 400
+)
+
 // AllChecks returns every check name in canonical order.
 func AllChecks() []string {
 	return []string{CheckLint, CheckSoundness, CheckXform, CheckConsistency, CheckSMG}
@@ -71,17 +77,11 @@ type Config struct {
 	// Runs are the main() size arguments each program executes under;
 	// nil means {2, 3, 5}.
 	Runs []int64
-	// MaxSteps bounds each interpretation (0 = 1<<16, matching the
-	// soundness fuzz budget).
-	MaxSteps int
 	// WrapOracle, when set, wraps every alias oracle before the soundness
 	// comparison. It is the fault-injection seam: tests wrap a correct
 	// oracle in one that drops matrix relations and assert the harness
 	// catches and shrinks the planted bug.
 	WrapOracle func(alias.Oracle) alias.Oracle
-	// ShrinkBudget caps shrinker check executions per divergence
-	// (0 = 400).
-	ShrinkBudget int
 	// Havoc runs the path-matrix oracles without interprocedural summaries:
 	// every call statement applies the all-args havoc (a nil summary table),
 	// pitting the conservative fallback against the same ground truth.
@@ -135,25 +135,11 @@ func (c Config) runs() []int64 {
 	return c.Runs
 }
 
-func (c Config) maxSteps() int {
-	if c.MaxSteps == 0 {
-		return 1 << 16
-	}
-	return c.MaxSteps
-}
-
 func (c Config) checks() []string {
 	if len(c.Checks) == 0 {
 		return AllChecks()
 	}
 	return c.Checks
-}
-
-func (c Config) shrinkBudget() int {
-	if c.ShrinkBudget == 0 {
-		return 400
-	}
-	return c.ShrinkBudget
 }
 
 // Divergence is one confirmed disagreement between a pair of oracles,
@@ -189,7 +175,7 @@ func DiffOne(seed int64, pr gen.Profile, cfg Config) []Divergence {
 		if detail == "" {
 			continue
 		}
-		min := Shrink(p, func(q *gen.Program) bool { return check(q, cfg) != "" }, cfg.shrinkBudget())
+		min := Shrink(p, func(q *gen.Program) bool { return check(q, cfg) != "" }, shrinkBudget)
 		src := string(p.Source())
 		minSrc := string(min.Source())
 		out = append(out, Divergence{
@@ -268,7 +254,7 @@ func checkLint(p *gen.Program, cfg Config) string {
 	}
 	for _, n := range cfg.runs() {
 		in := interp.New(prog)
-		in.MaxSteps = cfg.maxSteps()
+		in.MaxSteps = maxSteps
 		if _, err := in.Call(p.Main(), interp.IntVal(n)); err != nil {
 			return fmt.Sprintf("lint: main(%d) failed: %v", n, err)
 		}
@@ -341,33 +327,28 @@ func checkSoundness(p *gen.Program, cfg Config) string {
 		return "" // entry shrunk away: nothing to check
 	}
 	g := norm.Build(fi, info.Env)
-	// The path-matrix oracles take interprocedural summary tables unless the
+	// Every registered oracle is built the way the daemon builds it. The
+	// path-matrix oracles take the interprocedural summary table unless the
 	// run is havoc-only, so the differential run exercises the summary call
-	// transfer against the interpreter's ground truth. The classic
-	// oracle's table is computed under the stripped environment it analyzes
-	// with (summary rows are environment-dependent).
-	var gpmTab, classicTab *pathmatrix.SummaryTable
+	// transfer against the interpreter's ground truth; the classic factory
+	// analyzes under the table's memoized stripped table.
+	opts := alias.BuildOpts{Env: info.Env, K: 2}
 	if !cfg.Havoc {
-		gpmTab = pathmatrix.ComputeSummaries(info, info.Env)
-		classicTab = pathmatrix.ComputeSummaries(info, info.Env.Stripped())
+		opts.Summaries = pathmatrix.ComputeSummaries(info, info.Env)
 	}
-	oracles := []alias.Oracle{
-		alias.NewGPMWith(g, info.Env, gpmTab),
-		alias.NewClassicWith(g, info.Env, classicTab),
-		alias.NewConservative(g),
-		klimit.Analyze(g, info.Env, 2),
-		smg.Analyze(g, info.Env),
-	}
-	if cfg.WrapOracle != nil {
-		for i, o := range oracles {
-			oracles[i] = cfg.WrapOracle(o)
+	var oracles []alias.Oracle
+	for _, f := range alias.Factories() {
+		o := f.Build(noCancel, g, opts)
+		if cfg.WrapOracle != nil {
+			o = cfg.WrapOracle(o)
 		}
+		oracles = append(oracles, o)
 	}
 
 	var misses []string
 	for _, n := range cfg.runs() {
 		in := interp.New(prog)
-		in.MaxSteps = cfg.maxSteps()
+		in.MaxSteps = maxSteps
 		tr := &tracer{ptrVars: fi.PointerVars(), observed: map[token.Pos]map[[2]string]bool{}}
 		in.Tracer = tr
 		if _, err := in.Call(p.Main(), interp.IntVal(n)); !tolerated(err) {

@@ -8,14 +8,15 @@ import (
 	"net/http"
 	"strings"
 
+	"repro/adds/wire"
 	"repro/internal/core/pathmatrix"
 )
 
 // handleBatch serves POST /v1/batch: many analyze requests in one call,
-// answered as NDJSON — one BatchItemResult line per item, flushed as soon
-// as it is ready, always in item order. Items run concurrently, bounded by
-// Config.BatchParallel so one batch cannot monopolize the admission queue;
-// each item then passes through exactly the same resolve path as a
+// answered as NDJSON — one wire.BatchItemResult line per item, flushed as soon
+// as it is ready, always in item order. Items run concurrently, at most
+// min(Workers, 4) at a time, so one batch cannot monopolize the admission
+// queue; each item then passes through exactly the same resolve path as a
 // standalone /v1/analyze (cluster routing, peer peek, cache, singleflight,
 // pool admission), so per-item failures come back as per-item error
 // envelopes — a parse error in item 3 never costs items 0–2 their answers.
@@ -24,7 +25,7 @@ import (
 // cache or shard telemetry, and in-order emission makes the whole response
 // byte-identical whether results landed hot, cold, or on another shard.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
+	var req wire.BatchRequest
 	if err := s.decodeBody(r, &req); err != nil {
 		writeError(w, err)
 		return
@@ -38,7 +39,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, &TooLargeError{What: "batch items", Size: int64(n), Limit: int64(s.cfg.MaxBatchItems)})
 		return
 	}
-	s.metrics.BatchRequest(n)
+	s.metrics.add(BatchRequests, 1)
+	s.metrics.add(BatchItems, uint64(n))
 
 	ctx := r.Context()
 	forwarded := isForwarded(r)
@@ -47,7 +49,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i := range done {
 		done[i] = make(chan struct{})
 	}
-	sem := make(chan struct{}, s.cfg.BatchParallel)
+	sem := make(chan struct{}, max(1, min(s.cfg.Workers, 4)))
 	for i := range req.Items {
 		go func(i int) {
 			defer close(done[i])
@@ -80,7 +82,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // batchLine resolves one batch item and renders its NDJSON line.
-func (s *Server) batchLine(ctx context.Context, idx int, item *AnalyzeRequest, forwarded bool) []byte {
+func (s *Server) batchLine(ctx context.Context, idx int, item *wire.AnalyzeRequest, forwarded bool) []byte {
 	compute := func(c context.Context) (any, error) { return BuildAnalyze(c, item) }
 	if s.computeHook != nil {
 		if h := s.computeHook("analyze"); h != nil {
@@ -95,7 +97,7 @@ func (s *Server) batchLine(ctx context.Context, idx int, item *AnalyzeRequest, f
 		res = s.resolve(ctx, "batch", "analyze", key, canonical, forwarded, compute)
 	}
 
-	out := BatchItemResult{Index: idx}
+	out := wire.BatchItemResult{Index: idx}
 	switch {
 	case res.err != nil:
 		code, env := statusFor(res.err)
@@ -103,9 +105,9 @@ func (s *Server) batchLine(ctx context.Context, idx int, item *AnalyzeRequest, f
 	case res.status >= 400:
 		// A peer relayed its error envelope; re-embed it typed so the line
 		// shape matches locally-resolved failures byte for byte.
-		env := errorBody{}
+		env := wire.ErrorEnvelope{}
 		if err := json.Unmarshal(bytes.TrimSpace(res.body), &env); err != nil || env.Error == "" {
-			env = errorBody{Error: strings.TrimSpace(string(res.body))}
+			env = wire.ErrorEnvelope{Error: strings.TrimSpace(string(res.body))}
 		}
 		out.Status, out.Error = res.status, &env
 	default:
@@ -116,8 +118,8 @@ func (s *Server) batchLine(ctx context.Context, idx int, item *AnalyzeRequest, f
 	if err != nil {
 		// Marshal of our own structs cannot fail; keep the stream coherent
 		// if it somehow does.
-		line, _ = json.Marshal(BatchItemResult{Index: idx, Status: http.StatusInternalServerError,
-			Error: &errorBody{Error: "encoding batch line: " + err.Error()}})
+		line, _ = json.Marshal(wire.BatchItemResult{Index: idx, Status: http.StatusInternalServerError,
+			Error: &wire.ErrorEnvelope{Error: "encoding batch line: " + err.Error()}})
 	}
 	return line
 }

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"repro/adds/wire"
 )
 
 func postBatch(t *testing.T, base string, body []byte) (*http.Response, []byte) {
@@ -22,9 +24,9 @@ func postBatch(t *testing.T, base string, body []byte) (*http.Response, []byte) 
 
 func batchBody(t *testing.T, sources ...string) []byte {
 	t.Helper()
-	req := BatchRequest{}
+	req := wire.BatchRequest{}
 	for _, s := range sources {
-		req.Items = append(req.Items, AnalyzeRequest{Source: s})
+		req.Items = append(req.Items, wire.AnalyzeRequest{Source: s})
 	}
 	b, err := json.Marshal(req)
 	if err != nil {
@@ -52,7 +54,7 @@ func TestBatchMixedResults(t *testing.T) {
 	}
 	wantStatus := []int{200, 422, 200}
 	for i, line := range lines {
-		var res BatchItemResult
+		var res wire.BatchItemResult
 		if err := json.Unmarshal([]byte(line), &res); err != nil {
 			t.Fatalf("line %d is not valid JSON: %v\n%s", i, err, line)
 		}
@@ -94,7 +96,7 @@ func TestBatchDeterministicBytes(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatal("standalone analyze failed")
 	}
-	var res BatchItemResult
+	var res wire.BatchItemResult
 	if err := json.Unmarshal([]byte(strings.SplitN(string(first), "\n", 2)[0]), &res); err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +136,7 @@ func TestBatchRejectsEmptyAndOversized(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized batch = %d %s, want 413", resp.StatusCode, out)
 	}
-	var env ErrorEnvelope
+	var env wire.ErrorEnvelope
 	if err := json.Unmarshal(out, &env); err != nil || !strings.Contains(env.Error, "batch items") {
 		t.Errorf("413 envelope = %s, want typed TooLargeError naming batch items", out)
 	}
@@ -156,7 +158,7 @@ func TestMaxBodyBytes(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized analyze body = %d %s, want 413", resp.StatusCode, out)
 	}
-	var env ErrorEnvelope
+	var env wire.ErrorEnvelope
 	if err := json.Unmarshal(out, &env); err != nil || !strings.Contains(env.Error, "request too large") {
 		t.Errorf("413 envelope = %s, want typed TooLargeError", out)
 	}
@@ -180,10 +182,10 @@ func TestBatchDuplicateItemsShareOneCompute(t *testing.T) {
 		t.Fatalf("lines = %d, want 4", n)
 	}
 	m := s.Metrics()
-	if m.CacheMisses() != 1 {
-		t.Errorf("misses = %d, want exactly 1 (duplicates must coalesce or hit)", m.CacheMisses())
+	if m.Count(CacheMisses) != 1 {
+		t.Errorf("misses = %d, want exactly 1 (duplicates must coalesce or hit)", m.Count(CacheMisses))
 	}
-	if got := m.CacheHits() + m.CacheCoalesced(); got != 3 {
+	if got := m.Count(CacheHits) + m.Count(CacheCoalesced); got != 3 {
 		t.Errorf("hits+coalesced = %d, want 3", got)
 	}
 }

@@ -78,11 +78,11 @@ func (s *Server) viaPeer(ctx context.Context, owner, endpoint, key string, canon
 	}
 
 	if body, found, err := s.cluster.client.Peek(ctx, owner, key, hdr); err == nil && found {
-		s.metrics.ClusterPeerHit()
+		s.metrics.add(ClusterPeerHits, 1)
 		span.SetAttr("outcome", "peer-hit")
 		return resolved{status: http.StatusOK, body: body, cache: "peer-hit"}, true
 	} else if err == nil {
-		s.metrics.ClusterPeerMiss()
+		s.metrics.add(ClusterPeerMisses, 1)
 	}
 	// A peek transport error is not yet a fallback: Forward retries with its
 	// own budget, and only its failure demotes the request to local compute.
@@ -94,11 +94,11 @@ func (s *Server) viaPeer(ctx context.Context, owner, endpoint, key string, canon
 	}
 	status, body, err := s.cluster.client.Forward(ctx, owner, method, path, reqBody, hdr)
 	if err != nil || status == http.StatusTooManyRequests {
-		s.metrics.ClusterFallback()
+		s.metrics.add(ClusterFallbacks, 1)
 		span.SetAttr("outcome", "fallback")
 		return resolved{}, false
 	}
-	s.metrics.ClusterForwarded()
+	s.metrics.add(ClusterForwarded, 1)
 	span.SetAttr("outcome", "forwarded")
 	return resolved{status: status, body: body, cache: "forwarded"}, true
 }
@@ -110,7 +110,7 @@ func (s *Server) viaPeer(ctx context.Context, owner, endpoint, key string, canon
 func (s *Server) handleCachePeek(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if val, ok := s.cache.Peek(key); ok {
-		s.metrics.ClusterPeekServed(true)
+		s.metrics.add(ClusterPeekHits, 1)
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("X-Cache", "hit")
 		w.WriteHeader(http.StatusOK)
@@ -120,7 +120,7 @@ func (s *Server) handleCachePeek(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	s.metrics.ClusterPeekServed(false)
+	s.metrics.add(ClusterPeekMisses, 1)
 	writeError(w, fmt.Errorf("%w: no cached result for key %.16s…", ErrNotFound, key))
 }
 

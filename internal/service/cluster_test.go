@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/adds/wire"
 	"repro/internal/core/pathmatrix"
 )
 
@@ -101,7 +102,7 @@ func TestClusterPeerCacheHit(t *testing.T) {
 	// Post to the non-owners first: placement depends on the ephemeral
 	// ports, and a request that lands on the owner forwards nothing.
 	src := shiftSrc
-	canonical, _ := json.Marshal(&AnalyzeRequest{Source: src})
+	canonical, _ := json.Marshal(&wire.AnalyzeRequest{Source: src})
 	key := Key("analyze", pathmatrix.EngineVersion, string(canonical))
 	owner := servers[0].cluster.ring.Owner(key)
 	order := make([]string, 0, len(urls))
@@ -122,8 +123,8 @@ func TestClusterPeerCacheHit(t *testing.T) {
 	}
 	var peerHits, forwards uint64
 	for _, s := range servers {
-		peerHits += s.Metrics().ClusterPeerHits()
-		forwards += s.Metrics().ClusterForwards()
+		peerHits += s.Metrics().Count(ClusterPeerHits)
+		forwards += s.Metrics().Count(ClusterForwarded)
 	}
 	if forwards == 0 {
 		t.Error("no request was forwarded to its owning shard")
@@ -134,7 +135,7 @@ func TestClusterPeerCacheHit(t *testing.T) {
 	// And the serving side: someone answered a peek.
 	var peekHits uint64
 	for _, s := range servers {
-		peekHits += s.Metrics().peekHits.Load()
+		peekHits += s.Metrics().Count(ClusterPeekHits)
 	}
 	if peekHits == 0 {
 		t.Error("no shard served a cache peek")
@@ -146,7 +147,7 @@ func TestClusterXCacheHeaders(t *testing.T) {
 	servers, urls := startCluster(t, 2, nil)
 
 	// Find which node owns shiftSrc's key by asking the ring directly.
-	canonical, _ := json.Marshal(&AnalyzeRequest{Source: shiftSrc})
+	canonical, _ := json.Marshal(&wire.AnalyzeRequest{Source: shiftSrc})
 	key := Key("analyze", pathmatrix.EngineVersion, string(canonical))
 	owner := servers[0].cluster.ring.Owner(key)
 	ownerIdx, otherIdx := 0, 1
@@ -196,7 +197,7 @@ func TestClusterDeadPeerFallback(t *testing.T) {
 			t.Fatal("no generated key landed on the dead peer")
 		}
 		src = shiftSrc + fmt.Sprintf("\nvoid probe%d(TwoWayLL *q) { q = NULL; }\n", i)
-		canonical, _ := json.Marshal(&AnalyzeRequest{Source: src})
+		canonical, _ := json.Marshal(&wire.AnalyzeRequest{Source: src})
 		key := Key("analyze", pathmatrix.EngineVersion, string(canonical))
 		if s.cluster.ring.Owner(key) == deadAddr {
 			break
@@ -210,7 +211,7 @@ func TestClusterDeadPeerFallback(t *testing.T) {
 	if got := resp.Header.Get("X-Cache"); got != "fallback-miss" {
 		t.Errorf("X-Cache = %q, want fallback-miss", got)
 	}
-	if s.Metrics().ClusterFallbacks() == 0 {
+	if s.Metrics().Count(ClusterFallbacks) == 0 {
 		t.Error("fallback counter did not move")
 	}
 	// The local cache now holds the result: repeat is a fallback-hit, no
@@ -225,7 +226,7 @@ func TestClusterDeadPeerFallback(t *testing.T) {
 // whose ring says another peer owns the key — one hop maximum.
 func TestClusterForwardedRequestStaysLocal(t *testing.T) {
 	servers, urls := startCluster(t, 2, nil)
-	canonical, _ := json.Marshal(&AnalyzeRequest{Source: shiftSrc})
+	canonical, _ := json.Marshal(&wire.AnalyzeRequest{Source: shiftSrc})
 	key := Key("analyze", pathmatrix.EngineVersion, string(canonical))
 	// Pick the NON-owner and send it a pre-forwarded request.
 	idx := 0
@@ -246,7 +247,7 @@ func TestClusterForwardedRequestStaysLocal(t *testing.T) {
 	if got := resp.Header.Get("X-Cache"); got != "miss" {
 		t.Errorf("forwarded request X-Cache = %q, want miss (local compute)", got)
 	}
-	if servers[idx].Metrics().ClusterForwards() != 0 {
+	if servers[idx].Metrics().Count(ClusterForwarded) != 0 {
 		t.Error("forwarded request made a second hop")
 	}
 }
@@ -270,7 +271,7 @@ func TestCachePeekEndpoint(t *testing.T) {
 	if aresp.StatusCode != 200 {
 		t.Fatalf("analyze = %d", aresp.StatusCode)
 	}
-	canonical, _ := json.Marshal(&AnalyzeRequest{Source: shiftSrc})
+	canonical, _ := json.Marshal(&wire.AnalyzeRequest{Source: shiftSrc})
 	key := Key("analyze", pathmatrix.EngineVersion, string(canonical))
 	resp, err = http.Get(ts.URL + "/v1/cache/" + key)
 	if err != nil {
@@ -284,9 +285,9 @@ func TestCachePeekEndpoint(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("peek body differs from analyze body:\npeek:    %s\nanalyze: %s", got, want)
 	}
-	if s.metrics.peekHits.Load() != 1 || s.metrics.peekMisses.Load() != 1 {
+	if s.metrics.Count(ClusterPeekHits) != 1 || s.metrics.Count(ClusterPeekMisses) != 1 {
 		t.Errorf("peek counters = %d hits %d misses, want 1/1",
-			s.metrics.peekHits.Load(), s.metrics.peekMisses.Load())
+			s.metrics.Count(ClusterPeekHits), s.metrics.Count(ClusterPeekMisses))
 	}
 }
 

@@ -20,6 +20,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/adds/wire"
 )
 
 // doCtx drives one in-process request under ctx and returns the recorder.
@@ -35,7 +37,7 @@ func doCtx(s *Server, ctx context.Context, method, path string, body []byte) *ht
 
 func analyzeBody(t *testing.T, source string) []byte {
 	t.Helper()
-	b, err := json.Marshal(AnalyzeRequest{Source: source})
+	b, err := json.Marshal(wire.AnalyzeRequest{Source: source})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +231,8 @@ func TestOverloadShedsWith429(t *testing.T) {
 	if elapsed >= s.cfg.RequestTimeout {
 		t.Errorf("shed took %v, want < RequestTimeout %v", elapsed, s.cfg.RequestTimeout)
 	}
-	if got := s.metrics.ShedTotal(); got != 1 {
-		t.Errorf("ShedTotal = %d, want 1", got)
+	if got := s.metrics.Count(Shed); got != 1 {
+		t.Errorf("Count(Shed) = %d, want 1", got)
 	}
 
 	// The shed is visible on the scrape, per endpoint and in aggregate.
@@ -468,7 +470,7 @@ func TestFlightPanicIsolated(t *testing.T) {
 	panicAt.Store(1)
 	body := analyzeBody(t, "panics")
 	rec := doCtx(s, context.Background(), "POST", "/v1/analyze", body)
-	var env ErrorEnvelope
+	var env wire.ErrorEnvelope
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("/v1/analyze status = %d, want 500; body %s", rec.Code, rec.Body)
 	}
@@ -479,7 +481,7 @@ func TestFlightPanicIsolated(t *testing.T) {
 	// The batch's first computation panics; which item that is depends on
 	// scheduling, so the lines are checked by count.
 	panicAt.Store(calls.Load() + 1)
-	batch, err := json.Marshal(BatchRequest{Items: []AnalyzeRequest{
+	batch, err := json.Marshal(wire.BatchRequest{Items: []wire.AnalyzeRequest{
 		{Source: "batch-a"}, {Source: "batch-b"}, {Source: "batch-c"},
 	}})
 	if err != nil {
@@ -491,7 +493,7 @@ func TestFlightPanicIsolated(t *testing.T) {
 	}
 	statuses := map[int]int{}
 	for i, line := range bytes.Split(bytes.TrimSpace(rec.Body.Bytes()), []byte{'\n'}) {
-		var item BatchItemResult
+		var item wire.BatchItemResult
 		if err := json.Unmarshal(line, &item); err != nil || item.Index != i {
 			t.Fatalf("batch line %d = %s", i, line)
 		}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/adds"
+	"repro/adds/wire"
 	"repro/internal/gen"
 )
 
@@ -36,7 +37,7 @@ func FuzzSource(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src []byte) {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		resp, err := BuildAnalyze(ctx, &AnalyzeRequest{Source: string(src)})
+		resp, err := BuildAnalyze(ctx, &wire.AnalyzeRequest{Source: string(src)})
 		var srcErr *adds.SourceError
 		switch {
 		case err == nil:

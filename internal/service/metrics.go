@@ -13,6 +13,31 @@ import (
 	"repro/internal/core/pathmatrix"
 )
 
+// Counter names one of the daemon's unlabeled monotone counters.
+type Counter int
+
+// The unlabeled counters, in exposition order. The cluster counters split
+// by side: the requester's peek answered from the owner's cache
+// (ClusterPeerHits), clean peek miss then full forward (ClusterPeerMisses,
+// ClusterForwarded), owner unreachable or shedding so computed locally
+// (ClusterFallbacks); and the peeks this process answered as owner
+// (ClusterPeekHits, ClusterPeekMisses).
+const (
+	CacheHits Counter = iota
+	CacheMisses
+	CacheCoalesced
+	Shed // requests shed by the admission queue, all endpoints
+	ClusterPeerHits
+	ClusterPeerMisses
+	ClusterForwarded
+	ClusterFallbacks
+	ClusterPeekHits
+	ClusterPeekMisses
+	BatchRequests
+	BatchItems
+	numCounters
+)
+
 // Metrics collects the daemon's counters. Everything is monotone except the
 // gauges (inflight, cache entries, pool slots), and rendering is the
 // Prometheus text exposition format, so any scraper — or curl — can read it.
@@ -25,30 +50,12 @@ type Metrics struct {
 
 	fixpointIters histogram
 
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	coalesced atomic.Uint64
-	shed      atomic.Uint64
+	counts [numCounters]atomic.Uint64
 
-	inflight atomic.Int64
-	latNanos atomic.Int64
-	latCount atomic.Uint64
-
-	// Cluster counters. The requester side: peek answered from the owner's
-	// cache (peerHits), clean peek miss then full forward (forwarded), owner
-	// unreachable/shedding so computed locally (fallbacks). The serving
-	// side: peeks this process answered (peekHits/peekMisses). ringPeers is
-	// a config gauge (0 = single-process).
-	peerHits   atomic.Uint64
-	peerMisses atomic.Uint64
-	forwarded  atomic.Uint64
-	fallbacks  atomic.Uint64
-	peekHits   atomic.Uint64
-	peekMisses atomic.Uint64
-	ringPeers  atomic.Int64
-
-	batchRequests atomic.Uint64
-	batchItems    atomic.Uint64
+	inflight  atomic.Int64
+	ringPeers atomic.Int64 // configured cluster size (0 = single-process)
+	latNanos  atomic.Int64
+	latCount  atomic.Uint64
 }
 
 // NewMetrics returns an empty metrics registry.
@@ -62,6 +69,11 @@ func NewMetrics() *Metrics {
 	m.fixpointIters.bounds = iterBounds
 	return m
 }
+
+func (m *Metrics) add(c Counter, n uint64) { m.counts[c].Add(n) }
+
+// Count reads one counter (cmd/addsd's shutdown line and the tests).
+func (m *Metrics) Count(c Counter) uint64 { return m.counts[c].Load() }
 
 // phaseBounds buckets phase durations (seconds): the pipeline's phases run
 // from microseconds (parse) to tens of milliseconds (fixpoints on large
@@ -175,34 +187,21 @@ func (m *Metrics) ObserveRequest(endpoint string, code int, d time.Duration) {
 func (m *Metrics) ObserveCache(o Outcome) {
 	switch o {
 	case Hit:
-		m.hits.Add(1)
+		m.add(CacheHits, 1)
 	case Miss:
-		m.misses.Add(1)
+		m.add(CacheMisses, 1)
 	case Coalesced:
-		m.coalesced.Add(1)
+		m.add(CacheCoalesced, 1)
 	}
 }
 
-// CacheHits returns the hit counter (tests and the smoke job assert on it).
-func (m *Metrics) CacheHits() uint64 { return m.hits.Load() }
-
-// CacheMisses returns the miss counter.
-func (m *Metrics) CacheMisses() uint64 { return m.misses.Load() }
-
-// CacheCoalesced returns the singleflight-join counter.
-func (m *Metrics) CacheCoalesced() uint64 { return m.coalesced.Load() }
-
 // ObserveShed records one request shed by the admission queue.
 func (m *Metrics) ObserveShed(endpoint string) {
-	m.shed.Add(1)
+	m.add(Shed, 1)
 	m.mu.Lock()
 	m.shedBy[endpoint]++
 	m.mu.Unlock()
 }
-
-// ShedTotal returns the process-wide shed counter (the overload tests and
-// the smoke job assert on it).
-func (m *Metrics) ShedTotal() uint64 { return m.shed.Load() }
 
 // FlightRefs moves the endpoint's flight-refcount gauge: +1 when a request
 // joins (or starts) a flight, -1 when it leaves. The cache calls it through
@@ -221,56 +220,6 @@ func (m *Metrics) FlightRefsFor(endpoint string) int64 {
 	return m.flightRefs[endpoint]
 }
 
-// ClusterPeerHit records a request answered from a peer's cache via the
-// peek protocol — the cross-process dedup the ring exists for.
-func (m *Metrics) ClusterPeerHit() { m.peerHits.Add(1) }
-
-// ClusterPeerHits reads the peer-hit counter (tests and the cluster-smoke
-// job assert it grows).
-func (m *Metrics) ClusterPeerHits() uint64 { return m.peerHits.Load() }
-
-// ClusterPeerMiss records a clean peek miss (the owner will get the
-// forwarded request instead).
-func (m *Metrics) ClusterPeerMiss() { m.peerMisses.Add(1) }
-
-// ClusterForwarded records a request proxied in full to its owning shard.
-func (m *Metrics) ClusterForwarded() { m.forwarded.Add(1) }
-
-// ClusterForwards reads the forwarded counter.
-func (m *Metrics) ClusterForwards() uint64 { return m.forwarded.Load() }
-
-// ClusterFallback records a local computation of a remotely-owned key
-// because the owner was unreachable or shedding.
-func (m *Metrics) ClusterFallback() { m.fallbacks.Add(1) }
-
-// ClusterFallbacks reads the fallback counter (the dead-peer tests assert
-// availability won over partitioning).
-func (m *Metrics) ClusterFallbacks() uint64 { return m.fallbacks.Load() }
-
-// ClusterPeekServed records one answered GET /v1/cache/{key}.
-func (m *Metrics) ClusterPeekServed(found bool) {
-	if found {
-		m.peekHits.Add(1)
-	} else {
-		m.peekMisses.Add(1)
-	}
-}
-
-// SetRingPeers publishes the configured cluster size (0 = single-process).
-func (m *Metrics) SetRingPeers(n int) { m.ringPeers.Store(int64(n)) }
-
-// BatchRequest records one /v1/batch request carrying n items.
-func (m *Metrics) BatchRequest(n int) {
-	m.batchRequests.Add(1)
-	m.batchItems.Add(uint64(n))
-}
-
-// RequestStarted/RequestDone maintain the inflight gauge.
-func (m *Metrics) RequestStarted() { m.inflight.Add(1) }
-
-// RequestDone decrements the inflight gauge.
-func (m *Metrics) RequestDone() { m.inflight.Add(-1) }
-
 // sortedKeys returns the map's keys in sorted order so scrapes are
 // deterministic.
 func sortedKeys[V any](m map[string]V) []string {
@@ -280,6 +229,15 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+// writeSeries renders one unlabeled series: the HELP line when help is set,
+// the TYPE line, and the value.
+func writeSeries(w io.Writer, name, typ, help string, v any) {
+	if help != "" {
+		fmt.Fprintf(w, "# HELP %s %s\n", name, help)
+	}
+	fmt.Fprintf(w, "# TYPE %s %s\n%s %v\n", name, typ, name, v)
 }
 
 // WriteProm renders every counter in Prometheus text format. cacheLen and
@@ -304,18 +262,12 @@ func (m *Metrics) WriteProm(w io.Writer, cacheLen, poolInUse, poolCap, queued, q
 	}
 	m.mu.Unlock()
 
-	fmt.Fprintf(w, "# TYPE addsd_cache_hits_total counter\n")
-	fmt.Fprintf(w, "addsd_cache_hits_total %d\n", m.hits.Load())
-	fmt.Fprintf(w, "# TYPE addsd_cache_misses_total counter\n")
-	fmt.Fprintf(w, "addsd_cache_misses_total %d\n", m.misses.Load())
-	fmt.Fprintf(w, "# TYPE addsd_cache_coalesced_total counter\n")
-	fmt.Fprintf(w, "addsd_cache_coalesced_total %d\n", m.coalesced.Load())
-	fmt.Fprintf(w, "# TYPE addsd_cache_entries gauge\n")
-	fmt.Fprintf(w, "addsd_cache_entries %d\n", cacheLen)
+	writeSeries(w, "addsd_cache_hits_total", "counter", "", m.Count(CacheHits))
+	writeSeries(w, "addsd_cache_misses_total", "counter", "", m.Count(CacheMisses))
+	writeSeries(w, "addsd_cache_coalesced_total", "counter", "", m.Count(CacheCoalesced))
+	writeSeries(w, "addsd_cache_entries", "gauge", "", cacheLen)
 
-	fmt.Fprintf(w, "# HELP addsd_shed_total Requests shed by the admission queue (429).\n")
-	fmt.Fprintf(w, "# TYPE addsd_shed_total counter\n")
-	fmt.Fprintf(w, "addsd_shed_total %d\n", m.shed.Load())
+	writeSeries(w, "addsd_shed_total", "counter", "Requests shed by the admission queue (429).", m.Count(Shed))
 	m.mu.Lock()
 	fmt.Fprintf(w, "# TYPE addsd_endpoint_shed_total counter\n")
 	for _, k := range sortedKeys(m.shedBy) {
@@ -328,45 +280,28 @@ func (m *Metrics) WriteProm(w io.Writer, cacheLen, poolInUse, poolCap, queued, q
 	}
 	m.mu.Unlock()
 
-	fmt.Fprintf(w, "# HELP addsd_cluster_peer_hit_total Requests answered from a peer shard's cache (peek protocol).\n")
-	fmt.Fprintf(w, "# TYPE addsd_cluster_peer_hit_total counter\n")
-	fmt.Fprintf(w, "addsd_cluster_peer_hit_total %d\n", m.peerHits.Load())
-	fmt.Fprintf(w, "# TYPE addsd_cluster_peer_miss_total counter\n")
-	fmt.Fprintf(w, "addsd_cluster_peer_miss_total %d\n", m.peerMisses.Load())
-	fmt.Fprintf(w, "# HELP addsd_cluster_forwarded_total Requests proxied in full to their owning shard.\n")
-	fmt.Fprintf(w, "# TYPE addsd_cluster_forwarded_total counter\n")
-	fmt.Fprintf(w, "addsd_cluster_forwarded_total %d\n", m.forwarded.Load())
-	fmt.Fprintf(w, "# HELP addsd_cluster_fallback_total Remotely-owned keys computed locally because the owner was unreachable or shedding.\n")
-	fmt.Fprintf(w, "# TYPE addsd_cluster_fallback_total counter\n")
-	fmt.Fprintf(w, "addsd_cluster_fallback_total %d\n", m.fallbacks.Load())
-	fmt.Fprintf(w, "# TYPE addsd_cluster_peek_hit_total counter\n")
-	fmt.Fprintf(w, "addsd_cluster_peek_hit_total %d\n", m.peekHits.Load())
-	fmt.Fprintf(w, "# TYPE addsd_cluster_peek_miss_total counter\n")
-	fmt.Fprintf(w, "addsd_cluster_peek_miss_total %d\n", m.peekMisses.Load())
-	fmt.Fprintf(w, "# TYPE addsd_cluster_ring_peers gauge\n")
-	fmt.Fprintf(w, "addsd_cluster_ring_peers %d\n", m.ringPeers.Load())
+	writeSeries(w, "addsd_cluster_peer_hit_total", "counter",
+		"Requests answered from a peer shard's cache (peek protocol).", m.Count(ClusterPeerHits))
+	writeSeries(w, "addsd_cluster_peer_miss_total", "counter", "", m.Count(ClusterPeerMisses))
+	writeSeries(w, "addsd_cluster_forwarded_total", "counter",
+		"Requests proxied in full to their owning shard.", m.Count(ClusterForwarded))
+	writeSeries(w, "addsd_cluster_fallback_total", "counter",
+		"Remotely-owned keys computed locally because the owner was unreachable or shedding.", m.Count(ClusterFallbacks))
+	writeSeries(w, "addsd_cluster_peek_hit_total", "counter", "", m.Count(ClusterPeekHits))
+	writeSeries(w, "addsd_cluster_peek_miss_total", "counter", "", m.Count(ClusterPeekMisses))
+	writeSeries(w, "addsd_cluster_ring_peers", "gauge", "", m.ringPeers.Load())
 
-	fmt.Fprintf(w, "# TYPE addsd_batch_requests_total counter\n")
-	fmt.Fprintf(w, "addsd_batch_requests_total %d\n", m.batchRequests.Load())
-	fmt.Fprintf(w, "# TYPE addsd_batch_items_total counter\n")
-	fmt.Fprintf(w, "addsd_batch_items_total %d\n", m.batchItems.Load())
+	writeSeries(w, "addsd_batch_requests_total", "counter", "", m.Count(BatchRequests))
+	writeSeries(w, "addsd_batch_items_total", "counter", "", m.Count(BatchItems))
 
-	fmt.Fprintf(w, "# TYPE addsd_inflight_requests gauge\n")
-	fmt.Fprintf(w, "addsd_inflight_requests %d\n", m.inflight.Load())
-	fmt.Fprintf(w, "# TYPE addsd_pool_in_use gauge\n")
-	fmt.Fprintf(w, "addsd_pool_in_use %d\n", poolInUse)
-	fmt.Fprintf(w, "# TYPE addsd_pool_capacity gauge\n")
-	fmt.Fprintf(w, "addsd_pool_capacity %d\n", poolCap)
-	fmt.Fprintf(w, "# TYPE addsd_queue_depth gauge\n")
-	fmt.Fprintf(w, "addsd_queue_depth %d\n", queued)
-	fmt.Fprintf(w, "# TYPE addsd_queue_capacity gauge\n")
-	fmt.Fprintf(w, "addsd_queue_capacity %d\n", queueCap)
+	writeSeries(w, "addsd_inflight_requests", "gauge", "", m.inflight.Load())
+	writeSeries(w, "addsd_pool_in_use", "gauge", "", poolInUse)
+	writeSeries(w, "addsd_pool_capacity", "gauge", "", poolCap)
+	writeSeries(w, "addsd_queue_depth", "gauge", "", queued)
+	writeSeries(w, "addsd_queue_capacity", "gauge", "", queueCap)
 
-	fmt.Fprintf(w, "# TYPE addsd_request_duration_seconds_sum counter\n")
-	fmt.Fprintf(w, "addsd_request_duration_seconds_sum %g\n",
-		time.Duration(m.latNanos.Load()).Seconds())
-	fmt.Fprintf(w, "# TYPE addsd_request_duration_seconds_count counter\n")
-	fmt.Fprintf(w, "addsd_request_duration_seconds_count %d\n", m.latCount.Load())
+	writeSeries(w, "addsd_request_duration_seconds_sum", "counter", "", time.Duration(m.latNanos.Load()).Seconds())
+	writeSeries(w, "addsd_request_duration_seconds_count", "counter", "", m.latCount.Load())
 
 	m.mu.Lock()
 	fmt.Fprintf(w, "# HELP addsd_phase_duration_seconds Time per pipeline phase (span durations).\n")
@@ -380,37 +315,21 @@ func (m *Metrics) WriteProm(w io.Writer, cacheLen, poolInUse, poolCap, queued, q
 	m.mu.Unlock()
 
 	es := pathmatrix.ReadStats()
-	fmt.Fprintf(w, "# HELP addsd_engine_analyses_total Completed path-matrix analyses (process-wide).\n")
-	fmt.Fprintf(w, "# TYPE addsd_engine_analyses_total counter\n")
-	fmt.Fprintf(w, "addsd_engine_analyses_total %d\n", es.Analyses)
-	fmt.Fprintf(w, "# TYPE addsd_engine_iterations_total counter\n")
-	fmt.Fprintf(w, "addsd_engine_iterations_total %d\n", es.Iterations)
-	fmt.Fprintf(w, "# TYPE addsd_engine_widenings_total counter\n")
-	fmt.Fprintf(w, "addsd_engine_widenings_total %d\n", es.Widenings)
-	fmt.Fprintf(w, "# TYPE addsd_engine_matrix_clones_total counter\n")
-	fmt.Fprintf(w, "addsd_engine_matrix_clones_total %d\n", es.Clones)
-	fmt.Fprintf(w, "# TYPE addsd_engine_shared_rows_total counter\n")
-	fmt.Fprintf(w, "addsd_engine_shared_rows_total %d\n", es.SharedRows)
-	fmt.Fprintf(w, "# HELP addsd_engine_summary_computed_total Function summaries computed (content-addressed cache misses).\n")
-	fmt.Fprintf(w, "# TYPE addsd_engine_summary_computed_total counter\n")
-	fmt.Fprintf(w, "addsd_engine_summary_computed_total %d\n", es.SummaryComputed)
-	fmt.Fprintf(w, "# TYPE addsd_engine_summary_reused_total counter\n")
-	fmt.Fprintf(w, "addsd_engine_summary_reused_total %d\n", es.SummaryReused)
-	fmt.Fprintf(w, "# TYPE addsd_engine_summary_entries gauge\n")
-	fmt.Fprintf(w, "addsd_engine_summary_entries %d\n", es.SummaryEntries)
-	fmt.Fprintf(w, "# TYPE addsd_engine_summary_applied_total counter\n")
-	fmt.Fprintf(w, "addsd_engine_summary_applied_total %d\n", es.SummaryApplied)
-	fmt.Fprintf(w, "# TYPE addsd_engine_summary_fallbacks_total counter\n")
-	fmt.Fprintf(w, "addsd_engine_summary_fallbacks_total %d\n", es.SummaryFallbacks)
+	writeSeries(w, "addsd_engine_analyses_total", "counter", "Completed path-matrix analyses (process-wide).", es.Analyses)
+	writeSeries(w, "addsd_engine_iterations_total", "counter", "", es.Iterations)
+	writeSeries(w, "addsd_engine_widenings_total", "counter", "", es.Widenings)
+	writeSeries(w, "addsd_engine_matrix_clones_total", "counter", "", es.Clones)
+	writeSeries(w, "addsd_engine_shared_rows_total", "counter", "", es.SharedRows)
+	writeSeries(w, "addsd_engine_summary_computed_total", "counter",
+		"Function summaries computed (content-addressed cache misses).", es.SummaryComputed)
+	writeSeries(w, "addsd_engine_summary_reused_total", "counter", "", es.SummaryReused)
+	writeSeries(w, "addsd_engine_summary_entries", "gauge", "", es.SummaryEntries)
+	writeSeries(w, "addsd_engine_summary_applied_total", "counter", "", es.SummaryApplied)
+	writeSeries(w, "addsd_engine_summary_fallbacks_total", "counter", "", es.SummaryFallbacks)
 
 	ss := smg.ReadStats()
-	fmt.Fprintf(w, "# HELP addsd_engine_smg_analyses_total Completed SMG-lite analyses (process-wide).\n")
-	fmt.Fprintf(w, "# TYPE addsd_engine_smg_analyses_total counter\n")
-	fmt.Fprintf(w, "addsd_engine_smg_analyses_total %d\n", ss.Analyses)
-	fmt.Fprintf(w, "# TYPE addsd_engine_smg_nodes_total counter\n")
-	fmt.Fprintf(w, "addsd_engine_smg_nodes_total %d\n", ss.Nodes)
-	fmt.Fprintf(w, "# TYPE addsd_engine_smg_segments_total counter\n")
-	fmt.Fprintf(w, "addsd_engine_smg_segments_total %d\n", ss.Segments)
-	fmt.Fprintf(w, "# TYPE addsd_engine_smg_materializations_total counter\n")
-	fmt.Fprintf(w, "addsd_engine_smg_materializations_total %d\n", ss.Materializations)
+	writeSeries(w, "addsd_engine_smg_analyses_total", "counter", "Completed SMG-lite analyses (process-wide).", ss.Analyses)
+	writeSeries(w, "addsd_engine_smg_nodes_total", "counter", "", ss.Nodes)
+	writeSeries(w, "addsd_engine_smg_segments_total", "counter", "", ss.Segments)
+	writeSeries(w, "addsd_engine_smg_materializations_total", "counter", "", ss.Materializations)
 }

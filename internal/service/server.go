@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/adds"
+	"repro/adds/wire"
 	"repro/internal/core/pathmatrix"
 	"repro/internal/exper"
 	"repro/internal/obs"
@@ -43,7 +44,6 @@ type Config struct {
 	RequestTimeout time.Duration // per-flight analysis budget (default 30s)
 	MaxBodyBytes   int64         // request-body bound, 413 beyond it (default DefaultMaxBodyBytes)
 	MaxBatchItems  int           // /v1/batch item bound, 413 beyond it (default DefaultMaxBatchItems)
-	BatchParallel  int           // per-batch concurrent items (default min(Workers, 4))
 
 	// Peers enables cluster shard/proxy mode: the full peer list (host:port,
 	// this process included as Self). Each request's content-address key is
@@ -55,7 +55,6 @@ type Config struct {
 	PeerTimeout time.Duration // per peer-attempt budget (default cluster.DefaultPeerTimeout)
 
 	Logger    *slog.Logger // access + lifecycle log (default: discard)
-	Tracer    *obs.Tracer  // request tracer (default: fresh tracer over TraceRing)
 	TraceRing int          // finished traces kept for /debug/trace/{id} (default obs.DefaultRingSize)
 }
 
@@ -77,12 +76,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatchItems == 0 {
 		c.MaxBatchItems = DefaultMaxBatchItems
-	}
-	if c.BatchParallel == 0 {
-		c.BatchParallel = min(c.Workers, 4)
-	}
-	if c.BatchParallel < 1 {
-		c.BatchParallel = 1
 	}
 	return c
 }
@@ -121,7 +114,7 @@ func New(cfg Config) *Server {
 		pool:    newPool(cfg.Workers, cfg.QueueDepth),
 		metrics: NewMetrics(),
 		logger:  cfg.Logger,
-		tracer:  cfg.Tracer,
+		tracer:  obs.NewTracer(cfg.TraceRing),
 		mux:     http.NewServeMux(),
 	}
 	if s.logger == nil {
@@ -129,21 +122,11 @@ func New(cfg Config) *Server {
 	}
 	s.cluster, s.clusterErr = newClusterState(cfg)
 	if s.cluster != nil {
-		s.metrics.SetRingPeers(s.cluster.ring.Len())
-	}
-	if s.tracer == nil {
-		s.tracer = obs.NewTracer(cfg.TraceRing)
+		s.metrics.ringPeers.Store(int64(s.cluster.ring.Len()))
 	}
 	// Every finished span feeds the per-phase duration histograms (and the
-	// fixpoint spans their iteration counts); a tracer the caller passed in
-	// keeps its own OnEnd hook chained ahead of ours.
-	prev := s.tracer.OnEnd
-	s.tracer.OnEnd = func(rec obs.SpanRecord) {
-		if prev != nil {
-			prev(rec)
-		}
-		s.observeSpan(rec)
-	}
+	// fixpoint spans their iteration counts).
+	s.tracer.OnEnd = s.observeSpan
 	// Flights run detached from any single request's context; the request
 	// timeout bounds the shared computation, not the wait of one client.
 	s.cache.FlightTimeout = cfg.RequestTimeout
@@ -273,8 +256,8 @@ func (rs *reqStats) snapshot() (o string, has bool, wait time.Duration, shed boo
 // line per request.
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.metrics.RequestStarted()
-		defer s.metrics.RequestDone()
+		s.metrics.inflight.Add(1)
+		defer s.metrics.inflight.Add(-1)
 		start := time.Now()
 		label := endpointLabel(r.URL.Path)
 
@@ -363,11 +346,11 @@ func writeRouteError(w http.ResponseWriter, r *http.Request, h http.Handler) {
 			w.Header().Set("Allow", allow)
 		}
 		writeJSON(w, http.StatusMethodNotAllowed,
-			errorBody{Error: fmt.Sprintf("method %s not allowed on %s", r.Method, r.URL.Path)})
+			wire.ErrorEnvelope{Error: fmt.Sprintf("method %s not allowed on %s", r.Method, r.URL.Path)})
 		return
 	}
 	writeJSON(w, http.StatusNotFound,
-		errorBody{Error: fmt.Sprintf("no such endpoint: %s %s", r.Method, r.URL.Path)})
+		wire.ErrorEnvelope{Error: fmt.Sprintf("no such endpoint: %s %s", r.Method, r.URL.Path)})
 }
 
 // statusWriter captures the response code for the request counter.
@@ -423,15 +406,11 @@ func endpointLabel(path string) string {
 	return "other"
 }
 
-// errorBody is the JSON error envelope every endpoint shares, promoted to
-// the public wire package so /v1/batch can embed it per item.
-type errorBody = ErrorEnvelope
-
 // statusFor maps an error to its HTTP status and envelope. Shared by
 // writeError and the per-item envelopes of /v1/batch.
-func statusFor(err error) (int, errorBody) {
+func statusFor(err error) (int, wire.ErrorEnvelope) {
 	code := http.StatusInternalServerError
-	body := errorBody{Error: err.Error()}
+	body := wire.ErrorEnvelope{Error: err.Error()}
 	var se *adds.SourceError
 	var ufe *UnknownFieldError
 	var tle *TooLargeError
@@ -623,14 +602,14 @@ func (s *Server) localResolve(reqCtx context.Context, label, key, prefix string,
 // is zeroed because the analysis result does not depend on the worker
 // count (see pathmatrix.AnalyzeProgramCtx). The computation itself still
 // runs with req's own value.
-func workerless(req *AnalyzeRequest) *AnalyzeRequest {
+func workerless(req *wire.AnalyzeRequest) *wire.AnalyzeRequest {
 	keyed := *req
 	keyed.Workers = 0
 	return &keyed
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	var req AnalyzeRequest
+	var req wire.AnalyzeRequest
 	if err := s.decodeBody(r, &req); err != nil {
 		writeError(w, err)
 		return
@@ -641,7 +620,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDepgraph(w http.ResponseWriter, r *http.Request) {
-	var req DepgraphRequest
+	var req wire.DepgraphRequest
 	if err := s.decodeBody(r, &req); err != nil {
 		writeError(w, err)
 		return
@@ -652,7 +631,7 @@ func (s *Server) handleDepgraph(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePipeline(w http.ResponseWriter, r *http.Request) {
-	var req PipelineRequest
+	var req wire.PipelineRequest
 	if err := s.decodeBody(r, &req); err != nil {
 		writeError(w, err)
 		return
@@ -668,7 +647,7 @@ func (s *Server) handlePipeline(w http.ResponseWriter, r *http.Request) {
 // construction. It still runs on a pool slot under the request timeout, with
 // the same queue span and shed accounting as the cached endpoints.
 func (s *Server) handleReanalyze(w http.ResponseWriter, r *http.Request) {
-	var req ReanalyzeRequest
+	var req wire.ReanalyzeRequest
 	if err := s.decodeBody(r, &req); err != nil {
 		writeError(w, err)
 		return
@@ -698,9 +677,9 @@ func (s *Server) handleReanalyze(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleExperimentList(w http.ResponseWriter, _ *http.Request) {
-	defs := []ExperimentDef{}
+	defs := []wire.ExperimentDef{}
 	for _, d := range adds.ExperimentDefs() {
-		defs = append(defs, ExperimentDef{ID: d.ID, Title: d.Title})
+		defs = append(defs, wire.ExperimentDef{ID: d.ID, Title: d.Title})
 	}
 	writeJSON(w, http.StatusOK, defs)
 }
@@ -710,9 +689,9 @@ func (s *Server) handleExperimentList(w http.ResponseWriter, _ *http.Request) {
 // analyze/depgraph "oracle" field validates against. The rows derive from
 // the table, so a new oracle appears here without a server change.
 func (s *Server) handleOracleList(w http.ResponseWriter, _ *http.Request) {
-	infos := []OracleInfo{}
+	infos := []wire.OracleInfo{}
 	for _, o := range adds.Oracles() {
-		infos = append(infos, OracleInfo{Name: o.Name, Description: o.Description, AcceptsK: o.NeedsK})
+		infos = append(infos, wire.OracleInfo{Name: o.Name, Description: o.Description, AcceptsK: o.NeedsK})
 	}
 	writeJSON(w, http.StatusOK, infos)
 }

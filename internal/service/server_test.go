@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/adds/wire"
 	"repro/internal/core/pathmatrix"
 )
 
@@ -99,7 +100,7 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 
 func TestAnalyzeHappyPath(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, data := postJSON(t, ts.URL+"/v1/analyze", AnalyzeRequest{Source: shiftSrc, Fn: "shift"})
+	resp, data := postJSON(t, ts.URL+"/v1/analyze", wire.AnalyzeRequest{Source: shiftSrc, Fn: "shift"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, data)
 	}
@@ -160,7 +161,7 @@ void initlist(TwoWayLL *p) {
 }
 `
 	_, ts := newTestServer(t, Config{})
-	resp, data := postJSON(t, ts.URL+"/v1/analyze", AnalyzeRequest{Source: src})
+	resp, data := postJSON(t, ts.URL+"/v1/analyze", wire.AnalyzeRequest{Source: src})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, data)
 	}
@@ -211,7 +212,7 @@ func TestAnalyzeUnknownFieldRejected(t *testing.T) {
 
 func TestAnalyzeUnknownFunction(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, data := postJSON(t, ts.URL+"/v1/analyze", AnalyzeRequest{Source: shiftSrc, Fn: "nope"})
+	resp, data := postJSON(t, ts.URL+"/v1/analyze", wire.AnalyzeRequest{Source: shiftSrc, Fn: "nope"})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("status = %d, want 404; body %s", resp.StatusCode, data)
 	}
@@ -219,7 +220,7 @@ func TestAnalyzeUnknownFunction(t *testing.T) {
 
 func TestAnalyzeSourceErrorHasPosition(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, data := postJSON(t, ts.URL+"/v1/analyze", AnalyzeRequest{Source: "void f() { x = ; }"})
+	resp, data := postJSON(t, ts.URL+"/v1/analyze", wire.AnalyzeRequest{Source: "void f() { x = ; }"})
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("status = %d, want 422; body %s", resp.StatusCode, data)
 	}
@@ -238,7 +239,7 @@ func TestAnalyzeSourceErrorHasPosition(t *testing.T) {
 
 func TestAnalyzeUnknownOracle(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, data := postJSON(t, ts.URL+"/v1/analyze", AnalyzeRequest{Source: shiftSrc, Oracle: "psychic"})
+	resp, data := postJSON(t, ts.URL+"/v1/analyze", wire.AnalyzeRequest{Source: shiftSrc, Oracle: "psychic"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status = %d, want 400; body %s", resp.StatusCode, data)
 	}
@@ -246,7 +247,7 @@ func TestAnalyzeUnknownOracle(t *testing.T) {
 
 func TestAnalyzeTimeout(t *testing.T) {
 	_, ts := newTestServer(t, Config{RequestTimeout: time.Nanosecond})
-	resp, data := postJSON(t, ts.URL+"/v1/analyze", AnalyzeRequest{Source: shiftSrc, Fn: "shift"})
+	resp, data := postJSON(t, ts.URL+"/v1/analyze", wire.AnalyzeRequest{Source: shiftSrc, Fn: "shift"})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504; body %s", resp.StatusCode, data)
 	}
@@ -256,7 +257,7 @@ func TestAnalyzeCancelledContext(t *testing.T) {
 	s := New(Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	body, _ := json.Marshal(AnalyzeRequest{Source: shiftSrc, Fn: "shift"})
+	body, _ := json.Marshal(wire.AnalyzeRequest{Source: shiftSrc, Fn: "shift"})
 	req := httptest.NewRequest("POST", "/v1/analyze", bytes.NewReader(body)).WithContext(ctx)
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, req)
@@ -267,7 +268,7 @@ func TestAnalyzeCancelledContext(t *testing.T) {
 
 func TestAnalyzeCacheHitOnRepeat(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	req := AnalyzeRequest{Source: shiftSrc, Fn: "shift"}
+	req := wire.AnalyzeRequest{Source: shiftSrc, Fn: "shift"}
 	resp1, data1 := postJSON(t, ts.URL+"/v1/analyze", req)
 	resp2, data2 := postJSON(t, ts.URL+"/v1/analyze", req)
 	if resp1.StatusCode != 200 || resp2.StatusCode != 200 {
@@ -279,10 +280,10 @@ func TestAnalyzeCacheHitOnRepeat(t *testing.T) {
 	if !bytes.Equal(data1, data2) {
 		t.Errorf("cached response differs from computed response")
 	}
-	if h := s.Metrics().CacheHits(); h != 1 {
+	if h := s.Metrics().Count(CacheHits); h != 1 {
 		t.Errorf("cache hits = %d, want 1", h)
 	}
-	if m := s.Metrics().CacheMisses(); m != 1 {
+	if m := s.Metrics().Count(CacheMisses); m != 1 {
 		t.Errorf("cache misses = %d, want 1", m)
 	}
 }
@@ -301,7 +302,7 @@ func TestAnalyzeWorkersNotInKey(t *testing.T) {
 		workers int
 		want    string
 	}{{0, "miss"}, {1, "hit"}, {3, "hit"}} {
-		resp, data := postJSON(t, ts.URL+"/v1/analyze", AnalyzeRequest{Source: string(src), Workers: c.workers})
+		resp, data := postJSON(t, ts.URL+"/v1/analyze", wire.AnalyzeRequest{Source: string(src), Workers: c.workers})
 		if resp.StatusCode != 200 {
 			t.Fatalf("workers=%d: status %d: %s", c.workers, resp.StatusCode, data)
 		}
@@ -314,14 +315,14 @@ func TestAnalyzeWorkersNotInKey(t *testing.T) {
 			t.Errorf("workers=%d: body differs from the workers=0 body", c.workers)
 		}
 	}
-	body, err := json.Marshal(BatchRequest{Items: []AnalyzeRequest{{Source: string(src), Workers: 2}}})
+	body, err := json.Marshal(wire.BatchRequest{Items: []wire.AnalyzeRequest{{Source: string(src), Workers: 2}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp, out := postBatch(t, ts.URL, body); resp.StatusCode != 200 {
 		t.Fatalf("batch status %d: %s", resp.StatusCode, out)
 	}
-	if h := s.Metrics().CacheHits(); h != 3 {
+	if h := s.Metrics().Count(CacheHits); h != 3 {
 		t.Errorf("cache hits = %d, want 3 (two analyze repeats and the batch item)", h)
 	}
 }
@@ -338,17 +339,17 @@ func TestAnalyzeConcurrentIdenticalRequests(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, data := postJSON(t, ts.URL+"/v1/analyze", AnalyzeRequest{Source: shiftSrc})
+			resp, data := postJSON(t, ts.URL+"/v1/analyze", wire.AnalyzeRequest{Source: shiftSrc})
 			if resp.StatusCode != 200 {
 				t.Errorf("status = %d, body %s", resp.StatusCode, data)
 			}
 		}()
 	}
 	wg.Wait()
-	if m := s.Metrics().CacheMisses(); m != 1 {
+	if m := s.Metrics().Count(CacheMisses); m != 1 {
 		t.Errorf("cache misses = %d, want 1 (analysis must run once)", m)
 	}
-	total := s.Metrics().CacheMisses() + s.Metrics().CacheHits() + s.Metrics().CacheCoalesced()
+	total := s.Metrics().Count(CacheMisses) + s.Metrics().Count(CacheHits) + s.Metrics().Count(CacheCoalesced)
 	if total != n {
 		t.Errorf("outcomes = %d, want %d", total, n)
 	}
@@ -357,7 +358,7 @@ func TestAnalyzeConcurrentIdenticalRequests(t *testing.T) {
 func TestPipelineHappyPath(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, data := postJSON(t, ts.URL+"/v1/pipeline",
-		PipelineRequest{Source: shiftSrc, Fn: "shift", Loop: 0, Width: 8})
+		wire.PipelineRequest{Source: shiftSrc, Fn: "shift", Loop: 0, Width: 8})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, data)
 	}
@@ -383,7 +384,7 @@ func TestPipelineHappyPath(t *testing.T) {
 func TestPipelineNoSuchLoop(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, data := postJSON(t, ts.URL+"/v1/pipeline",
-		PipelineRequest{Source: shiftSrc, Fn: "shift", Loop: 7})
+		wire.PipelineRequest{Source: shiftSrc, Fn: "shift", Loop: 7})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("status = %d, want 404; body %s", resp.StatusCode, data)
 	}
@@ -392,7 +393,7 @@ func TestPipelineNoSuchLoop(t *testing.T) {
 func TestPipelineBadWidth(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, data := postJSON(t, ts.URL+"/v1/pipeline",
-		PipelineRequest{Source: shiftSrc, Fn: "shift", Width: -3})
+		wire.PipelineRequest{Source: shiftSrc, Fn: "shift", Width: -3})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status = %d, want 400; body %s", resp.StatusCode, data)
 	}
@@ -404,7 +405,7 @@ func TestExperimentEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var defs []ExperimentDef
+	var defs []wire.ExperimentDef
 	if err := json.NewDecoder(resp.Body).Decode(&defs); err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +492,7 @@ func TestHealthz(t *testing.T) {
 
 func TestMetricsScrape(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	req := AnalyzeRequest{Source: shiftSrc, Fn: "shift"}
+	req := wire.AnalyzeRequest{Source: shiftSrc, Fn: "shift"}
 	postJSON(t, ts.URL+"/v1/analyze", req)
 	postJSON(t, ts.URL+"/v1/analyze", req)
 

@@ -73,13 +73,13 @@ func TestRouteErrorsJSON(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("Content-Type = %q, want application/json", ct)
 	}
-	var body errorBody
+	var body wire.ErrorEnvelope
 	if err := json.Unmarshal(data, &body); err != nil || body.Error == "" {
 		t.Fatalf("404 body is not the error envelope: %v %q", err, data)
 	}
 
 	// The unversioned spellings are gone: only /v1 routes analyses.
-	analyzeBody, _ := json.Marshal(AnalyzeRequest{Source: shiftSrc, Fn: "shift"})
+	analyzeBody, _ := json.Marshal(wire.AnalyzeRequest{Source: shiftSrc, Fn: "shift"})
 	if resp, _ := do(t, "POST", ts.URL+"/analyze", analyzeBody, nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("POST /analyze status = %d, want 404", resp.StatusCode)
 	}
@@ -101,7 +101,7 @@ func TestRouteErrorsJSON(t *testing.T) {
 func TestDepgraphEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
-	resp, data := postJSON(t, ts.URL+"/v1/depgraph", DepgraphRequest{Source: shiftSrc, Fn: "shift"})
+	resp, data := postJSON(t, ts.URL+"/v1/depgraph", wire.DepgraphRequest{Source: shiftSrc, Fn: "shift"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d: %s", resp.StatusCode, data)
 	}
@@ -125,16 +125,16 @@ func TestDepgraphEndpoint(t *testing.T) {
 		t.Fatal("loop 0 has no dependence graph")
 	}
 
-	resp, _ = postJSON(t, ts.URL+"/v1/depgraph", DepgraphRequest{Source: shiftSrc, Fn: "nope"})
+	resp, _ = postJSON(t, ts.URL+"/v1/depgraph", wire.DepgraphRequest{Source: shiftSrc, Fn: "nope"})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown fn status = %d, want 404", resp.StatusCode)
 	}
 	bad := 7
-	resp, _ = postJSON(t, ts.URL+"/v1/depgraph", DepgraphRequest{Source: shiftSrc, Fn: "shift", Loop: &bad})
+	resp, _ = postJSON(t, ts.URL+"/v1/depgraph", wire.DepgraphRequest{Source: shiftSrc, Fn: "shift", Loop: &bad})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("bad loop status = %d, want 404", resp.StatusCode)
 	}
-	resp, _ = postJSON(t, ts.URL+"/v1/depgraph", DepgraphRequest{Source: shiftSrc})
+	resp, _ = postJSON(t, ts.URL+"/v1/depgraph", wire.DepgraphRequest{Source: shiftSrc})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("missing fn status = %d, want 400", resp.StatusCode)
 	}
@@ -258,7 +258,7 @@ func TestTraceparentPropagation(t *testing.T) {
 		hitID   = "2cf7651916cd43dd8448eb211c80319c"
 		someone = "b7ad6b7169203331"
 	)
-	body, _ := json.Marshal(AnalyzeRequest{Source: shiftSrc, Fn: "shift"})
+	body, _ := json.Marshal(wire.AnalyzeRequest{Source: shiftSrc, Fn: "shift"})
 	tp := func(id string) map[string]string {
 		return map[string]string{"traceparent": "00-" + id + "-" + someone + "-01"}
 	}
@@ -366,7 +366,7 @@ func TestTraceRealAnalysisSpans(t *testing.T) {
 	base := newHTTPServer(t, s)
 
 	const id = "3df7651916cd43dd8448eb211c80319c"
-	body, _ := json.Marshal(AnalyzeRequest{Source: shiftSrc, Fn: "shift"})
+	body, _ := json.Marshal(wire.AnalyzeRequest{Source: shiftSrc, Fn: "shift"})
 	resp, data := do(t, "POST", base+"/v1/analyze", body,
 		map[string]string{"traceparent": "00-" + id + "-b7ad6b7169203331-01"})
 	if resp.StatusCode != http.StatusOK {
@@ -459,7 +459,7 @@ void detach(TwoWayLL *h) {
 
 	post := func(src string) wire.ReanalyzeResponse {
 		t.Helper()
-		resp, data := postJSON(t, ts.URL+"/v1/reanalyze", ReanalyzeRequest{Source: src})
+		resp, data := postJSON(t, ts.URL+"/v1/reanalyze", wire.ReanalyzeRequest{Source: src})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status = %d, body %s", resp.StatusCode, data)
 		}

@@ -53,31 +53,6 @@ func (e *TooLargeError) Error() string {
 // callers that only branch on ErrBadRequest.
 func (e *TooLargeError) Unwrap() error { return ErrBadRequest }
 
-// The request/response shapes live in the public adds/wire package so
-// clients can share them; the aliases keep every existing reference in this
-// package (and the encoded bytes, pinned by the goldens) unchanged.
-type (
-	AnalyzeRequest    = wire.AnalyzeRequest
-	LoopResult        = wire.LoopResult
-	OracleComparison  = wire.OracleComparison
-	ValidationResult  = wire.ValidationResult
-	FunctionResult    = wire.FunctionResult
-	AnalyzeResponse   = wire.AnalyzeResponse
-	DepgraphRequest   = wire.DepgraphRequest
-	LoopDeps          = wire.LoopDeps
-	DepgraphResponse  = wire.DepgraphResponse
-	PipelineRequest   = wire.PipelineRequest
-	PipelineResponse  = wire.PipelineResponse
-	ExperimentDef     = wire.ExperimentDef
-	OracleInfo        = wire.OracleInfo
-	ReanalyzeRequest  = wire.ReanalyzeRequest
-	SummaryStats      = wire.SummaryStats
-	ReanalyzeResponse = wire.ReanalyzeResponse
-	BatchRequest      = wire.BatchRequest
-	BatchItemResult   = wire.BatchItemResult
-	ErrorEnvelope     = wire.ErrorEnvelope
-)
-
 // oracleFor resolves the request's oracle selection against an analysis
 // through the registry; unknown names are 400s. The context carries the
 // request's tracer so oracle-internal spans land on its trace.
@@ -89,10 +64,10 @@ func oracleFor(ctx context.Context, an *adds.Analysis, name string, k int) (adds
 	return o, nil
 }
 
-// BuildAnalyze runs the analysis an AnalyzeRequest describes and assembles
+// BuildAnalyze runs the analysis a wire.AnalyzeRequest describes and assembles
 // the response. It is the single implementation behind POST /v1/analyze and
 // addsc -format json, so the daemon and the CLI can never drift apart.
-func BuildAnalyze(ctx context.Context, req *AnalyzeRequest) (*AnalyzeResponse, error) {
+func BuildAnalyze(ctx context.Context, req *wire.AnalyzeRequest) (*wire.AnalyzeResponse, error) {
 	resp, _, err := buildAnalyze(ctx, req)
 	return resp, err
 }
@@ -103,7 +78,7 @@ func BuildAnalyze(ctx context.Context, req *AnalyzeRequest) (*AnalyzeResponse, e
 // oracles the response was built from, assembled exactly as BuildPipeline
 // assembles a POST /v1/pipeline body. Width 0 selects that endpoint's
 // default.
-func BuildAnalyzePipelines(ctx context.Context, req *AnalyzeRequest, width int) (*AnalyzeResponse, []*PipelineResponse, error) {
+func BuildAnalyzePipelines(ctx context.Context, req *wire.AnalyzeRequest, width int) (*wire.AnalyzeResponse, []*wire.PipelineResponse, error) {
 	width, err := pipelineWidth(width)
 	if err != nil {
 		return nil, nil, err
@@ -112,7 +87,7 @@ func BuildAnalyzePipelines(ctx context.Context, req *AnalyzeRequest, width int) 
 	if err != nil {
 		return nil, nil, err
 	}
-	var out []*PipelineResponse
+	var out []*wire.PipelineResponse
 	for _, fa := range analyzed {
 		for i := 0; i < fa.an.Loops(); i++ {
 			p, err := buildPipeline(ctx, fa.an, fa.oracle, i, width)
@@ -134,7 +109,7 @@ type analyzedFunc struct {
 
 // buildAnalyze is BuildAnalyze, also returning each response function's
 // analysis and request oracle in response order.
-func buildAnalyze(ctx context.Context, req *AnalyzeRequest) (*AnalyzeResponse, []analyzedFunc, error) {
+func buildAnalyze(ctx context.Context, req *wire.AnalyzeRequest) (*wire.AnalyzeResponse, []analyzedFunc, error) {
 	oracleName, err := adds.ParseOracle(req.Oracle)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
@@ -163,7 +138,7 @@ func buildAnalyze(ctx context.Context, req *AnalyzeRequest) (*AnalyzeResponse, [
 		}
 	}
 
-	resp := &AnalyzeResponse{EngineVersion: pathmatrix.EngineVersion, Functions: []FunctionResult{}}
+	resp := &wire.AnalyzeResponse{EngineVersion: pathmatrix.EngineVersion, Functions: []wire.FunctionResult{}}
 	analyzed := make([]analyzedFunc, 0, len(names))
 	for _, name := range names {
 		an := analyses[name]
@@ -172,16 +147,16 @@ func buildAnalyze(ctx context.Context, req *AnalyzeRequest) (*AnalyzeResponse, [
 			return nil, nil, err
 		}
 		analyzed = append(analyzed, analyzedFunc{an: an, oracle: oracle})
-		fr := FunctionResult{
+		fr := wire.FunctionResult{
 			Name:     name,
 			Loops:    an.Loops(),
 			Entry:    an.EntryMatrix(),
 			Exit:     an.ExitMatrix(),
-			LoopData: []LoopResult{},
-			Oracles:  []OracleComparison{},
+			LoopData: []wire.LoopResult{},
+			Oracles:  []wire.OracleComparison{},
 		}
 		val := an.Validation()
-		fr.Validation = ValidationResult{ValidEverywhere: val.ValidEverywhere(), Intervals: []string{}}
+		fr.Validation = wire.ValidationResult{ValidEverywhere: val.ValidEverywhere(), Intervals: []string{}}
 		for _, iv := range val.Intervals() {
 			fr.Validation.Intervals = append(fr.Validation.Intervals, iv.String())
 		}
@@ -190,7 +165,7 @@ func buildAnalyze(ctx context.Context, req *AnalyzeRequest) (*AnalyzeResponse, [
 		cmpOracles := map[string]adds.Oracle{}
 		for i := 0; i < an.Loops(); i++ {
 			dg := an.DependencesCtx(ctx, i, oracle)
-			fr.LoopData = append(fr.LoopData, LoopResult{
+			fr.LoopData = append(fr.LoopData, wire.LoopResult{
 				Index:           i,
 				Matrix:          an.LoopMatrix(i),
 				Iteration:       an.IterationMatrix(i),
@@ -212,7 +187,7 @@ func buildAnalyze(ctx context.Context, req *AnalyzeRequest) (*AnalyzeResponse, [
 					}
 					cdg = an.Dependences(i, o)
 				}
-				fr.Oracles = append(fr.Oracles, OracleComparison{
+				fr.Oracles = append(fr.Oracles, wire.OracleComparison{
 					Oracle:          cmp,
 					Loop:            i,
 					CarriedMemEdges: len(cdg.CarriedMemEdges()),
@@ -229,12 +204,12 @@ func buildAnalyze(ctx context.Context, req *AnalyzeRequest) (*AnalyzeResponse, [
 	return resp, analyzed, nil
 }
 
-// BuildReanalyze re-runs whole-program analysis for a ReanalyzeRequest and
+// BuildReanalyze re-runs whole-program analysis for a wire.ReanalyzeRequest and
 // reports this run's interprocedural summary-cache behavior. It backs POST
 // /v1/reanalyze and deliberately bypasses the daemon's response cache: the
 // computed/reused counters describe the run that produced them (a cached
 // first-run response would keep reporting cold-cache numbers forever).
-func BuildReanalyze(ctx context.Context, req *ReanalyzeRequest) (*ReanalyzeResponse, error) {
+func BuildReanalyze(ctx context.Context, req *wire.ReanalyzeRequest) (*wire.ReanalyzeResponse, error) {
 	unit, err := adds.LoadCtx(ctx, []byte(req.Source))
 	if err != nil {
 		return nil, err
@@ -243,23 +218,23 @@ func BuildReanalyze(ctx context.Context, req *ReanalyzeRequest) (*ReanalyzeRespo
 	if err != nil {
 		return nil, err
 	}
-	resp := &ReanalyzeResponse{EngineVersion: pathmatrix.EngineVersion, Functions: []string{}}
+	resp := &wire.ReanalyzeResponse{EngineVersion: pathmatrix.EngineVersion, Functions: []string{}}
 	for _, fd := range unit.Prog.Funcs {
 		resp.Functions = append(resp.Functions, fd.Name)
 	}
 	// All analyses of one run share the same table; any entry reports it.
 	for _, an := range analyses {
 		if tab := an.SummaryTable(); tab != nil {
-			resp.Summaries = SummaryStats{Computed: tab.Computed, Reused: tab.Reused}
+			resp.Summaries = wire.SummaryStats{Computed: tab.Computed, Reused: tab.Reused}
 			break
 		}
 	}
 	return resp, nil
 }
 
-// BuildDepgraph computes the dependence graphs a DepgraphRequest selects.
+// BuildDepgraph computes the dependence graphs a wire.DepgraphRequest selects.
 // Backs POST /v1/depgraph.
-func BuildDepgraph(ctx context.Context, req *DepgraphRequest) (*DepgraphResponse, error) {
+func BuildDepgraph(ctx context.Context, req *wire.DepgraphRequest) (*wire.DepgraphResponse, error) {
 	if req.Fn == "" {
 		return nil, fmt.Errorf("%w: missing fn", ErrBadRequest)
 	}
@@ -286,15 +261,15 @@ func BuildDepgraph(ctx context.Context, req *DepgraphRequest) (*DepgraphResponse
 		}
 		lo, hi = *req.Loop, *req.Loop+1
 	}
-	resp := &DepgraphResponse{
+	resp := &wire.DepgraphResponse{
 		EngineVersion: pathmatrix.EngineVersion,
 		Fn:            req.Fn,
 		Oracle:        oracleName,
-		Loops:         []LoopDeps{},
+		Loops:         []wire.LoopDeps{},
 	}
 	for i := lo; i < hi; i++ {
 		dg := an.DependencesCtx(ctx, i, oracle)
-		resp.Loops = append(resp.Loops, LoopDeps{
+		resp.Loops = append(resp.Loops, wire.LoopDeps{
 			Index:           i,
 			Dependences:     dg,
 			CarriedMemEdges: len(dg.CarriedMemEdges()),
@@ -306,10 +281,10 @@ func BuildDepgraph(ctx context.Context, req *DepgraphRequest) (*DepgraphResponse
 	return resp, nil
 }
 
-// BuildPipeline runs the pipelining analysis a PipelineRequest describes.
+// BuildPipeline runs the pipelining analysis a wire.PipelineRequest describes.
 // Backs POST /v1/pipeline; addsc -format json -show pipeline assembles the
 // same bodies through BuildAnalyzePipelines.
-func BuildPipeline(ctx context.Context, req *PipelineRequest) (*PipelineResponse, error) {
+func BuildPipeline(ctx context.Context, req *wire.PipelineRequest) (*wire.PipelineResponse, error) {
 	if req.Fn == "" {
 		return nil, fmt.Errorf("%w: missing fn", ErrBadRequest)
 	}
@@ -352,8 +327,8 @@ func pipelineWidth(width int) (int, error) {
 // replaced by the emitted schedule's info when the paper's full
 // transformation succeeds. It is the one assembly behind BuildPipeline and
 // BuildAnalyzePipelines.
-func buildPipeline(ctx context.Context, an *adds.Analysis, oracle adds.Oracle, i, width int) (*PipelineResponse, error) {
-	resp := &PipelineResponse{
+func buildPipeline(ctx context.Context, an *adds.Analysis, oracle adds.Oracle, i, width int) (*wire.PipelineResponse, error) {
+	resp := &wire.PipelineResponse{
 		EngineVersion: pathmatrix.EngineVersion,
 		Fn:            an.Fn.Decl.Name, Loop: i, Width: width,
 		Info: an.AnalyzePipeline(i, oracle, width),

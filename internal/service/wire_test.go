@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/adds"
+	"repro/adds/wire"
 	"repro/internal/obs"
 )
 
@@ -26,8 +27,8 @@ func TestBuildRunsEachFixpointOnce(t *testing.T) {
 		return string(src)
 	}
 	ctx := context.Background()
-	analyze := &AnalyzeRequest{Source: read("../../testdata/listops.mini")}
-	pipeline := &PipelineRequest{Source: read("../../examples/shift.mini"), Fn: "shift"}
+	analyze := &wire.AnalyzeRequest{Source: read("../../testdata/listops.mini")}
+	pipeline := &wire.PipelineRequest{Source: read("../../examples/shift.mini"), Fn: "shift"}
 	for _, c := range []struct {
 		name  string
 		want  uint64
@@ -68,7 +69,7 @@ func TestBuildAnalyzeBuildsTablesOnce(t *testing.T) {
 		}
 		tr := obs.NewTracer(1)
 		ctx, root := tr.StartRoot(context.Background(), "test", obs.TraceID{})
-		if _, err := BuildAnalyze(ctx, &AnalyzeRequest{Source: string(src)}); err != nil {
+		if _, err := BuildAnalyze(ctx, &wire.AnalyzeRequest{Source: string(src)}); err != nil {
 			t.Fatalf("%s: %v", file, err)
 		}
 		root.End()
@@ -101,7 +102,7 @@ func TestEngineSumsMatchSpans(t *testing.T) {
 		tr := obs.NewTracer(1)
 		ctx, root := tr.StartRoot(context.Background(), "test", obs.TraceID{})
 		before := adds.ReadEngineStats()
-		if _, err := BuildAnalyze(ctx, &AnalyzeRequest{Source: string(src), Workers: 1}); err != nil {
+		if _, err := BuildAnalyze(ctx, &wire.AnalyzeRequest{Source: string(src), Workers: 1}); err != nil {
 			t.Fatalf("%s: %v", file, err)
 		}
 		after := adds.ReadEngineStats()
