@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/alias"
 	"repro/internal/alias/klimit"
-	"repro/internal/alias/smg"
 	"repro/internal/core/pathmatrix"
 	"repro/internal/core/validation"
 	"repro/internal/depgraph"
@@ -225,12 +224,6 @@ func (a *Analysis) KLimitedOracle(k int) Oracle {
 	return klimit.Analyze(a.Graph, a.Unit.Info.Env, k)
 }
 
-// SMGOracle returns the SMG-lite symbolic-memory-graph oracle (Predator-
-// style segments with materialization on strong update).
-func (a *Analysis) SMGOracle() Oracle {
-	return smg.Analyze(a.Graph, a.Unit.Info.Env)
-}
-
 // options builds dependence options for loop i under an oracle.
 func (a *Analysis) options(i int, o Oracle) depgraph.Options {
 	return depgraph.Options{
@@ -350,10 +343,6 @@ type ExperimentDef = exper.Def
 // ExperimentDefs returns the experiment registry (ids and titles) without
 // running anything.
 func ExperimentDefs() []ExperimentDef { return exper.Defs() }
-
-// Experiments regenerates every table and figure of the paper's evaluation
-// (the experiment index in DESIGN.md).
-func Experiments() []*Report { return exper.All() }
 
 // Experiment regenerates one experiment by id ("E1".."E10").
 func Experiment(id string) *Report { return exper.ByID(id) }

@@ -1,7 +1,6 @@
 package adds
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -102,8 +101,6 @@ func ExitCode(err error) int {
 		return ExitWidth
 	case errors.Is(err, ErrDivergence):
 		return ExitDivergence
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		return ExitInternal
 	}
 	return ExitInternal
 }

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -24,11 +25,11 @@ import (
 	"os"
 	"runtime/pprof"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/adds"
 	"repro/internal/cli"
+	"repro/internal/par"
 )
 
 func main() {
@@ -49,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list experiments without running them")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
-	par := cli.RegisterPar(fs, "experiment")
+	parFlag := cli.RegisterPar(fs, "experiment")
 	format := cli.RegisterFormat(fs, "text", "text", "json")
 	lf := cli.RegisterLogFlags(fs, "text")
 	if err := fs.Parse(args); err != nil {
@@ -117,49 +118,19 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 		}
 	}
 
-	// Run experiments with a bounded worker pool, buffering each report so
+	// Run experiments on at most -par workers, buffering each report so
 	// output order matches request order regardless of worker scheduling.
-	workers, note := effectiveWorkers(*par, *cpuprofile != "", len(toRun))
+	// A panicking experiment surfaces here, where run's recover formats it.
+	workers, note := effectiveWorkers(*parFlag, *cpuprofile != "")
 	if note != "" {
 		fmt.Fprintln(stderr, "addsbench:", note)
 	}
 	start := time.Now()
 	reports := make([]*adds.Report, len(toRun))
-	if workers <= 1 {
-		for i, d := range toRun {
-			reports[i] = d.Run()
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		panics := make([]any, workers)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						panics[w] = r
-						for range next { // keep the feeder unblocked
-						}
-					}
-				}()
-				for i := range next {
-					reports[i] = toRun[i].Run()
-				}
-			}(w)
-		}
-		for i := range toRun {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-		for _, p := range panics {
-			if p != nil {
-				panic(p) // surface on the caller, where run's recover formats it
-			}
-		}
-	}
+	par.Each(context.Background(), len(toRun), workers, func(i int) error { //nolint:errcheck // never fails: no ctx, f returns nil
+		reports[i] = toRun[i].Run()
+		return nil
+	})
 	lg.Debug("experiments complete", "count", len(reports), "workers", workers,
 		"elapsed", time.Since(start))
 
@@ -175,19 +146,16 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 	return status
 }
 
-// effectiveWorkers bounds the worker pool. A CPU profile and a parallel run
-// do not mix — pprof samples every goroutine into one profile, so -par N
-// turns the per-experiment attribution into an unreadable interleaving; when
-// both are requested the experiments run serially and the caller is told.
-func effectiveWorkers(par int, profiling bool, n int) (workers int, note string) {
-	workers = par
-	if workers <= 0 || workers > n {
-		workers = n
+// effectiveWorkers applies the -cpuprofile rule to -par. A CPU profile and
+// a parallel run do not mix — pprof samples every goroutine into one
+// profile, so -par N turns the per-experiment attribution into an
+// unreadable interleaving; when both are requested the experiments run
+// serially and the caller is told.
+func effectiveWorkers(n int, profiling bool) (workers int, note string) {
+	if profiling && n != 1 {
+		return 1, fmt.Sprintf("-cpuprofile forces serial execution (ignoring -par %d)", n)
 	}
-	if profiling && workers > 1 {
-		return 1, fmt.Sprintf("-cpuprofile forces serial execution (ignoring -par %d)", par)
-	}
-	return workers, ""
+	return n, ""
 }
 
 func writeIndentedJSON(stdout, stderr io.Writer, fail func(error) int, v any) int {

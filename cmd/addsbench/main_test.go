@@ -69,22 +69,21 @@ func TestEffectiveWorkers(t *testing.T) {
 	cases := []struct {
 		par       int
 		profiling bool
-		n         int
 		want      int
 		wantNote  bool
 	}{
-		{par: 0, profiling: false, n: 4, want: 4},
-		{par: 8, profiling: false, n: 4, want: 4},
-		{par: 2, profiling: false, n: 4, want: 2},
-		{par: 4, profiling: true, n: 4, want: 1, wantNote: true},
-		{par: 0, profiling: true, n: 4, want: 1, wantNote: true},
-		{par: 1, profiling: true, n: 4, want: 1}, // already serial: no note
+		{par: 0, profiling: false, want: 0}, // par.Each reads 0 as GOMAXPROCS
+		{par: 8, profiling: false, want: 8}, // and caps the count at the experiments
+		{par: 2, profiling: false, want: 2},
+		{par: 4, profiling: true, want: 1, wantNote: true},
+		{par: 0, profiling: true, want: 1, wantNote: true},
+		{par: 1, profiling: true, want: 1}, // already serial: no note
 	}
 	for _, c := range cases {
-		got, note := effectiveWorkers(c.par, c.profiling, c.n)
+		got, note := effectiveWorkers(c.par, c.profiling)
 		if got != c.want || (note != "") != c.wantNote {
-			t.Errorf("effectiveWorkers(%d, %t, %d) = %d, %q; want %d, note=%t",
-				c.par, c.profiling, c.n, got, note, c.want, c.wantNote)
+			t.Errorf("effectiveWorkers(%d, %t) = %d, %q; want %d, note=%t",
+				c.par, c.profiling, got, note, c.want, c.wantNote)
 		}
 	}
 }

@@ -23,6 +23,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -32,10 +33,10 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/gen"
+	"repro/internal/par"
 )
 
 func main() {
@@ -131,19 +132,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jobs := plan(*seed, *requests, *pool, weights, pr, bases)
 	client := &http.Client{Timeout: *timeout}
 	samples := make([]sample, len(jobs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, *concurrency)
 	start := time.Now()
-	for i, j := range jobs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, j job) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			samples[i] = send(client, j)
-		}(i, j)
-	}
-	wg.Wait()
+	par.Each(context.Background(), len(jobs), *concurrency, func(i int) error { //nolint:errcheck // never fails: no ctx, f returns nil
+		samples[i] = send(client, jobs[i])
+		return nil
+	})
 	elapsed := time.Since(start)
 
 	rep := summarize(samples, len(bases), elapsed)

@@ -22,10 +22,10 @@ import (
 	"strings"
 )
 
-// DefaultVirtualNodes is the per-peer vnode count. 128 points per peer
+// virtualNodes is the per-peer vnode count. 128 points per peer
 // keeps the owned-share imbalance of a small cluster within a few percent
 // while the whole ring for a dozen peers still fits in one cache line scan.
-const DefaultVirtualNodes = 128
+const virtualNodes = 128
 
 // point is one virtual node on the ring.
 type point struct {
@@ -41,14 +41,11 @@ type Ring struct {
 	points []point
 }
 
-// New builds a ring over the peer addresses with vnodes virtual nodes per
-// peer (vnodes < 1 selects DefaultVirtualNodes). Peers are trimmed,
-// deduplicated, and sorted, so every process handed the same set — in any
-// order, with any spacing — builds the identical ring.
-func New(peers []string, vnodes int) (*Ring, error) {
-	if vnodes < 1 {
-		vnodes = DefaultVirtualNodes
-	}
+// New builds a ring over the peer addresses with virtualNodes points per
+// peer. Peers are trimmed, deduplicated, and sorted, so every process
+// handed the same set — in any order, with any spacing — builds the
+// identical ring.
+func New(peers []string) (*Ring, error) {
 	seen := map[string]bool{}
 	var clean []string
 	for _, p := range peers {
@@ -66,9 +63,9 @@ func New(peers []string, vnodes int) (*Ring, error) {
 		return nil, fmt.Errorf("cluster: no peers")
 	}
 	sort.Strings(clean)
-	r := &Ring{peers: clean, points: make([]point, 0, len(clean)*vnodes)}
+	r := &Ring{peers: clean, points: make([]point, 0, len(clean)*virtualNodes)}
 	for _, p := range clean {
-		for i := 0; i < vnodes; i++ {
+		for i := 0; i < virtualNodes; i++ {
 			r.points = append(r.points, point{hash: pointHash(p, i), peer: p, vn: i})
 		}
 	}

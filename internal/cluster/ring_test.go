@@ -28,7 +28,7 @@ func TestRingDeterministicPlacement(t *testing.T) {
 	}
 	var want []string
 	for oi, peers := range orders {
-		r, err := New(peers, 0)
+		r, err := New(peers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func TestRingDeterministicPlacement(t *testing.T) {
 		}
 	}
 	// A freshly built ring in a "different process" (new allocation) agrees.
-	r2, _ := New([]string{"a:1", "b:2", "c:3"}, 0)
+	r2, _ := New([]string{"a:1", "b:2", "c:3"})
 	for i, k := range keys {
 		if r2.Owner(k) != want[i] {
 			t.Fatalf("fresh ring disagrees on %s: %s vs %s", k, r2.Owner(k), want[i])
@@ -55,7 +55,7 @@ func TestRingDeterministicPlacement(t *testing.T) {
 
 func TestRingDistribution(t *testing.T) {
 	peers := []string{"a:1", "b:2", "c:3", "d:4"}
-	r, err := New(peers, 0)
+	r, err := New(peers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +78,8 @@ func TestRingDistribution(t *testing.T) {
 // defining property — a rebalance never shuffles keys between old peers).
 func TestRingRebalanceAdd(t *testing.T) {
 	keys := sampleKeys(20000)
-	old, _ := New([]string{"a:1", "b:2", "c:3", "d:4"}, 0)
-	grown, _ := New([]string{"a:1", "b:2", "c:3", "d:4", "e:5"}, 0)
+	old, _ := New([]string{"a:1", "b:2", "c:3", "d:4"})
+	grown, _ := New([]string{"a:1", "b:2", "c:3", "d:4", "e:5"})
 	moved := 0
 	for _, k := range keys {
 		was, is := old.Owner(k), grown.Owner(k)
@@ -101,8 +101,8 @@ func TestRingRebalanceAdd(t *testing.T) {
 // Removing a peer moves exactly that peer's keys; everything else stays.
 func TestRingRebalanceRemove(t *testing.T) {
 	keys := sampleKeys(20000)
-	full, _ := New([]string{"a:1", "b:2", "c:3", "d:4"}, 0)
-	shrunk, _ := New([]string{"a:1", "b:2", "d:4"}, 0)
+	full, _ := New([]string{"a:1", "b:2", "c:3", "d:4"})
+	shrunk, _ := New([]string{"a:1", "b:2", "d:4"})
 	for _, k := range keys {
 		was, is := full.Owner(k), shrunk.Owner(k)
 		if was == "c:3" {
@@ -118,19 +118,19 @@ func TestRingRebalanceRemove(t *testing.T) {
 }
 
 func TestRingValidation(t *testing.T) {
-	if _, err := New(nil, 0); err == nil {
+	if _, err := New(nil); err == nil {
 		t.Error("empty peer list must be rejected")
 	}
-	if _, err := New([]string{"", "  "}, 0); err == nil {
+	if _, err := New([]string{"", "  "}); err == nil {
 		t.Error("blank-only peer list must be rejected")
 	}
-	if _, err := New([]string{"a:1", "a:1"}, 0); err == nil {
+	if _, err := New([]string{"a:1", "a:1"}); err == nil {
 		t.Error("duplicate peers must be rejected")
 	}
 }
 
 func TestRingHas(t *testing.T) {
-	r, _ := New([]string{"b:2", "a:1"}, 4)
+	r, _ := New([]string{"b:2", "a:1"})
 	if !r.Has("a:1") || !r.Has("b:2") {
 		t.Error("Has must report configured peers")
 	}

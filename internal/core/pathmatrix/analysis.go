@@ -3,13 +3,12 @@ package pathmatrix
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/norm"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/shape"
 	"repro/internal/source/types"
 )
@@ -544,22 +543,15 @@ type FuncResult struct {
 	Result *Result
 }
 
-// AnalyzeProgramCtx analyzes every function of a checked program with a
-// bounded worker pool. workers <= 0 means GOMAXPROCS. Cancelling ctx stops
-// the remaining work and returns ctx's error.
+// AnalyzeProgramCtx analyzes every function of a checked program on at most
+// workers goroutines (par.Each: workers <= 0 means GOMAXPROCS). Cancelling
+// ctx stops the remaining work and returns ctx's error.
 func AnalyzeProgramCtx(ctx context.Context, info *types.Info, env *shape.Env, workers int) (map[string]*FuncResult, error) {
 	names := make([]string, 0, len(info.Funcs))
 	for name := range info.Funcs {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(names) {
-		workers = len(names)
-	}
 
 	// The summary table is computed serially up front (bottom-up over the
 	// call graph) and then shared read-only by all workers, so the result is
@@ -570,63 +562,24 @@ func AnalyzeProgramCtx(ctx context.Context, info *types.Info, env *shape.Env, wo
 		return nil, err
 	}
 
-	analyzeOne := func(name string) (*FuncResult, error) {
-		fi := info.Funcs[name]
+	// Results are slotted by position in the sorted name list, so the output
+	// map is identical regardless of which worker analyzed which function.
+	results := make([]*FuncResult, len(names))
+	err = par.Each(ctx, len(names), workers, func(i int) error {
+		name := names[i]
 		fctx, span := obs.Start(ctx, "analyze")
 		span.SetAttr("fn", name)
 		g := tab.Graph(name)
 		r, err := AnalyzeCtxWith(fctx, g, env, tab)
 		span.End()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return &FuncResult{Info: fi, Graph: g, Result: r}, nil
-	}
-
-	// Results are slotted by position in the sorted name list, so the output
-	// map is identical regardless of which worker analyzed which function.
-	results := make([]*FuncResult, len(names))
-	errs := make([]error, workers)
-	panics := make([]any, workers)
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panics[w] = r
-				}
-			}()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(names) {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					errs[w] = err
-					return
-				}
-				fr, err := analyzeOne(names[i])
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				results[i] = fr
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, p := range panics {
-		if p != nil {
-			panic(p) // surface worker panics on the calling goroutine
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+		results[i] = &FuncResult{Info: info.Funcs[name], Graph: g, Result: r}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	out := make(map[string]*FuncResult, len(names))
 	for i, name := range names {

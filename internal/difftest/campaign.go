@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"sync"
 
 	"repro/internal/gen"
+	"repro/internal/par"
 )
 
 // Campaign describes one fuzzing run: Budget programs total, rotating
@@ -50,15 +50,12 @@ type Report struct {
 }
 
 // Run executes the campaign. The returned report orders divergences by
-// (profile, seed, check) regardless of worker interleaving.
+// (profile, seed, check) regardless of worker interleaving. A panic in a
+// worker is re-raised on the caller's goroutine once the others stop.
 func (c Campaign) Run(ctx context.Context) (*Report, error) {
 	profiles, err := c.profiles()
 	if err != nil {
 		return nil, err
-	}
-	jobs := c.Jobs
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
 	}
 	if c.Budget < 0 {
 		return nil, fmt.Errorf("negative budget %d", c.Budget)
@@ -69,38 +66,22 @@ func (c Campaign) Run(ctx context.Context) (*Report, error) {
 	}
 
 	total := c.Budget
-	work := make(chan int)
 	results := make([][]Divergence, total)
-
 	var (
-		wg   sync.WaitGroup
 		mu   sync.Mutex
 		done int
 	)
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				if ctx.Err() != nil {
-					continue // drain without working
-				}
-				results[i] = DiffOne(c.Seed+int64(i), profiles[i%len(profiles)], c.Config)
-				if c.Progress != nil {
-					mu.Lock()
-					done++
-					c.Progress(done, total)
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := 0; i < total; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	err = par.Each(ctx, total, c.Jobs, func(i int) error {
+		results[i] = DiffOne(c.Seed+int64(i), profiles[i%len(profiles)], c.Config)
+		if c.Progress != nil {
+			mu.Lock()
+			done++
+			c.Progress(done, total)
+			mu.Unlock()
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 

@@ -293,3 +293,32 @@ func TestCampaignUnknownProfile(t *testing.T) {
 		t.Fatal("want error for unknown profile")
 	}
 }
+
+// panicOracle fails the way a crashing analysis would: every may-alias
+// query panics.
+type panicOracle struct{ alias.Oracle }
+
+func (panicOracle) MayAlias(*norm.Node, string, string) bool { panic("oracle crashed") }
+
+// TestCampaignPanicReachesCaller: a panic inside a campaign worker must
+// surface on Run's caller, where a recover can report it, instead of
+// crashing the process from the worker goroutine.
+func TestCampaignPanicReachesCaller(t *testing.T) {
+	c := Campaign{
+		Seed:     1,
+		Budget:   2,
+		Jobs:     2,
+		Profiles: []string{"list"},
+		Config: Config{
+			Checks:     []string{CheckSoundness},
+			WrapOracle: func(o alias.Oracle) alias.Oracle { return panicOracle{Oracle: o} },
+		},
+	}
+	defer func() {
+		if v := recover(); v != "oracle crashed" {
+			t.Fatalf("recovered %v, want the oracle's panic", v)
+		}
+	}()
+	c.Run(context.Background()) //nolint:errcheck
+	t.Fatal("Run returned instead of re-raising the worker's panic")
+}

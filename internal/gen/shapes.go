@@ -860,9 +860,3 @@ func specFor(name string) *structureSpec {
 	}
 	return s
 }
-
-// Structures lists the structure names Generate can produce: the paper's
-// four, then the hostile additions.
-func Structures() []string {
-	return []string{"TwoWayLL", "PBinTree", "CirL", "LOLS", "ThreadTree", "SkipL", "CirLOL"}
-}

@@ -10,6 +10,7 @@ import (
 
 	"repro/adds/wire"
 	"repro/internal/core/pathmatrix"
+	"repro/internal/par"
 )
 
 // handleBatch serves POST /v1/batch: many analyze requests in one call,
@@ -49,19 +50,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i := range done {
 		done[i] = make(chan struct{})
 	}
-	sem := make(chan struct{}, max(1, min(s.cfg.Workers, 4)))
-	for i := range req.Items {
-		go func(i int) {
-			defer close(done[i])
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-ctx.Done():
-				return // the emitter stopped with the client; no line needed
-			}
-			lines[i] = s.batchLine(ctx, i, &req.Items[i], forwarded)
-		}(i)
-	}
+	// Items start in order; once the client is gone no new one starts and
+	// the emitter, which watches ctx itself, has already returned, so Each's
+	// error carries nothing to report.
+	go par.Each(ctx, n, max(1, min(s.cfg.Workers, 4)), func(i int) error { //nolint:errcheck
+		defer close(done[i])
+		lines[i] = s.batchLine(ctx, i, &req.Items[i], forwarded)
+		return nil
+	})
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
@@ -70,9 +66,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-done[i]:
 		case <-ctx.Done():
-			return
-		}
-		if lines[i] == nil {
 			return
 		}
 		w.Write(lines[i])     //nolint:errcheck

@@ -30,7 +30,7 @@ func newClusterState(cfg Config) (*clusterState, string) {
 	if len(cfg.Peers) == 0 {
 		return nil, ""
 	}
-	ring, err := cluster.New(cfg.Peers, 0)
+	ring, err := cluster.New(cfg.Peers)
 	if err != nil {
 		return nil, err.Error()
 	}

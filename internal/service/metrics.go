@@ -163,17 +163,6 @@ func (m *Metrics) ObserveFixpointIters(n int) {
 	m.mu.Unlock()
 }
 
-// PhaseCount reports how many observations a phase histogram holds (tests
-// and the smoke job assert phases actually record).
-func (m *Metrics) PhaseCount(phase string) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if h := m.phases[phase]; h != nil {
-		return h.total
-	}
-	return 0
-}
-
 // ObserveRequest records one finished request.
 func (m *Metrics) ObserveRequest(endpoint string, code int, d time.Duration) {
 	m.mu.Lock()

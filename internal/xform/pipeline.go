@@ -131,9 +131,8 @@ func AnalyzePipeline(p *ir.Program, l *ir.LoopInfo, opt depgraph.Options, width 
 //
 // plus any number of loop-invariant loads, which the emitter hoists.
 type listPattern struct {
-	v       string // traversal pointer
-	adv     string // advance field
-	brIdx   int
+	v       string      // traversal pointer
+	adv     string      // advance field
 	hoisted []*ir.Instr // invariant loads moved to the preheader
 	load    *ir.Instr   // compute load (nil for chain-0)
 	arith   *ir.Instr   // single arithmetic op (nil for chain-0)
