@@ -112,7 +112,7 @@ func TestJoinSharesEntries(t *testing.T) {
 		if reflect.ValueOf(eo).Pointer() != reflect.ValueOf(ea).Pointer() {
 			t.Fatalf("entry %v not shared pointer-equal", k)
 		}
-		if !equalEntries(joinEntries(ea, b.Entry(k[0], k[1])), eo) {
+		if !equalEntries(joinEntries(nil, ea, b.Entry(k[0], k[1])), eo) {
 			t.Fatalf("shared entry %v differs from joinEntries result", k)
 		}
 	}
@@ -131,7 +131,7 @@ func TestJoinSharesEntries(t *testing.T) {
 	c.addRel("p", "q", Rel{Kind: RelPath, Certain: true, Path: Path{{Field: "next", Min: 2}}})
 	d := c.Clone()
 	j, _ := Join(c, d)
-	if want := joinEntries(c.Entry("p", "q"), d.Entry("p", "q")); !equalEntries(j.Entry("p", "q"), want) {
+	if want := joinEntries(nil, c.Entry("p", "q"), d.Entry("p", "q")); !equalEntries(j.Entry("p", "q"), want) {
 		t.Fatalf("non-canonical entry shared: got %s want %s", j.Entry("p", "q"), want)
 	}
 }

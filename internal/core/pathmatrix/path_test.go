@@ -186,7 +186,7 @@ func TestEntryAddSaturation(t *testing.T) {
 func TestJoinEntriesSignatureMerge(t *testing.T) {
 	a := Entry{}.add(Rel{Kind: RelPath, Certain: true, Path: single("next")})
 	b := Entry{}.add(Rel{Kind: RelPath, Certain: true, Path: Path{step("next", 2, false)}})
-	j := joinEntries(a, b)
+	j := joinEntries(nil, a, b)
 	if j.String() != "next+" {
 		t.Errorf("join = %q, want next+", j.String())
 	}
@@ -199,7 +199,7 @@ func TestJoinEntriesSignatureMerge(t *testing.T) {
 
 func TestJoinEntriesOneSidedLosesCertainty(t *testing.T) {
 	a := Entry{}.add(Rel{Kind: RelAlias, Certain: true})
-	j := joinEntries(a, nil)
+	j := joinEntries(nil, a, nil)
 	if j.mustAlias() {
 		t.Error("one-sided alias must demote to =?")
 	}

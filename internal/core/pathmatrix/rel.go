@@ -136,48 +136,12 @@ func relLess(a, b *Rel) bool {
 // every matrix dump print. The nil entry means "no relation": provably not
 // aliases (while the abstraction is valid). Entries are small — 1.2 to 1.4
 // relations per non-empty cell on the bench corpora — so every operation is
-// a linear scan.
+// a linear scan. A matrix holds its entries interned in its run's entry
+// table (table.go), where they are immutable.
 type Entry []Rel
 
 // entrySize caps relation sets; larger entries collapse to Top.
 const entrySize = 8
-
-// Canonical one-relation entries for the relations without a path: a cell
-// that comes to hold exactly one of them shares it instead of allocating.
-// Like every entry a matrix does not own, they are cloned before any
-// mutation.
-var (
-	topEntry      = Entry{{Kind: RelTop}}
-	aliasEntry    = Entry{{Kind: RelAlias, Certain: true}}
-	mayAliasEntry = Entry{{Kind: RelAlias}}
-)
-
-// singleton returns the canonical entry holding exactly r, or nil.
-func singleton(r Rel) Entry {
-	if r.Kind == RelPath || len(r.Path) != 0 || r.Via != (Via{}) {
-		return nil
-	}
-	switch {
-	case r.Kind == RelTop && !r.Certain:
-		return topEntry
-	case r.Kind == RelAlias && r.Certain:
-		return aliasEntry
-	case r.Kind == RelAlias:
-		return mayAliasEntry
-	}
-	return nil
-}
-
-// clone copies the entry with room for one more relation, the add that
-// usually follows.
-func (e Entry) clone() Entry {
-	if e == nil {
-		return nil
-	}
-	out := make(Entry, len(e), len(e)+1)
-	copy(out, e)
-	return out
-}
 
 // insert places r at its sorted position.
 func (e Entry) insert(r Rel) Entry {
@@ -234,7 +198,7 @@ func (e Entry) add(r Rel) Entry {
 }
 
 // covers reports whether adding r would leave the entry unchanged, so a
-// caller can skip cloning a shared entry for a no-op add.
+// caller can skip a no-op write.
 func (e Entry) covers(r Rel) bool {
 	if r.Kind == RelTop {
 		for i := range e {
@@ -364,18 +328,18 @@ func bySignature(e Entry, buf []Rel) []Rel {
 	return buf
 }
 
-// joinEntries merges two entries at a control-flow join. Relations are
-// matched by signature: present on both sides stays certain if certain on
-// both; present on one side only becomes uncertain.
-func joinEntries(a, b Entry) Entry {
+// joinEntries merges two entries at a control-flow join, appending the
+// result to dst. Relations are matched by signature: present on both sides
+// stays certain if certain on both; present on one side only becomes
+// uncertain.
+func joinEntries(dst, a, b Entry) Entry {
+	out := dst
 	if len(a) == 0 && len(b) == 0 {
-		return nil
+		return out
 	}
 	var abuf, bbuf [entrySize + 1]Rel
 	sa := bySignature(a, abuf[:0])
 	sb := bySignature(b, bbuf[:0])
-	var obuf [entrySize + 1]Rel
-	out := Entry(obuf[:0])
 	for _, ra := range sa {
 		var rb Rel
 		ok := false
@@ -410,16 +374,12 @@ func joinEntries(a, b Entry) Entry {
 			out = out.add(rb)
 		}
 	}
-	if len(out) == 1 {
-		if e := singleton(out[0]); e != nil {
-			return e
-		}
-	}
-	return append(make(Entry, 0, len(out)), out...)
+	return out
 }
 
-// equalEntries compares entries for fixed-point detection. Both are sorted,
-// so they compare position by position.
+// equalEntries reports whether two entries hold the same relations. Both are
+// sorted, so they compare position by position. Within one entry table this
+// is id equality; Equal uses it across tables.
 func equalEntries(a, b Entry) bool {
 	if len(a) != len(b) {
 		return false

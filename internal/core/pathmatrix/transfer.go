@@ -361,8 +361,8 @@ func (t *transferer) derefBackward(m *Matrix, dst, src string, fld *shape.Field,
 		if y := m.ix.names[i]; y != src && !m.MustAlias(y, src) {
 			continue
 		}
-		for j, e := range m.rows[i] {
-			for _, r := range e {
+		for j, id := range m.rows[i] {
+			for _, r := range m.tab.entries[id] {
 				if r.Kind == RelPath && exactOneStep(r.Path, fld.Name) {
 					t.add("", m.ix.names[j], Rel{Kind: RelAlias, Certain: r.Certain})
 				}
@@ -610,12 +610,10 @@ func (t *transferer) removeOverwrittenEdge(m *Matrix, base, field string, st *sh
 	for i := range m.rows {
 		x := m.ix.names[i]
 		fromMust := x == base || m.MustAlias(x, base)
-		for j, e := range m.rows[i] {
-			if e == nil {
-				continue
-			}
+		for j := range m.rows[i] {
+			e := m.at(i, j)
 			// out is rebuilt only once a relation drops or loses
-			// certainty; untouched entries stay shared.
+			// certainty; untouched entries keep their id.
 			var out Entry
 			changed := false
 			for k := range e {
@@ -730,14 +728,14 @@ func (t *transferer) validateStore(m *Matrix, base, field, src string, suspectCy
 			if y == base || m.MustAlias(y, base) {
 				continue // overwritten edge was already removed
 			}
-			for j, e := range m.rows[i] {
-				if e == nil {
+			for j, id := range m.rows[i] {
+				if id == 0 {
 					continue
 				}
 				if z := m.ix.names[j]; z != src && !explicitAlias(m, z, src) {
 					continue
 				}
-				for _, r := range e {
+				for _, r := range m.tab.entries[id] {
 					if r.Kind != RelPath {
 						continue
 					}
@@ -798,14 +796,14 @@ func (t *transferer) validateStore(m *Matrix, base, field, src string, suspectCy
 				if x := m.ix.names[i]; x != src && !m.MustAlias(x, src) {
 					continue
 				}
-				for j, e := range m.rows[i] {
-					if e == nil {
+				for j, id := range m.rows[i] {
+					if id == 0 {
 						continue
 					}
 					if z := m.ix.names[j]; z == base || m.MayAlias(z, base) {
 						continue
 					}
-					for _, r := range e {
+					for _, r := range m.tab.entries[id] {
 						if r.Kind == RelPath && r.Certain && exactOneStep(r.Path, bp.Name) {
 							m.addViolation(Violation{
 								Prop: "backward", Field: bp.Name, Partner: field,
