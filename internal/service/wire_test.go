@@ -109,6 +109,7 @@ func TestEngineSumsMatchSpans(t *testing.T) {
 		root.End()
 
 		var spans adds.EngineStats
+		var memoHits uint64
 		for _, rec := range tr.Ring().Get(root.TraceID()).Snapshot() {
 			attr := func(key string) uint64 {
 				for _, a := range rec.Attrs {
@@ -132,6 +133,12 @@ func TestEngineSumsMatchSpans(t *testing.T) {
 				spans.Widenings += attr("widenings")
 				spans.Clones += attr("matrixClones")
 				spans.SharedRows += attr("sharedRows")
+				// The run's own entry table: it holds at least the three
+				// fixed one-relation entries. Neither count is an engine sum.
+				if n := attr("entries"); n < 3 {
+					t.Errorf("%s: fixpoint span reports %d table entries, want at least 3", filepath.Base(file), n)
+				}
+				memoHits += attr("joinMemoHits")
 				spans.SummaryApplied += attr("summaryApplied")
 				spans.SummaryFallbacks += attr("summaryFallbacks")
 			case "summaries":
@@ -155,6 +162,9 @@ func TestEngineSumsMatchSpans(t *testing.T) {
 		}
 		if spans.Analyses == 0 {
 			t.Errorf("%s: the trace has no fixpoint span", filepath.Base(file))
+		}
+		if memoHits == 0 {
+			t.Errorf("%s: no fixpoint run answered a join from its memo", filepath.Base(file))
 		}
 	}
 }
