@@ -103,16 +103,6 @@ func Defs() []Def {
 	}
 }
 
-// All runs every experiment.
-func All() []*Report {
-	defs := Defs()
-	out := make([]*Report, len(defs))
-	for i, d := range defs {
-		out[i] = d.Run()
-	}
-	return out
-}
-
 // ByID runs one experiment by id ("E1".."E10"), or nil. Only the requested
 // experiment runs.
 func ByID(id string) *Report {

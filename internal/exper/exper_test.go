@@ -9,11 +9,12 @@ import (
 // TestAllExperimentsRun exercises every experiment end to end and checks a
 // few load-bearing cells against the paper's claims.
 func TestAllExperimentsRun(t *testing.T) {
-	reports := All()
-	if len(reports) != 10 {
-		t.Fatalf("got %d reports", len(reports))
+	defs := Defs()
+	if len(defs) != 10 {
+		t.Fatalf("got %d experiments", len(defs))
 	}
-	for _, r := range reports {
+	for _, d := range defs {
+		r := d.Run()
 		if r.ID == "" || r.Title == "" {
 			t.Errorf("report missing metadata: %+v", r)
 		}
