@@ -317,8 +317,9 @@ func TestTraceSpanTree(t *testing.T) {
 }
 
 // TestJSONPipelineTraceCounts: JSON mode builds its pipelines from the
-// analyses it already ran, so listops.mini is parsed once, builds two
-// summary tables (ADDS-informed and stripped) and pipelines its four loops.
+// analyses it already ran, so listops.mini is parsed once, opens one
+// "summaries" span (the ADDS-informed table; its looped functions call
+// nothing the stripped table would summarize) and pipelines its four loops.
 func TestJSONPipelineTraceCounts(t *testing.T) {
 	f := filepath.Join("..", "..", "testdata", "listops.mini")
 	status, _, stderr := runCmd(t, "-trace", "-format", "json", "-show", "pipeline", f)
@@ -329,7 +330,7 @@ func TestJSONPipelineTraceCounts(t *testing.T) {
 	for _, sp := range parseTraceTree(t, stderr) {
 		count[sp.name]++
 	}
-	for name, want := range map[string]int{"parse": 1, "summaries": 2, "pipeline": 4} {
+	for name, want := range map[string]int{"parse": 1, "summaries": 1, "pipeline": 4} {
 		if count[name] != want {
 			t.Errorf("%d %s spans, want %d", count[name], name, want)
 		}

@@ -28,7 +28,7 @@ type BuildOpts struct {
 	// Summaries is the interprocedural summary table the surrounding
 	// analysis ran with; nil selects the opaque call havoc. The classic
 	// factory analyzes under the table's stripped table (Stripped), which
-	// the table computes once and shares with every later classic build.
+	// summarizes only the callees of the functions classic builds name.
 	Summaries *pathmatrix.SummaryTable
 	// Result is the analysis the caller already ran for this function under
 	// Env and Summaries. The gpm oracle answers from it; nil makes gpm run
@@ -80,13 +80,13 @@ var factories = []*Factory{
 			// Summary rows are environment-dependent; the classic oracle
 			// needs a table computed under the stripped environment, never
 			// the ADDS-informed one the caller ran with. The caller's table
-			// memoizes its stripped table, so every classic build of one
-			// request shares one. A done context stops both fixpoints; the
-			// conservative oracle it answers with instead is sound.
+			// memoizes its stripped table, extended for g's callees, across
+			// a request's classic builds. A done context stops both
+			// fixpoints; the conservative oracle answering instead is sound.
 			var tab *pathmatrix.SummaryTable
 			if opts.Summaries != nil {
 				var err error
-				if tab, err = opts.Summaries.Stripped(ctx); err != nil {
+				if tab, err = opts.Summaries.Stripped(ctx, g.Fn.Decl.Name); err != nil {
 					return NewConservative(g)
 				}
 			}

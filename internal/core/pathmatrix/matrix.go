@@ -477,7 +477,22 @@ func (m *Matrix) Violations() []Violation {
 	for v := range m.viols {
 		out = append(out, v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	if len(out) > 1 {
+		// Render each key once; sorting (key, violation) pairs makes the
+		// comparisons, and so the permutation, those of sorting by String.
+		type keyed struct {
+			key string
+			v   Violation
+		}
+		ks := make([]keyed, len(out))
+		for i, v := range out {
+			ks[i] = keyed{v.String(), v}
+		}
+		sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
+		for i, k := range ks {
+			out[i] = k.v
+		}
+	}
 	return out
 }
 

@@ -4,6 +4,8 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -112,9 +114,9 @@ type FuncEffects struct {
 
 // SummaryTable holds the summaries for one program under one shape
 // environment, together with the unit's lowered graphs. Its summaries,
-// effects and graphs are fixed when ComputeSummariesCtx returns and are
-// shared read-only by all analysis goroutines; the one thing filled in
-// later is the memoized stripped table (see Stripped), under a lock.
+// effects and graphs are never written once it is handed out and are
+// shared read-only by all analysis goroutines; the memo of its stripped
+// table (see Stripped) is swapped later, under a lock.
 type SummaryTable struct {
 	env     *shape.Env
 	unit    *loweredUnit
@@ -166,23 +168,40 @@ func (t *SummaryTable) Env() *shape.Env {
 	return t.env
 }
 
-// Stripped returns the table of the same unit under the stripped,
-// annotation-free environment, which the classic oracle analyzes with. It
-// is computed on first use from the graphs this table already lowered and
-// then served to every caller; concurrent first callers wait for one
-// computation. A cancelled or failed computation is not kept, so the next
-// caller computes the table again under its own context.
-func (t *SummaryTable) Stripped(ctx context.Context) (*SummaryTable, error) {
+// Stripped returns a table of the same unit under the stripped,
+// annotation-free environment, which the classic oracle analyzes fn with,
+// holding the summary of every function fn transitively calls. The memo
+// grows by copy: the summaries it lacks are computed into a new table
+// swapped in on success, so no table handed out is ever written. A
+// cancelled or failed extension is dropped and the memo kept.
+func (t *SummaryTable) Stripped(ctx context.Context, fn string) (*SummaryTable, error) {
 	t.strippedMu.Lock()
 	defer t.strippedMu.Unlock()
 	if t.stripped == nil {
-		s, err := computeSummaries(ctx, t.env.Stripped(), t.unit)
-		if err != nil {
-			return nil, err
-		}
-		t.stripped = s
+		t.stripped = newTable(t.env.Stripped(), t.unit)
 	}
-	return t.stripped, nil
+	s, need := t.stripped, map[string]bool{}
+	s.lacking(fn, need)
+	order := slices.DeleteFunc(slices.Concat(s.unit.sccs...), func(name string) bool { return !need[name] })
+	if len(order) == 0 {
+		return s, nil
+	}
+	ext, err := (&SummaryTable{env: s.env, unit: s.unit, byFn: maps.Clone(s.byFn), effects: s.effects, reach: s.reach}).summarize(ctx, order)
+	if err == nil {
+		t.stripped = ext
+	}
+	return ext, err
+}
+
+// lacking records each of fn's transitive callees in need: true when t
+// should hold its summary (in-program, not recursive) but does not.
+func (t *SummaryTable) lacking(fn string, need map[string]bool) {
+	for _, c := range t.unit.callees[fn] {
+		if _, seen := need[c]; !seen {
+			need[c] = t.unit.graphs[c] != nil && !t.unit.recursive[c] && t.byFn[c] == nil
+			t.lacking(c, need)
+		}
+	}
 }
 
 // Recursive reports whether fn sits on a call cycle (and thus has no
@@ -473,12 +492,11 @@ func ComputeSummariesCtx(ctx context.Context, info *types.Info, env *shape.Env) 
 	u := lower(info)
 	span.SetAttr("functions", len(u.graphs))
 	span.End()
-	return computeSummaries(ctx, env, u)
+	return newTable(env, u).summarize(ctx, slices.Concat(u.sccs...))
 }
 
-// computeSummaries builds the table of a lowered unit under env.
-func computeSummaries(ctx context.Context, env *shape.Env, u *loweredUnit) (*SummaryTable, error) {
-	_, span := obs.Start(ctx, "summaries")
+// newTable returns the table of u under env: every effect, no summary yet.
+func newTable(env *shape.Env, u *loweredUnit) *SummaryTable {
 	tab := &SummaryTable{
 		env:     env,
 		unit:    u,
@@ -486,40 +504,46 @@ func computeSummaries(ctx context.Context, env *shape.Env, u *loweredUnit) (*Sum
 		effects: map[string]*FuncEffects{},
 		reach:   reachClosure(env),
 	}
+	for _, scc := range u.sccs {
+		tab.computeEffects(scc)
+	}
+	return tab
+}
+
+// summarize adds to tab, under a "summaries" span, the summaries of names
+// (in bottom-up call order) before tab is handed out.
+func (tab *SummaryTable) summarize(ctx context.Context, names []string) (*SummaryTable, error) {
+	_, span := obs.Start(ctx, "summaries")
+	u := tab.unit
 	// The pass's counts reach the engine sums even when it is cancelled:
 	// the summaries it computed stay cached.
 	defer func() {
 		record(Stats{SummaryComputed: uint64(tab.Computed), SummaryReused: uint64(tab.Reused)})
 	}()
-	functions := 0
-	for _, scc := range u.sccs {
-		functions += len(scc)
-		tab.computeEffects(scc)
-		for _, name := range scc {
-			g := u.graphs[name]
-			if u.recursive[name] || g == nil {
-				continue
-			}
-			key := summaryKey(env, u.src[name], u.callees[name], tab)
-			if sum, ok := summaryCacheGet(key); ok {
-				tab.byFn[name] = sum
-				tab.Reused++
-				continue
-			}
-			sum, err := tab.computeSummary(ctx, g)
-			if err != nil {
-				span.SetAttr("cancelled", true)
-				span.End()
-				return nil, err
-			}
-			sum.hash = key
-			summaryCachePut(key, sum)
-			tab.byFn[name] = sum
-			tab.Computed++
+	for _, name := range names {
+		g := u.graphs[name]
+		if u.recursive[name] || g == nil {
+			continue
 		}
+		key := summaryKey(tab.env, u.src[name], u.callees[name], tab)
+		if sum, ok := summaryCacheGet(key); ok {
+			tab.byFn[name] = sum
+			tab.Reused++
+			continue
+		}
+		sum, err := tab.computeSummary(ctx, g)
+		if err != nil {
+			span.SetAttr("cancelled", true)
+			span.End()
+			return nil, err
+		}
+		sum.hash = key
+		summaryCachePut(key, sum)
+		tab.byFn[name] = sum
+		tab.Computed++
 	}
 	if span != nil {
-		span.SetAttr("functions", functions)
+		span.SetAttr("functions", len(names))
 		span.SetAttr("computed", tab.Computed)
 		span.SetAttr("reused", tab.Reused)
 		span.End()
