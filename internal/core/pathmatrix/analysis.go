@@ -122,8 +122,12 @@ func analyzeFunc(ctx context.Context, g *norm.Graph, env *shape.Env, tab *Summar
 		span.SetAttr("widenings", int(st.Widenings))
 		span.SetAttr("matrixClones", int(st.Clones))
 		span.SetAttr("sharedRows", int(st.SharedRows))
-		span.SetAttr("entries", len(f.tab.entries)-1)
-		span.SetAttr("joinMemoHits", f.tab.joinHits)
+		hits := f.tab.memo.hits
+		span.SetAttr("entries", f.tab.held())
+		span.SetAttr("joinMemoHits", int(hits[memoJoin]))
+		span.SetAttr("addMemoHits", int(hits[memoAdd]))
+		span.SetAttr("edgeMemoHits", int(hits[memoEdge]))
+		span.SetAttr("staleMemoHits", int(hits[memoStale]))
 		if tab != nil {
 			span.SetAttr("summaryApplied", int(st.SummaryApplied))
 			span.SetAttr("summaryFallbacks", int(st.SummaryFallbacks))
@@ -408,28 +412,23 @@ func refine(m *Matrix, c *norm.Cond, taken bool) *Matrix {
 	case norm.CondPtrEQ:
 		out := m.Clone()
 		// The two pointers are equal: each inherits the other's relations.
-		for _, x := range out.relatedVars(c.Var) {
-			if x == c.Var2 {
-				continue
-			}
-			for _, r := range out.Entry(c.Var, x) {
-				out.addRel(c.Var2, x, r)
-			}
-			for _, r := range out.Entry(x, c.Var) {
-				out.addRel(x, c.Var2, r)
-			}
-		}
-		for _, x := range out.relatedVars(c.Var2) {
-			if x == c.Var {
-				continue
-			}
-			for _, r := range out.Entry(c.Var2, x) {
-				out.addRel(c.Var, x, r)
-			}
-			for _, r := range out.Entry(x, c.Var2) {
-				out.addRel(x, c.Var, r)
+		inherit := func(from, to string) {
+			f, t := out.index(from), out.index(to)
+			for _, x := range out.appendRelated(nil, f) {
+				if x == t {
+					continue
+				}
+				y := out.ix.names[x]
+				for _, r := range out.at(f, x) {
+					out.addRel(to, y, r)
+				}
+				for _, r := range out.at(x, f) {
+					out.addRel(y, to, r)
+				}
 			}
 		}
+		inherit(c.Var, c.Var2)
+		inherit(c.Var2, c.Var)
 		out.addRel(c.Var, c.Var2, Rel{Kind: RelAlias, Certain: true})
 		return out
 	case norm.CondPtrNE:

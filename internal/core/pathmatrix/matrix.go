@@ -16,7 +16,7 @@ import (
 type varIndex struct {
 	names  []string
 	pos    map[string]int
-	byName []int // indices in name order: relatedVars and the JSON cell order
+	byName []int // indices in name order: appendRelated and the JSON cell order
 }
 
 func newVarIndex(names []string) *varIndex {
@@ -48,7 +48,7 @@ func (ix *varIndex) same(o *varIndex) bool {
 // and shares the row table and the violation map; the first write after it
 // copies the table (row headers only), and the first write to a row copies
 // that row. Entries need no level of their own: interned entries are
-// immutable. All mutation therefore goes through setID/setAt/addRel/
+// immutable. All mutation therefore goes through setID/set/addRel/
 // addViolation/deleteViolation, which maintain the sharing flags and the
 // row ownership bits.
 type Matrix struct {
@@ -146,14 +146,26 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// id returns the id of entry (i, j); out-of-table indices read as empty.
+// id returns the id of entry (i, j); out-of-table indices, -1 among them,
+// read as empty.
 func (m *Matrix) id(i, j int) uint32 {
-	if i < len(m.rows) {
-		if r := m.rows[i]; j < len(r) {
+	if uint(i) < uint(len(m.rows)) {
+		if r := m.rows[i]; uint(j) < uint(len(r)) {
 			return r[j]
 		}
 	}
 	return 0
+}
+
+// facts returns the facts of entry (i, j).
+func (m *Matrix) facts(i, j int) entryFacts { return m.tab.facts[m.id(i, j)] }
+
+// index returns v's index, or -1 when v is not in the matrix.
+func (m *Matrix) index(v string) int {
+	if i, ok := m.ix.pos[v]; ok {
+		return i
+	}
+	return -1
 }
 
 // at returns entry (i, j), read-only.
@@ -187,10 +199,10 @@ func (m *Matrix) slot(v string) int {
 	return len(names) - 1
 }
 
-// writable returns m's entry table for interning, first moving m into a
-// fresh table when its own is frozen. The engine only interns into its
-// run's own table, so this is the rare path that keeps writes to finished
-// results safe.
+// writable returns m's entry table for interning and memo lookups, first
+// moving m into a fresh table when its own is frozen; the move renumbers
+// m's cells. The engine only writes to its run's own table, so this is the
+// rare path that keeps writes to finished results safe.
 func (m *Matrix) writable() *entryTable {
 	if m.tab.frozen {
 		o := m.onIndex(m.ix, newEntryTable())
@@ -267,18 +279,13 @@ func (m *Matrix) setID(i, j int, id uint32) {
 	}
 }
 
-// setAt replaces entry (i, j) by e, interned; e stays the caller's.
-func (m *Matrix) setAt(i, j int, e Entry) {
-	m.setID(i, j, m.writable().intern(e))
-}
-
-// set replaces PM(p, q) by e.
+// set replaces PM(p, q) by e, interned; e stays the caller's.
 func (m *Matrix) set(p, q string, e Entry) {
 	if len(e) == 0 && m.Entry(p, q) == nil {
 		return
 	}
 	i := m.slot(p)
-	m.setAt(i, m.slot(q), e)
+	m.setID(i, m.slot(q), m.writable().intern(e))
 }
 
 // addRel inserts one relation into PM(p, q). Alias and Top relations are
@@ -291,27 +298,17 @@ func (m *Matrix) addRel(p, q string, r Rel) {
 	m.addRelAt(i, m.slot(q), r)
 }
 
-// addRelAt is addRel by index.
+// addRelAt is addRel by index, through the table's add memo.
 func (m *Matrix) addRelAt(i, j int, r Rel) {
 	if i == j {
 		return
 	}
-	m.addAt(i, j, r)
-	if r.Kind == RelAlias || r.Kind == RelTop {
-		m.addAt(j, i, r)
-	}
-}
-
-// addAt inserts one relation into entry (i, j), leaving the cell untouched
-// when the entry already covers it. The grown entry is built in the table's
-// scratch buffer and then interned.
-func (m *Matrix) addAt(i, j int, r Rel) {
-	if m.at(i, j).covers(r) {
-		return
-	}
 	t := m.writable()
-	t.buf = append(t.buf[:0], m.at(i, j)...).add(r)
-	m.setID(i, j, t.intern(t.buf))
+	rel := t.relID(&r)
+	m.setID(i, j, t.add(m.id(i, j), rel))
+	if r.Kind == RelAlias || r.Kind == RelTop {
+		m.setID(j, i, t.add(m.id(j, i), rel))
+	}
 }
 
 // kill removes every relation involving v (v was redefined or nulled), and
@@ -357,10 +354,12 @@ func (m *Matrix) reanchorViolations(v string) {
 		return
 	}
 	alias := deadName
-	for _, x := range m.relatedVars(v) {
-		if m.MustAlias(v, x) {
-			alias = x
-			break
+	if i := m.index(v); i >= 0 {
+		for _, x := range m.ix.byName {
+			if x != i && m.mustAliasAt(i, x) {
+				alias = m.ix.names[x]
+				break
+			}
 		}
 	}
 	m.ensureViols()
@@ -376,27 +375,21 @@ func (m *Matrix) reanchorViolations(v string) {
 	}
 }
 
-// staleVia marks Via tags naming v as stale.
+// staleVia marks Via tags naming v as stale. Only cells holding a live Via
+// tag can change; those go through the table's stale memo.
 func (m *Matrix) staleVia(v string) {
-	for i := range m.rows {
-		for j := range m.rows[i] {
-			e := m.at(i, j)
-			var changed Entry
-			for k := range e {
-				if e[k].Via.Var != v || e[k].Via.Stale {
-					continue
-				}
-				r := e[k]
-				if changed == nil {
-					changed = append(Entry(nil), e...)
-				}
-				changed = slices.DeleteFunc(changed, func(o Rel) bool { return sameRel(&o, &r) })
-				r.Via.Stale = true
-				changed = changed.add(r)
+	var t *entryTable
+	var site uint32
+	for i := 0; i < len(m.rows); i++ {
+		for j := 0; j < len(m.rows[i]); j++ {
+			if m.tab.facts[m.rows[i][j]]&factLiveVia == 0 {
+				continue
 			}
-			if changed != nil {
-				m.setAt(i, j, changed)
+			if t == nil {
+				t = m.writable()
+				site = t.site(v, "")
 			}
+			m.setID(i, j, t.stale(m.rows[i][j], site, v))
 		}
 	}
 }
@@ -424,39 +417,24 @@ func (m *Matrix) copyRelations(dst, src string) {
 // related reports whether p and q have any recorded relation in either
 // direction.
 func (m *Matrix) related(p, q string) bool {
-	return len(m.Entry(p, q)) > 0 || len(m.Entry(q, p)) > 0
+	return m.relatedAt(m.index(p), m.index(q))
 }
 
-// relatedVars returns every variable related to p (excluding p itself), in
-// name order.
-func (m *Matrix) relatedVars(p string) []string {
-	_, related := m.relatedOf(p)
-	var out []string
-	for _, x := range related {
-		out = append(out, m.ix.names[x])
+// relatedAt is related by index.
+func (m *Matrix) relatedAt(i, j int) bool { return m.id(i, j) != 0 || m.id(j, i) != 0 }
+
+// appendRelated appends to dst the index of every variable related to
+// variable i (excluding i itself), in name order; none when i is -1.
+func (m *Matrix) appendRelated(dst []int, i int) []int {
+	if i < 0 {
+		return dst
 	}
-	return out
-}
-
-// relatedOf returns v's index and the indices related to it, or -1 and
-// none when v is not in the matrix.
-func (m *Matrix) relatedOf(v string) (int, []int) {
-	i, ok := m.ix.pos[v]
-	if !ok {
-		return -1, nil
-	}
-	return i, m.relatedIdx(i)
-}
-
-// relatedIdx is relatedVars by index.
-func (m *Matrix) relatedIdx(i int) []int {
-	var out []int
 	for _, x := range m.ix.byName {
-		if x != i && (m.id(i, x) != 0 || m.id(x, i) != 0) {
-			out = append(out, x)
+		if x != i && m.relatedAt(i, x) {
+			dst = append(dst, x)
 		}
 	}
-	return out
+	return dst
 }
 
 // addViolation records an abstraction violation.
@@ -507,21 +485,30 @@ func (m *Matrix) Valid() bool { return len(m.viols) == 0 }
 // suspect, and we conservatively also treat unrelated pairs as possible
 // aliases because derived facts may be missing.
 func (m *Matrix) MayAlias(p, q string) bool {
-	if p == q {
-		return true
-	}
-	if !m.Valid() {
-		return true
-	}
-	return m.Entry(p, q).hasAliasInfo() || m.Entry(q, p).hasAliasInfo()
+	return p == q || m.mayAliasAt(m.index(p), m.index(q))
 }
 
 // MustAlias reports whether p and q definitely point to the same node.
 func (m *Matrix) MustAlias(p, q string) bool {
-	if p == q {
-		return true
-	}
-	return m.Entry(p, q).mustAlias() && m.Entry(q, p).mustAlias()
+	return p == q || m.mustAliasAt(m.index(p), m.index(q))
+}
+
+// mayAliasAt is MayAlias by index for two different variables: the
+// entries' facts decide it.
+func (m *Matrix) mayAliasAt(i, j int) bool {
+	return !m.Valid() || (m.facts(i, j)|m.facts(j, i))&(factAlias|factTop) != 0
+}
+
+// mustAliasAt is MustAlias by index for two different variables.
+func (m *Matrix) mustAliasAt(i, j int) bool {
+	return m.facts(i, j)&m.facts(j, i)&factMust != 0
+}
+
+// explicitAliasAt reports whether the matrix explicitly denotes variables i
+// and j as (possible) aliases — an "=" or "=?" entry, not the unknown Top
+// relation.
+func (m *Matrix) explicitAliasAt(i, j int) bool {
+	return (m.facts(i, j)|m.facts(j, i))&factAlias != 0
 }
 
 // sigCanonical reports whether every relation in the entry has a distinct
@@ -634,7 +621,7 @@ func (t *entryTable) joinRows(ra, rb []uint32, n int, shared *int) []uint32 {
 	var out []uint32
 	for j := 0; j < n; j++ {
 		ea, eb := cellAt(ra, j), cellAt(rb, j)
-		if ea == eb && (ea == 0 || t.canon[ea]) {
+		if ea == eb && (ea == 0 || t.facts[ea]&factCanon != 0) {
 			if ea != 0 {
 				*shared++
 				if out != nil {

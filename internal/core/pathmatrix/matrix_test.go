@@ -25,9 +25,18 @@ func TestMatrixAddAndQuery(t *testing.T) {
 	if !m.related("a", "c") || m.related("b", "c") {
 		t.Error("related wrong")
 	}
-	if got := m.relatedVars("a"); len(got) != 2 {
-		t.Errorf("relatedVars = %v", got)
+	if got := relatedNames(m, "a"); len(got) != 2 {
+		t.Errorf("related variables = %v", got)
 	}
+}
+
+// relatedNames returns the variables related to v, in name order.
+func relatedNames(m *Matrix, v string) []string {
+	var out []string
+	for _, x := range m.appendRelated(nil, m.index(v)) {
+		out = append(out, m.ix.names[x])
+	}
+	return out
 }
 
 func TestMatrixSelfCellIgnored(t *testing.T) {
@@ -331,8 +340,8 @@ func TestMatrixForeignNames(t *testing.T) {
 	if j, _ := Join(a, b); j.Entry("p", "x").String() != "next" {
 		t.Errorf("PM(p, x) after join = %q, want next", j.Entry("p", "x"))
 	}
-	if got := a.relatedVars("p"); strings.Join(got, ",") != "q,x" {
-		t.Errorf("relatedVars(p) = %v", got)
+	if got := relatedNames(a, "p"); strings.Join(got, ",") != "q,x" {
+		t.Errorf("variables related to p = %v", got)
 	}
 	if a.Entry("y", "p") != nil || a.Entry("p", "y") != nil {
 		t.Error("an unknown variable has no relations")

@@ -203,7 +203,7 @@ func TestJoinEntriesOneSidedLosesCertainty(t *testing.T) {
 	if j.mustAlias() {
 		t.Error("one-sided alias must demote to =?")
 	}
-	if !j.hasAliasInfo() {
+	if factsOf(j)&factAlias == 0 {
 		t.Error("alias info must survive as =?")
 	}
 }

@@ -234,27 +234,6 @@ func (e Entry) saturate() Entry {
 	return out.insert(Rel{Kind: RelTop})
 }
 
-// hasAliasInfo reports whether the entry admits aliasing (alias or top).
-func (e Entry) hasAliasInfo() bool {
-	for i := range e {
-		if e[i].Kind == RelAlias || e[i].Kind == RelTop {
-			return true
-		}
-	}
-	return false
-}
-
-// hasAlias reports whether the entry holds an alias relation, certain or
-// not ("=" or "=?", never the unknown Top).
-func (e Entry) hasAlias() bool {
-	for i := range e {
-		if e[i].Kind == RelAlias {
-			return true
-		}
-	}
-	return false
-}
-
 // mustAlias reports whether the entry contains a definite alias. Other
 // relations (paths, Top) describe possible extra connections and do not
 // weaken a known equality.

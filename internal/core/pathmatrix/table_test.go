@@ -3,9 +3,11 @@ package pathmatrix
 import (
 	"context"
 	"encoding/json"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/norm"
 	"repro/internal/source/types"
 )
 
@@ -65,22 +67,22 @@ func TestEntryTableEquivalence(t *testing.T) {
 						t.Fatalf("ids %d and %d: equalEntries(%s, %s) = %v", a, b, ea, tab.entries[b], eq)
 					}
 				}
-				if tab.canon[a] != sigCanonical(ea) {
-					t.Fatalf("id %d (%s): canonical flag %v", a, ea, tab.canon[a])
+				if got := tab.facts[a]&factCanon != 0; got != sigCanonical(ea) {
+					t.Fatalf("id %d (%s): canonical flag %v", a, ea, got)
 				}
 			}
-			for _, m := range tab.joins {
-				if m.pair == 0 {
+			for _, m := range tab.memo.slots {
+				if m.key == 0 || m.key>>30&3 != memoJoin {
 					continue
 				}
-				a, b := tab.entries[m.pair>>32], tab.entries[uint32(m.pair)]
+				a, b := tab.entries[m.key>>32], tab.entries[m.key&(1<<30-1)]
 				if want := joinEntries(nil, a, b); !equalEntries(tab.entries[m.id], want) {
 					t.Fatalf("memoized join of %s and %s = %s, want %s", a, b, tab.entries[m.id], want)
 				}
 				joins++
 			}
 			entries += len(tab.entries) - 1
-			hits += tab.joinHits
+			hits += int(tab.memo.hits[memoJoin])
 		}
 	}
 	t.Logf("%d entries, %d memoized joins, %d memo hits", entries, joins, hits)
@@ -159,6 +161,173 @@ func TestConcurrentResultReads(t *testing.T) {
 		for g, s := range got {
 			if s != want {
 				t.Fatalf("%s: goroutine %d read differs from the serial result", name, g)
+			}
+		}
+	}
+}
+
+// lookupID returns the id tab holds for an entry equal to e, without
+// interning it.
+func lookupID(tab *entryTable, e Entry) (uint32, bool) {
+	if len(e) == 0 {
+		return 0, true
+	}
+	if len(e) == 1 {
+		if id := fixedRelID(&e[0]); id != 0 {
+			return id, true
+		}
+	}
+	if len(tab.slots) == 0 {
+		return 0, false
+	}
+	id := *tab.slot(e)
+	return id, id != 0
+}
+
+// TestEntryTableFacts: over every run of testdata/*.mini and of seeds 1-5
+// of the calls and hostile profiles, each id's cached facts are the facts
+// of its entry, the held count counts the held ids, and every memoized add,
+// overwrite and stale rewrite equals the rewrite recomputed on the decoded
+// entry, which re-interns to the memoized id.
+func TestEntryTableFacts(t *testing.T) {
+	names, infos := strippedInfos(t)
+	var adds, edges, stales, fromMust, hits int
+	for k, info := range infos {
+		for _, tab := range runTables(t, info) {
+			held := 0
+			for id := 1; id < len(tab.entries); id++ {
+				if got, want := tab.facts[id]&^factHeld, factsOf(tab.entries[id]); got != want {
+					t.Fatalf("%s: id %d (%s): facts %b, want %b", names[k], id, tab.entries[id], got, want)
+				}
+				if tab.facts[id]&factHeld != 0 {
+					held++
+				}
+			}
+			if held != tab.held() {
+				t.Fatalf("%s: %d held ids, table counts %d", names[k], held, tab.held())
+			}
+			siteOf := map[uint32][2]string{}
+			for site, n := range tab.sites {
+				siteOf[n] = site
+			}
+			for _, s := range tab.memo.slots {
+				if s.key == 0 {
+					continue
+				}
+				e, in := tab.entries[s.key>>32], uint32(s.key&(1<<30-1))
+				var want Entry
+				switch kind := s.key >> 30 & 3; kind {
+				case memoJoin:
+					continue // TestEntryTableEquivalence
+				case memoAdd:
+					rel := tab.entries[in]
+					if len(rel) != 1 {
+						t.Fatalf("%s: add memo key %x names entry %s, not one relation", names[k], s.key, rel)
+					}
+					want = e
+					if !e.covers(rel[0]) {
+						want = append(Entry(nil), e...).add(rel[0])
+					}
+					adds++
+				case memoEdge:
+					must, site := in&(1<<29) != 0, siteOf[in&(1<<29-1)]
+					out, changed, dropped := overwriteEntry(nil, e, must, site[0], site[1])
+					if want = e; changed {
+						want = out
+					}
+					if dropped != s.dropped {
+						t.Fatalf("%s: overwrite memo key %x on %s: dropped %v, recomputed %v", names[k], s.key, e, s.dropped, dropped)
+					}
+					if must {
+						fromMust++
+					}
+					edges++
+				case memoStale:
+					site := siteOf[in]
+					if site[1] != "" {
+						t.Fatalf("%s: stale memo key %x names a store site %v", names[k], s.key, site)
+					}
+					out, changed := staleEntry(nil, e, site[0])
+					if want = e; changed {
+						want = out
+					}
+					stales++
+				}
+				if id, ok := lookupID(tab, want); !ok || id != s.id {
+					t.Fatalf("%s: memo key %x on %s holds %s, recomputed %s", names[k], s.key, e, tab.entries[s.id], want)
+				}
+			}
+			for _, h := range tab.memo.hits[:memoJoin] {
+				hits += int(h)
+			}
+		}
+	}
+	t.Logf("%d add, %d overwrite (%d from a must-alias of base), %d stale memo entries; %d memo hits", adds, edges, fromMust, stales, hits)
+	if adds == 0 || edges == 0 || fromMust == 0 || stales == 0 || hits == 0 {
+		t.Error("some memo was never filled or never answered")
+	}
+}
+
+// TestConcurrentFrozenTransfers: eight goroutines at once re-apply every
+// store, kill and assign of each function to clones of one frozen Result's
+// before-states. A write that interns or looks up a memo moves its clone
+// into a fresh table, so only a table's own run writes its entries and
+// memos: every goroutine's after-states equal a serial run's, and the
+// shared Result and its table are unchanged.
+func TestConcurrentFrozenTransfers(t *testing.T) {
+	ctx := context.Background()
+	// apply renders the state after each re-applied statement of r.
+	apply := func(r *Result) string {
+		tr := transferer{env: r.Env}
+		var b strings.Builder
+		for _, n := range r.Graph.Nodes {
+			m := r.Before[n.ID]
+			if n.Stmt == nil || m == nil {
+				continue
+			}
+			switch n.Stmt.Op {
+			case norm.StorePtr, norm.Assign, norm.AssignNil, norm.AssignNew, norm.Free:
+			default:
+				continue
+			}
+			c := m.Clone()
+			tr.apply(c, n.Stmt)
+			b.WriteString(c.String())
+		}
+		return b.String()
+	}
+	for _, info := range hostileInfos(t) {
+		serial, err := AnalyzeProgramCtx(ctx, info, info.Env, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared, err := AnalyzeProgramCtx(ctx, info, info.Env, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, fr := range serial {
+			want := apply(fr.Result)
+			before := shared[name].Result.String()
+			tab := shared[name].Result.AtEntry().tab
+			sizes := func() [2]int { return [2]int{len(tab.entries), int(tab.memo.n)} }
+			frozen := sizes()
+			got := make([]string, 8)
+			var wg sync.WaitGroup
+			for g := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[g] = apply(shared[name].Result)
+				}()
+			}
+			wg.Wait()
+			for g, s := range got {
+				if s != want {
+					t.Fatalf("%s: goroutine %d's transfers differ from the serial ones", name, g)
+				}
+			}
+			if shared[name].Result.String() != before || sizes() != frozen {
+				t.Fatalf("%s: transfers on clones changed the shared result or its table", name)
 			}
 		}
 	}

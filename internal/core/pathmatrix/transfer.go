@@ -83,11 +83,15 @@ func normConcat(st *shape.Type, a, b Path) (Path, bool) {
 
 // transferer applies normalized statements to matrices, consulting the shape
 // environment for the ADDS-informed rules of Section 5.1. A transferer is
-// used by one analysis goroutine at a time; scratch is the reusable pending-
-// relation buffer for deref (its contents never outlive one statement).
+// used by one analysis goroutine at a time; its buffers are scratch whose
+// contents never outlive one statement: the pending relations of a load,
+// variable indices (related variables, the store's validation rows and
+// columns) and the store's demoted cells.
 type transferer struct {
 	env     *shape.Env
 	scratch []pending
+	idx     []int
+	demote  [][2]int
 
 	// Interprocedural state (see summary.go): the program's summary table
 	// and the pointer-variable → record-type map of the graph under
@@ -130,12 +134,15 @@ func (t *transferer) assign(m *Matrix, dst, src string) {
 	m.addRel(dst, src, Rel{Kind: RelAlias, Certain: true})
 }
 
-// pending is a relation to install after the whole statement has been
-// derived from the pre-state.
+// pending is a relation between two variables, by index, to install after
+// the whole statement has been derived from the pre-state. dstIdx marks
+// the destination, which may have no index yet.
 type pending struct {
-	p, q string
+	p, q int
 	rel  Rel
 }
+
+const dstIdx = -1
 
 // deref applies p = q->f (dst = src->field), the central ADDS-informed rule.
 // All derivations read the pre-state; dst's old value dies first.
@@ -147,53 +154,54 @@ func (t *transferer) deref(m *Matrix, dst, src, field, record string) {
 	}
 
 	t.scratch = t.scratch[:0]
+	si := m.slot(src)
+	t.idx = m.appendRelated(t.idx[:0], si)
 
 	// Unknown or circular traversal: the paper's conservative case — the
 	// target may be any node of the structure, so dst may alias src and
 	// every variable related to src.
 	if st == nil || fld == nil || !fld.Acyclic() {
-		t.add(src, dst, Rel{Kind: RelTop})
-		for _, x := range m.relatedVars(src) {
-			t.add(x, dst, Rel{Kind: RelTop})
+		t.add(si, dstIdx, Rel{Kind: RelTop})
+		for _, x := range t.idx {
+			t.add(x, dstIdx, Rel{Kind: RelTop})
 		}
 		t.install(m, dst)
 		return
 	}
 
 	if fld.Dir == shape.Backward {
-		t.derefBackward(m, dst, src, fld, st)
+		t.derefBackward(m, dst, si, fld, st)
 		t.install(m, dst)
 		return
 	}
 
 	// Forward or uniquely forward: Def 4.2 — the target is one step deeper
 	// and was never visited before.
-	t.add(src, dst, Rel{Kind: RelPath, Certain: true, Path: single(field)})
+	t.add(si, dstIdx, Rel{Kind: RelPath, Certain: true, Path: single(field)})
 	if fld.Dir == shape.UniquelyForward {
 		if bp := st.BackwardPartner(field); bp != nil {
 			// Def 4.6: dst->b is src or NULL.
-			t.add(dst, src, Rel{Kind: RelPath, Path: single(bp.Name)})
+			t.add(dstIdx, si, Rel{Kind: RelPath, Path: single(bp.Name)})
 		}
 	}
 
-	si, related := m.relatedOf(src)
-	for _, xi := range related {
-		x := m.ix.names[xi]
-		if x == dst {
+	di := m.index(dst)
+	for _, xi := range t.idx {
+		if xi == di {
 			continue // dst's old value dies; ignore stale relations
 		}
 		for _, r := range m.at(xi, si) {
 			switch r.Kind {
 			case RelAlias:
 				// x == src, so x->f == dst.
-				t.add(x, dst, Rel{Kind: RelPath, Certain: r.Certain, Path: single(field)})
+				t.add(xi, dstIdx, Rel{Kind: RelPath, Certain: r.Certain, Path: single(field)})
 			case RelTop:
-				t.add(x, dst, Rel{Kind: RelTop})
+				t.add(xi, dstIdx, Rel{Kind: RelTop})
 			case RelPath:
 				if ext, ok := normConcat(st, r.Path, single(field)); ok {
-					t.add(x, dst, Rel{Kind: RelPath, Certain: r.Certain, Path: ext})
+					t.add(xi, dstIdx, Rel{Kind: RelPath, Certain: r.Certain, Path: ext})
 				} else {
-					t.add(x, dst, Rel{Kind: RelTop})
+					t.add(xi, dstIdx, Rel{Kind: RelTop})
 				}
 			}
 		}
@@ -202,7 +210,7 @@ func (t *transferer) deref(m *Matrix, dst, src, field, record string) {
 			case RelAlias, RelTop:
 				// Mirrored in Entry(x, src); handled above.
 			case RelPath:
-				t.derefForwardOut(x, r, fld, st)
+				t.derefForwardOut(xi, r, fld, st)
 			}
 		}
 	}
@@ -211,7 +219,7 @@ func (t *transferer) deref(m *Matrix, dst, src, field, record string) {
 
 // derefForwardOut handles a path src -> x while deriving dst = src->f:
 // what relation does dst have with x?
-func (t *transferer) derefForwardOut(x string, r Rel, fld *shape.Field, st *shape.Type) {
+func (t *transferer) derefForwardOut(x int, r Rel, fld *shape.Field, st *shape.Type) {
 	field := fld.Name
 	if r.Path.startsWith(field) {
 		// Field dereference is functional: src->f is a single node, so a
@@ -221,9 +229,9 @@ func (t *transferer) derefForwardOut(x string, r Rel, fld *shape.Field, st *shap
 				continue
 			}
 			if sr.alias {
-				t.add("", x, Rel{Kind: RelAlias, Certain: r.Certain && exactOneStep(r.Path, field)})
+				t.add(dstIdx, x, Rel{Kind: RelAlias, Certain: r.Certain && exactOneStep(r.Path, field)})
 			} else {
-				t.add("", x, Rel{Kind: RelPath, Certain: r.Certain && !headIsPlus(r.Path, field), Path: sr.path})
+				t.add(dstIdx, x, Rel{Kind: RelPath, Certain: r.Certain && !headIsPlus(r.Path, field), Path: sr.path})
 			}
 		}
 		return
@@ -237,9 +245,9 @@ func (t *transferer) derefForwardOut(x string, r Rel, fld *shape.Field, st *shap
 				continue
 			}
 			if sr.alias {
-				t.add("", x, Rel{Kind: RelAlias})
+				t.add(dstIdx, x, Rel{Kind: RelAlias})
 			} else {
-				t.add("", x, Rel{Kind: RelPath, Path: sr.path})
+				t.add(dstIdx, x, Rel{Kind: RelPath, Path: sr.path})
 			}
 		}
 		return
@@ -250,7 +258,7 @@ func (t *transferer) derefForwardOut(x string, r Rel, fld *shape.Field, st *shap
 	if t.disjointDeparture(r.Path, fld, st) {
 		return // provably unrelated: leave the entry empty
 	}
-	t.add("", x, Rel{Kind: RelTop})
+	t.add(dstIdx, x, Rel{Kind: RelTop})
 }
 
 // exactOneStep reports whether the path is exactly field^1.
@@ -336,14 +344,15 @@ func (t *transferer) disjointDeparture(p Path, fld *shape.Field, st *shape.Type)
 }
 
 // derefBackward applies dst = src->b for a backward field (Def 4.6): dst is
-// the unique-forward predecessor of src along b's dimension.
-func (t *transferer) derefBackward(m *Matrix, dst, src string, fld *shape.Field, st *shape.Type) {
+// the unique-forward predecessor of src along b's dimension. src is the
+// index si, and t.idx holds the variables related to it.
+func (t *transferer) derefBackward(m *Matrix, dst string, si int, fld *shape.Field, st *shape.Type) {
 	partners := st.ForwardPartners(fld.Name)
 	if len(partners) == 0 {
 		// No unique-forward partner at all: treat like unknown.
-		t.add(src, dst, Rel{Kind: RelTop})
-		for _, x := range m.relatedVars(src) {
-			t.add(x, dst, Rel{Kind: RelTop})
+		t.add(si, dstIdx, Rel{Kind: RelTop})
+		for _, x := range t.idx {
+			t.add(x, dstIdx, Rel{Kind: RelTop})
 		}
 		return
 	}
@@ -352,42 +361,46 @@ func (t *transferer) derefBackward(m *Matrix, dst, src string, fld *shape.Field,
 	// group member g, so every derived relation is uncertain.
 	grouped := len(partners) > 1
 	for _, p := range partners {
-		t.add(dst, src, Rel{Kind: RelPath, Certain: !grouped, Path: single(p.Name)})
+		t.add(dstIdx, si, Rel{Kind: RelPath, Certain: !grouped, Path: single(p.Name)})
 	}
 
 	// If the backward edge itself was recorded (a store y->b = z through a
 	// must-alias of src), the target is known directly: dst aliases z.
 	for i := range m.rows {
-		if y := m.ix.names[i]; y != src && !m.MustAlias(y, src) {
+		if i != si && !m.mustAliasAt(i, si) {
 			continue
 		}
 		for j, id := range m.rows[i] {
+			if m.tab.facts[id]&factPath == 0 {
+				continue
+			}
 			for _, r := range m.tab.entries[id] {
 				if r.Kind == RelPath && exactOneStep(r.Path, fld.Name) {
-					t.add("", m.ix.names[j], Rel{Kind: RelAlias, Certain: r.Certain})
+					t.add(dstIdx, j, Rel{Kind: RelAlias, Certain: r.Certain})
 				}
 			}
 		}
 	}
 
-	for _, x := range m.relatedVars(src) {
-		if x == dst {
+	di := m.index(dst)
+	for _, x := range t.idx {
+		if x == di {
 			continue
 		}
-		for _, r := range m.Entry(x, src) {
+		for _, r := range m.at(x, si) {
 			switch r.Kind {
 			case RelAlias:
 				// x == src: dst->uf == x for one of the partners.
 				for _, p := range partners {
-					t.add(dst, x, Rel{Kind: RelPath, Certain: r.Certain && !grouped, Path: single(p.Name)})
+					t.add(dstIdx, x, Rel{Kind: RelPath, Certain: r.Certain && !grouped, Path: single(p.Name)})
 				}
 			case RelTop:
-				t.add(x, dst, Rel{Kind: RelTop})
+				t.add(x, dstIdx, Rel{Kind: RelTop})
 			case RelPath:
 				t.backwardIn(x, r, partners)
 			}
 		}
-		for _, r := range m.Entry(src, x) {
+		for _, r := range m.at(si, x) {
 			switch r.Kind {
 			case RelAlias, RelTop:
 				// Mirrored; handled above.
@@ -395,9 +408,9 @@ func (t *transferer) derefBackward(m *Matrix, dst, src string, fld *shape.Field,
 				// dst --uf--> src --path--> x, for one of the partners.
 				for _, p := range partners {
 					if ext, ok := normConcat(st, single(p.Name), r.Path); ok {
-						t.add(dst, x, Rel{Kind: RelPath, Certain: r.Certain && !grouped, Path: ext})
+						t.add(dstIdx, x, Rel{Kind: RelPath, Certain: r.Certain && !grouped, Path: ext})
 					} else {
-						t.add(dst, x, Rel{Kind: RelTop})
+						t.add(dstIdx, x, Rel{Kind: RelTop})
 					}
 				}
 			}
@@ -409,16 +422,16 @@ func (t *transferer) derefBackward(m *Matrix, dst, src string, fld *shape.Field,
 // computing dst = src->b: dst is src's forward predecessor, so π minus its
 // trailing forward step leads from x to dst. A trailing dimension
 // pseudo-step of the partners' dimension also strips (uncertainly).
-func (t *transferer) backwardIn(x string, r Rel, partners []*shape.Field) {
+func (t *transferer) backwardIn(x int, r Rel, partners []*shape.Field) {
 	if df := DimField(partners[0].Dim); r.Path.endsWith(df) {
 		for _, sr := range stripTrailing(r.Path, df) {
 			if !sr.ok {
 				continue
 			}
 			if sr.alias {
-				t.add(x, "", Rel{Kind: RelAlias})
+				t.add(x, dstIdx, Rel{Kind: RelAlias})
 			} else {
-				t.add(x, "", Rel{Kind: RelPath, Path: sr.path})
+				t.add(x, dstIdx, Rel{Kind: RelPath, Path: sr.path})
 			}
 		}
 		return
@@ -438,39 +451,40 @@ func (t *transferer) backwardIn(x string, r Rel, partners []*shape.Field) {
 			if sr.alias {
 				// x's forward child is src, so x IS src's predecessor —
 				// certain even for grouped partners (Def 4.6 per member).
-				t.add(x, "", Rel{Kind: RelAlias,
+				t.add(x, dstIdx, Rel{Kind: RelAlias,
 					Certain: r.Certain && tailExact && len(r.Path) == 1})
 			} else {
-				t.add(x, "", Rel{Kind: RelPath, Certain: false, Path: sr.path})
+				t.add(x, dstIdx, Rel{Kind: RelPath, Certain: false, Path: sr.path})
 			}
 		}
 	}
 	if !matched {
 		// Reaches src by some other final step; its relation to src's
 		// forward predecessor is unknown.
-		t.add(x, "", Rel{Kind: RelTop})
+		t.add(x, dstIdx, Rel{Kind: RelTop})
 	}
 }
 
-// add queues a relation derived for the statement being transferred; ""
-// marks the destination.
-func (t *transferer) add(p, q string, r Rel) {
+// add queues a relation derived for the statement being transferred;
+// dstIdx marks the destination.
+func (t *transferer) add(p, q int, r Rel) {
 	t.scratch = append(t.scratch, pending{p, q, r})
 }
 
-// install kills dst and applies the queued relations, resolving the ""
-// marker for the destination.
+// install kills dst and applies the queued relations, resolving the
+// dstIdx marker to dst's index.
 func (t *transferer) install(m *Matrix, dst string) {
 	m.kill(dst)
+	d := m.slot(dst)
 	for _, a := range t.scratch {
 		p, q := a.p, a.q
-		if p == "" {
-			p = dst
+		if p == dstIdx {
+			p = d
 		}
-		if q == "" {
-			q = dst
+		if q == dstIdx {
+			q = d
 		}
-		m.addRel(p, q, a.rel)
+		m.addRelAt(p, q, a.rel)
 	}
 }
 
@@ -485,6 +499,7 @@ func (t *transferer) store(m *Matrix, base, field, src, record string) {
 	if st != nil {
 		fld = st.Field(field)
 	}
+	b, s := m.index(base), m.index(src)
 
 	// An outstanding acyclicity violation on the edge being overwritten
 	// poisons the repair: every relation derived since the break may hide
@@ -494,18 +509,17 @@ func (t *transferer) store(m *Matrix, base, field, src, record string) {
 	suspectCycle := false
 	if src != "" {
 		for v := range m.viols {
-			if v.Prop == "acyclic" && v.Field == field &&
-				(v.Base == base || m.MustAlias(v.Base, base)) {
-				suspectCycle = m.related(src, base)
+			if v.Prop == "acyclic" && v.Field == field && (v.Base == base || m.mustAliasAt(m.index(v.Base), b)) {
+				suspectCycle = m.relatedAt(s, b)
 			}
 		}
 	}
 
-	t.removeOverwrittenEdge(m, base, field, st)
-	t.clearRepairedViolations(m, base, field, st)
+	t.removeOverwrittenEdge(m, b, base, field, st)
+	t.clearRepairedViolations(m, b, base, field, st)
 
 	if st != nil && fld != nil {
-		t.validateStore(m, base, field, src, suspectCycle, fld, st)
+		t.validateStore(m, b, s, base, field, src, suspectCycle, fld, st)
 	}
 
 	if src == "" {
@@ -513,12 +527,10 @@ func (t *transferer) store(m *Matrix, base, field, src, record string) {
 	}
 
 	// The new edge: base --field--> src's node.
-	b := m.slot(base)
-	s := m.slot(src)
-	m.addRelAt(b, s, Rel{
-		Kind: RelPath, Certain: true, Path: single(field),
-		Via: Via{Var: base, Field: field},
-	})
+	b = m.slot(base)
+	s = m.slot(src)
+	via := Via{Var: base, Field: field}
+	m.addRelAt(b, s, Rel{Kind: RelPath, Certain: true, Path: single(field), Via: via})
 
 	// Structure merge: everything related to base joins everything related
 	// to src. Record the composite path when both halves are known paths;
@@ -533,9 +545,10 @@ func (t *transferer) store(m *Matrix, base, field, src, record string) {
 	// empty across `a->next = b` because a junk (b,c) entry from an earlier
 	// join made related(c,b) true, and the analysis went on to refute a
 	// real alias downstream.
-	xs := append(m.relatedIdx(b), b)
-	ys := append(m.relatedIdx(s), s)
-	via := Via{Var: base, Field: field}
+	t.idx = append(m.appendRelated(t.idx[:0], b), b)
+	nx := len(t.idx)
+	t.idx = append(m.appendRelated(t.idx, s), s)
+	xs, ys := t.idx[:nx], t.idx[nx:]
 	for _, x := range xs {
 		for _, y := range ys {
 			if x == y {
@@ -595,66 +608,38 @@ func pathOrAlias(m *Matrix, p, q int) Path {
 }
 
 // removeOverwrittenEdge drops relations that described the old value of
-// base->field: paths leaving a must-alias of base through field, and
-// relations tagged Via{base, field}. Relations merely containing field
-// elsewhere lose certainty.
+// base->field (base is the index b, -1 when absent): paths leaving a
+// must-alias of base through field, and relations tagged Via{base, field}.
+// Relations merely containing field elsewhere lose certainty. Only cells
+// holding a path can change; those go through the table's overwrite memo.
 //
 // When field has a backward partner the dropped relations demote to the
 // unknown (Top) relation instead of vanishing: the old targets keep their
 // backward edges, whose chain still reaches base's node in the heap, so a
 // later backward load can re-alias them with base. An empty entry would
 // claim that alias impossible.
-func (t *transferer) removeOverwrittenEdge(m *Matrix, base, field string, st *shape.Type) {
+func (t *transferer) removeOverwrittenEdge(m *Matrix, b int, base, field string, st *shape.Type) {
 	backLinked := st != nil && st.BackwardPartner(field) != nil
-	var demote [][2]string
-	for i := range m.rows {
-		x := m.ix.names[i]
-		fromMust := x == base || m.MustAlias(x, base)
-		for j := range m.rows[i] {
-			e := m.at(i, j)
-			// out is rebuilt only once a relation drops or loses
-			// certainty; untouched entries keep their id.
-			var out Entry
-			changed := false
-			for k := range e {
-				r := e[k]
-				drop := false
-				if r.Kind == RelPath {
-					if fromMust && r.Path.startsWith(field) {
-						drop = true
-					}
-					if r.Via.Var == base && r.Via.Field == field && !r.Via.Stale {
-						drop = true
-					}
-					if !drop && r.Certain && pathUsesField(r.Path, field) {
-						r.Certain = false
-					}
-				}
-				if !changed && (drop || r.Certain != e[k].Certain) {
-					changed = true
-					for _, kept := range e[:k] {
-						out = out.add(kept)
-					}
-				}
-				if drop {
-					if backLinked {
-						demote = append(demote, [2]string{x, m.ix.names[j]})
-					}
-					continue
-				}
-				if changed {
-					out = out.add(r)
-				}
+	tab := m.writable()
+	site := tab.site(base, field)
+	t.demote = t.demote[:0]
+	for i, row := range m.rows {
+		fromMust := i == b || m.mustAliasAt(i, b)
+		for j, id := range row {
+			if tab.facts[id]&factPath == 0 {
+				continue
 			}
-			if changed {
-				m.setAt(i, j, out)
+			out, dropped := tab.overwrite(id, fromMust, site, base, field)
+			m.setID(i, j, out)
+			if dropped && backLinked {
+				t.demote = append(t.demote, [2]int{i, j})
 			}
 		}
 	}
 	// Outside the scan: addRel mirrors Top into the opposite cell, and the
 	// load rules rely on that symmetry ("mirrored; handled above").
-	for _, k := range demote {
-		m.addRel(k[0], k[1], Rel{Kind: RelTop})
+	for _, k := range t.demote {
+		m.addRelAt(k[0], k[1], Rel{Kind: RelTop})
 	}
 }
 
@@ -671,7 +656,8 @@ func pathUsesField(p Path, field string) bool {
 // overwritten (the paper: "if another program statement fixes the
 // relationship between these two fields, the entry is removed"). A store
 // to any member of the partner's combined group counts as touching it.
-func (t *transferer) clearRepairedViolations(m *Matrix, base, field string, st *shape.Type) {
+// base is the index b, -1 when absent.
+func (t *transferer) clearRepairedViolations(m *Matrix, b int, base, field string, st *shape.Type) {
 	sameOrGrouped := func(f string) bool {
 		if f == field {
 			return true
@@ -680,7 +666,7 @@ func (t *transferer) clearRepairedViolations(m *Matrix, base, field string, st *
 	}
 	for v := range m.viols {
 		touchesVar := v.Base == base || v.Other == base ||
-			m.MustAlias(v.Base, base) || (v.Other != "" && m.MustAlias(v.Other, base))
+			m.mustAliasAt(m.index(v.Base), b) || (v.Other != "" && m.mustAliasAt(m.index(v.Other), b))
 		if touchesVar && (sameOrGrouped(v.Field) || (v.Partner != "" && sameOrGrouped(v.Partner))) {
 			m.deleteViolation(v)
 		}
@@ -688,11 +674,16 @@ func (t *transferer) clearRepairedViolations(m *Matrix, base, field string, st *
 }
 
 // validateStore checks the store against the declaration and records
-// violations (Defs 4.2-4.9 encoded as path matrix conditions).
-// suspectCycle reports that the overwritten edge carried an outstanding
-// acyclicity violation AND the new value was related to base in the
-// pre-store matrix, which sharpens the cycle re-check below.
-func (t *transferer) validateStore(m *Matrix, base, field, src string, suspectCycle bool, fld *shape.Field, st *shape.Type) {
+// violations (Defs 4.2-4.9 encoded as path matrix conditions). b and s are
+// the indices of base and src, -1 when absent. suspectCycle reports that
+// the overwritten edge carried an outstanding acyclicity violation AND the
+// new value was related to base in the pre-store matrix, which sharpens
+// the cycle re-check below.
+//
+// The scans below test each row's and each column's variable against base
+// or src once per store, collecting the columns that can matter into t.idx,
+// and then look only at cells holding a path.
+func (t *transferer) validateStore(m *Matrix, b, s int, base, field, src string, suspectCycle bool, fld *shape.Field, st *shape.Type) {
 	if src == "" {
 		return // removing an edge cannot break acyclicity or uniqueness
 	}
@@ -710,29 +701,33 @@ func (t *transferer) validateStore(m *Matrix, base, field, src string, suspectCy
 		// edge), so overwriting with a related value cannot prove the cycle
 		// gone. From a valid state the same pattern is the ordinary node
 		// deletion idiom (p->next = p->next->next) and stays violation-free.
-		if forwardCycleRisk(m, src, base, fld, st) || suspectCycle {
+		if src == base || forwardCycleRisk(m, s, b, fld, st) || suspectCycle {
 			m.addViolation(Violation{Prop: "acyclic", Field: field, Base: base, Other: src})
 		}
 	}
 
 	// Uniqueness and group disjointness (Defs 4.3, 4.7, 4.8): no other
 	// recorded edge over the group's fields may already enter src's node.
-	if fld.Dir == shape.UniquelyForward {
+	// The columns that matter are src and its explicit aliases.
+	if fld.Dir == shape.UniquelyForward && s >= 0 {
 		group := st.GroupOf(field)
 		prop := "unique"
 		if len(group) > 1 {
 			prop = "group-disjoint"
 		}
+		t.idx = t.idx[:0]
+		for z := range m.ix.names {
+			if z == s || m.explicitAliasAt(z, s) {
+				t.idx = append(t.idx, z)
+			}
+		}
 		for i := range m.rows {
-			y := m.ix.names[i]
-			if y == base || m.MustAlias(y, base) {
+			if i == b || m.mustAliasAt(i, b) {
 				continue // overwritten edge was already removed
 			}
-			for j, id := range m.rows[i] {
-				if id == 0 {
-					continue
-				}
-				if z := m.ix.names[j]; z != src && !explicitAlias(m, z, src) {
+			for _, j := range t.idx {
+				id := m.id(i, j)
+				if m.tab.facts[id]&factPath == 0 {
 					continue
 				}
 				for _, r := range m.tab.entries[id] {
@@ -743,7 +738,7 @@ func (t *transferer) validateStore(m *Matrix, base, field, src string, suspectCy
 					for _, g := range group {
 						if last.Field == g && last.Min == 1 && !last.Plus && len(r.Path) == 1 {
 							m.addViolation(Violation{
-								Prop: prop, Field: field, Base: base, Other: y,
+								Prop: prop, Field: field, Base: base, Other: m.ix.names[i],
 							})
 						}
 					}
@@ -765,7 +760,7 @@ func (t *transferer) validateStore(m *Matrix, base, field, src string, suspectCy
 		// outstanding.
 		partners := st.ForwardPartners(field)
 		if len(partners) > 0 {
-			e := m.Entry(src, base)
+			e := m.at(s, b)
 			ok := false
 			first := partners[0]
 			for _, r := range e {
@@ -790,26 +785,35 @@ func (t *transferer) validateStore(m *Matrix, base, field, src string, suspectCy
 		}
 	case shape.UniquelyForward, shape.Forward:
 		// base->f = src: src's backward partner, if known, must point back
-		// at base.
-		if bp := st.BackwardPartner(field); bp != nil {
-			for i := range m.rows {
-				if x := m.ix.names[i]; x != src && !m.MustAlias(x, src) {
+		// at base. The check reads no cell whose column may alias base,
+		// and with a violation outstanding every column may, so it runs
+		// only on a valid matrix and stops at its one violation.
+		bp := st.BackwardPartner(field)
+		if bp == nil || s < 0 || !m.Valid() {
+			break
+		}
+		t.idx = t.idx[:0]
+		for z := range m.ix.names {
+			if z != b && !m.mayAliasAt(z, b) {
+				t.idx = append(t.idx, z)
+			}
+		}
+		for i := range m.rows {
+			if i != s && !m.mustAliasAt(i, s) {
+				continue
+			}
+			for _, j := range t.idx {
+				id := m.id(i, j)
+				if m.tab.facts[id]&factPath == 0 {
 					continue
 				}
-				for j, id := range m.rows[i] {
-					if id == 0 {
-						continue
-					}
-					if z := m.ix.names[j]; z == base || m.MayAlias(z, base) {
-						continue
-					}
-					for _, r := range m.tab.entries[id] {
-						if r.Kind == RelPath && r.Certain && exactOneStep(r.Path, bp.Name) {
-							m.addViolation(Violation{
-								Prop: "backward", Field: bp.Name, Partner: field,
-								Base: base, Other: src,
-							})
-						}
+				for _, r := range m.tab.entries[id] {
+					if r.Kind == RelPath && r.Certain && exactOneStep(r.Path, bp.Name) {
+						m.addViolation(Violation{
+							Prop: "backward", Field: bp.Name, Partner: field,
+							Base: base, Other: src,
+						})
+						return
 					}
 				}
 			}
@@ -817,29 +821,21 @@ func (t *transferer) validateStore(m *Matrix, base, field, src string, suspectCy
 	}
 }
 
-// explicitAlias reports whether the matrix explicitly denotes p and q as
-// (possible) aliases — an "=" or "=?" entry, not the unknown Top relation.
-func explicitAlias(m *Matrix, p, q string) bool {
-	return m.Entry(p, q).hasAlias() || m.Entry(q, p).hasAlias()
-}
-
 // forwardCycleRisk reports whether the matrix explicitly denotes that src's
-// node reaches base's node purely along fld's forward dimension (or equals
-// it), so that storing base->fld = src would close a forward cycle.
-func forwardCycleRisk(m *Matrix, src, base string, fld *shape.Field, st *shape.Type) bool {
-	if src == base {
+// node (index s) reaches base's node (index b) purely along fld's forward
+// dimension or equals it, so that storing base->fld = src would close a
+// forward cycle. The caller handles src == base.
+func forwardCycleRisk(m *Matrix, s, b int, fld *shape.Field, st *shape.Type) bool {
+	if m.explicitAliasAt(s, b) {
 		return true
 	}
-	if m.Entry(src, base).hasAlias() || m.Entry(base, src).hasAlias() {
-		return true
-	}
-	for _, r := range m.Entry(src, base) {
+	for _, r := range m.at(s, b) {
 		if r.Kind != RelPath {
 			continue
 		}
 		pure := true
-		for _, s := range r.Path {
-			dir, dim, ok := stepInfo(st, s.Field)
+		for _, step := range r.Path {
+			dir, dim, ok := stepInfo(st, step.Field)
 			if !ok || dim != fld.Dim || !forwardish(dir) {
 				pure = false
 				break
@@ -1020,7 +1016,7 @@ func (t *transferer) applySummary(m *Matrix, s *norm.Stmt, sum *FuncSummary, eff
 		}
 	}
 
-	vars := affectedVars(m, s.Args)
+	vars := t.affectedVars(m, s.Args)
 	taint := make(map[string]bool, len(vars))
 	for _, v := range vars {
 		taint[v] = t.typeTainted(v, eff)
@@ -1093,7 +1089,7 @@ func (t *transferer) instantiateRows(m *Matrix, ai, aj string, rowIJ, rowJI Entr
 // nothing about whether the declaration still holds on return — that half
 // of the call's effect is callBreakRisk's violation in call().
 func (t *transferer) callHavoc(m *Matrix, args []string) {
-	vars := affectedVars(m, args)
+	vars := t.affectedVars(m, args)
 	for i, x := range vars {
 		for _, y := range vars[i+1:] {
 			m.addRel(x, y, Rel{Kind: RelTop})
@@ -1103,12 +1099,13 @@ func (t *transferer) callHavoc(m *Matrix, args []string) {
 
 // affectedVars returns, sorted, the call's arguments and every variable
 // related to one of them: the variables whose pairs a call may change.
-func affectedVars(m *Matrix, args []string) []string {
+func (t *transferer) affectedVars(m *Matrix, args []string) []string {
 	affected := map[string]bool{}
 	for _, a := range args {
 		affected[a] = true
-		for _, x := range m.relatedVars(a) {
-			affected[x] = true
+		t.idx = m.appendRelated(t.idx[:0], m.index(a))
+		for _, x := range t.idx {
+			affected[m.ix.names[x]] = true
 		}
 	}
 	vars := make([]string, 0, len(affected))

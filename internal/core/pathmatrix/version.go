@@ -43,9 +43,10 @@ type Stats struct {
 
 	// Deprecated: always 0; paths are plain values, not interned.
 	InternedPaths uint64
-	// Deprecated: always 0; the engine has no transfer memo.
+	// Deprecated: always 0. The engine memoizes entry rewrites per run,
+	// and reports their hits as fixpoint span attributes, not here.
 	MemoHits uint64
-	// Deprecated: always 0; the engine has no transfer memo.
+	// Deprecated: always 0, like MemoHits.
 	MemoMisses uint64
 	// Deprecated: always 0; the engine does not fingerprint rows.
 	DedupRows uint64
