@@ -10,10 +10,11 @@ import (
 	"repro/internal/source/types"
 )
 
-// hostileInfos checks generator seed 1 of each hostile profile: the shapes
+// hostileInfos checks generator seeds 1 to seeds of each hostile profile,
+// profile by profile: the shapes
 // (parent-pointer trees, skip lists, rings of lists, break-then-repair)
 // whose fixpoints dominate a miss request.
-func hostileInfos(tb testing.TB) []*types.Info {
+func hostileInfos(tb testing.TB, seeds int64) []*types.Info {
 	tb.Helper()
 	var out []*types.Info
 	for _, name := range []string{"ptree", "skiplist", "ringlol", "repair"} {
@@ -21,15 +22,17 @@ func hostileInfos(tb testing.TB) []*types.Info {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		prog, err := parser.Parse(gen.Generate(1, pr).Source())
-		if err != nil {
-			tb.Fatal(err)
+		for seed := int64(1); seed <= seeds; seed++ {
+			prog, err := parser.Parse(gen.Generate(seed, pr).Source())
+			if err != nil {
+				tb.Fatal(err)
+			}
+			info, errs := types.Check(prog)
+			if len(errs) > 0 {
+				tb.Fatal(errs[0])
+			}
+			out = append(out, info)
 		}
-		info, errs := types.Check(prog)
-		if len(errs) > 0 {
-			tb.Fatal(errs[0])
-		}
-		out = append(out, info)
 	}
 	return out
 }
@@ -60,7 +63,7 @@ func analyzeAllocBytes(tb testing.TB, infos []*types.Info) uint64 {
 // often, and the budget stays 40% of the map-backed figure.
 func TestFixpointAllocBudget(t *testing.T) {
 	const mapLayoutBytes, sliceLayoutBytes = 63759384, 4573648
-	infos := hostileInfos(t)
+	infos := hostileInfos(t, 1)
 	analyzeAllocBytes(t, infos) // warm the matrix header slab pool
 	got := analyzeAllocBytes(t, infos)
 	t.Logf("allocated %d bytes (%.0f%% of the slice-backed layout)", got, 100*float64(got)/sliceLayoutBytes)

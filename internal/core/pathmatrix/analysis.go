@@ -45,19 +45,19 @@ const ctxCheckMask = 63
 // no transformation-enabling fact survives.
 const nodeVisitBudget = 64
 
-// widened is the terminal conservative state of a run over vars, in the
-// run's table: every distinct pair of variables with the same record (rec,
-// from recordsOf) may alias, and a standing (unclearable) violation keeps
+// widened is the terminal conservative state of the run that owns ix and
+// tab: every distinct pair of variables with the same record (rec, from
+// recordsOf) may alias, and a standing (unclearable) violation keeps
 // MayAlias fully conservative. Top relations are mirrored, so one pass over
 // the unordered pairs covers every cell.
-func widened(vars []string, rec map[string]string, tab *entryTable) *Matrix {
-	m := newMatrix(vars, newVarIndex(vars), tab)
-	for i, p := range vars {
+func widened(ix *varIndex, rec map[string]string, tab *entryTable) *Matrix {
+	m := newMatrix(ix, tab)
+	for i, p := range ix.names {
 		rp, ok := rec[p]
 		if !ok {
 			continue
 		}
-		for _, q := range vars[i+1:] {
+		for _, q := range ix.names[i+1:] {
 			if rq, ok := rec[q]; ok && rp == rq {
 				m.addRel(p, q, Rel{Kind: RelTop})
 			}
@@ -86,8 +86,7 @@ func Analyze(g *norm.Graph, env *shape.Env) *Result {
 // summarized callees apply the callee's entry-shape → exit-effect summary
 // instead of the all-args havoc. A nil table is the plain havoc analysis.
 func AnalyzeCtxWith(ctx context.Context, g *norm.Graph, env *shape.Env, tab *SummaryTable) (*Result, error) {
-	vars := g.PointerVars() // a fresh slice the run's matrices share
-	init := newMatrix(vars, newVarIndex(vars), newEntryTable())
+	init := newMatrix(newVarIndex(g.PointerVars()), newEntryTable())
 	initParams(init, g)
 	return analyzeFunc(ctx, g, env, tab, init)
 }
@@ -215,7 +214,7 @@ func (f *fixpoint) solve(ctx context.Context, seed *norm.Node, in *Matrix) error
 					f.stats.Clones++
 				} else {
 					var shared int
-					acc, shared = Join(acc, st)
+					acc, shared = join(acc, st)
 					f.stats.SharedRows += uint64(shared)
 				}
 			}
@@ -261,7 +260,7 @@ func (f *fixpoint) solve(ctx context.Context, seed *norm.Node, in *Matrix) error
 				f.stats.Widenings++
 			}
 			if wide == nil {
-				wide = widened(in.vars, recordsOf(g), f.tab)
+				wide = widened(in.ix, recordsOf(g), f.tab)
 			}
 			before, after = wide, wide
 		} else {
@@ -290,7 +289,7 @@ func (f *fixpoint) solve(ctx context.Context, seed *norm.Node, in *Matrix) error
 				continue
 			}
 			old := edgeOut[n.ID][si]
-			if old != nil && old.Equal(out) {
+			if old != nil && old.equal(out) {
 				continue
 			}
 			edgeOut[n.ID][si] = out
@@ -514,16 +513,16 @@ func (r *Result) iterationMatrix(l *norm.Loop) *Matrix {
 
 	// Extend the variable set with shadows and copy all relations, making
 	// shadow x' an exact alias of x.
-	vars := append([]string(nil), base.vars...)
-	for _, v := range base.vars {
+	names := base.Vars()
+	vars := append([]string(nil), names...)
+	for _, v := range names {
 		vars = append(vars, v+Shadow)
 	}
-	m := base.onIndex(newVarIndex(vars), newEntryTable())
-	m.vars = vars
+	m := base.onIndex(newVarIndex(vars))
 	for _, v := range base.Violations() {
 		m.addViolation(v)
 	}
-	for _, v := range base.vars {
+	for _, v := range names {
 		sh := v + Shadow
 		m.copyRelations(sh, v)
 		m.addRel(sh, v, Rel{Kind: RelAlias, Certain: true})
@@ -546,7 +545,7 @@ func (r *Result) iterationMatrix(l *norm.Loop) *Matrix {
 		if result == nil {
 			result = out.Clone()
 		} else {
-			result, _ = Join(result, out)
+			result, _ = join(result, out)
 		}
 	}
 	// IterationMatrix's signature carries no context, and an uncancellable

@@ -88,19 +88,19 @@ func analyzeEachFunction(t *testing.T, info *types.Info) map[string]*FuncResult 
 	return out
 }
 
-// TestJoinSharesEntries: joining a matrix with an equal-content sibling must
-// share the unchanged entries pointer-equal while staying contentwise
-// identical to the slow joinEntries path, and a later write to a shared cell
-// must COW rather than corrupt the donor.
+// TestJoinSharesEntries: joining a matrix with an equal-content sibling of
+// its run must share the unchanged entries pointer-equal while staying
+// contentwise identical to the slow joinEntries path, and a later write to a
+// shared cell must COW rather than corrupt the donor.
 func TestJoinSharesEntries(t *testing.T) {
-	mk := func() *Matrix {
-		m := NewMatrix([]string{"p", "q", "r"})
+	fill := func(m *Matrix) *Matrix {
 		m.addRel("p", "q", Rel{Kind: RelAlias, Certain: true})
 		m.addRel("p", "r", Rel{Kind: RelPath, Certain: true, Path: Path{{Field: "next", Min: 1}}})
 		return m
 	}
-	a, b := mk(), mk()
-	out, shared := Join(a, b)
+	a := fill(NewMatrix([]string{"p", "q", "r"}))
+	b := fill(sibling(a))
+	out, shared := join(a, b)
 	if shared == 0 {
 		t.Fatal("join of identical matrices shared no entries")
 	}
@@ -130,7 +130,7 @@ func TestJoinSharesEntries(t *testing.T) {
 	c.addRel("p", "q", Rel{Kind: RelPath, Certain: true, Path: Path{{Field: "next", Min: 1}}})
 	c.addRel("p", "q", Rel{Kind: RelPath, Certain: true, Path: Path{{Field: "next", Min: 2}}})
 	d := c.Clone()
-	j, _ := Join(c, d)
+	j, _ := join(c, d)
 	if want := joinEntries(nil, c.Entry("p", "q"), d.Entry("p", "q")); !equalEntries(j.Entry("p", "q"), want) {
 		t.Fatalf("non-canonical entry shared: got %s want %s", j.Entry("p", "q"), want)
 	}

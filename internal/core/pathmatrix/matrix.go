@@ -10,9 +10,8 @@ import (
 
 // varIndex addresses a variable list by dense index. Every matrix of one
 // fixpoint run shares its run's index; IterationMatrix and the summary runs
-// build their own over their shadow-extended lists. An index is immutable:
-// a write naming a variable outside it moves that one matrix to an extended
-// copy (see slot).
+// build their own over their shadow-extended lists. An index is immutable,
+// and its names are the variables of every matrix over it.
 type varIndex struct {
 	names  []string
 	pos    map[string]int
@@ -32,27 +31,26 @@ func newVarIndex(names []string) *varIndex {
 	return ix
 }
 
-// same reports whether two indexes address their variables identically.
-func (ix *varIndex) same(o *varIndex) bool {
-	return ix == o || slices.Equal(ix.names, o.names)
-}
-
 // Matrix is a path matrix at one program point: relations between every
 // ordered pair of live pointer variables, plus the set of currently
 // outstanding abstraction violations. Alias relations (RelAlias, RelTop) are
 // stored symmetrically in both cells; path relations are directional.
 //
+// A matrix belongs to one fixpoint run: it shares the run's variable index
+// and entry table, writes only while the run is open, and joins and
+// compares only with matrices of the same run.
+//
 // Cells are a table of rows indexed by variable: rows[i][j] is the id, in
-// the matrix's entry table, of PM(names[i], names[j]); 0, a nil or a short
+// the run's entry table, of PM(names[i], names[j]); 0, a nil or a short
 // row read as empty. Matrices are copy-on-write at two levels. Clone is O(1)
 // and shares the row table and the violation map; the first write after it
 // copies the table (row headers only), and the first write to a row copies
 // that row. Entries need no level of their own: interned entries are
-// immutable. All mutation therefore goes through setID/set/addRel/
-// addViolation/deleteViolation, which maintain the sharing flags and the
-// row ownership bits.
+// immutable. All mutation therefore goes through set, addRel, addRelAt,
+// copyRelations, kill and addViolation/deleteViolation, which maintain the
+// sharing flags and the row ownership bits, and panic on a matrix of a
+// finished run.
 type Matrix struct {
-	vars  []string // display order
 	ix    *varIndex
 	tab   *entryTable
 	rows  [][]uint32
@@ -91,24 +89,22 @@ func getMatrix() *Matrix {
 	return m
 }
 
-// newMatrix builds an empty matrix over a shared variable list, index and
-// entry table (the list and index are never mutated, so sharing them is
-// safe package-internally).
-func newMatrix(vars []string, ix *varIndex, tab *entryTable) *Matrix {
+// newMatrix builds an empty matrix of the run that owns ix and tab.
+func newMatrix(ix *varIndex, tab *entryTable) *Matrix {
 	m := getMatrix()
-	*m = Matrix{vars: vars, ix: ix, tab: tab}
+	*m = Matrix{ix: ix, tab: tab}
 	return m
 }
 
-// NewMatrix returns an empty matrix over the variables, with its own entry
-// table.
+// NewMatrix returns an empty matrix over the variables, in a run of its
+// own.
 func NewMatrix(vars []string) *Matrix {
-	vars = append([]string(nil), vars...)
-	return newMatrix(vars, newVarIndex(vars), newEntryTable())
+	return newMatrix(newVarIndex(append([]string(nil), vars...)), newEntryTable())
 }
 
-// Vars returns the variables, in display order.
-func (m *Matrix) Vars() []string { return m.vars }
+// Vars returns the variables of the matrix's run, in display order. The
+// slice is shared and must not be modified.
+func (m *Matrix) Vars() []string { return m.ix.names }
 
 // dropRights forgets every ownership bit: rows this matrix copied may now
 // be referenced elsewhere.
@@ -119,8 +115,8 @@ func (m *Matrix) dropRights() {
 	}
 }
 
-// freeze shares everything, so Clone and Join write nothing to m and
-// finished results may be cloned and joined concurrently.
+// freeze shares everything, so Clone writes nothing to m and finished
+// results may be read and cloned concurrently.
 func (m *Matrix) freeze() {
 	m.sharedRows, m.sharedViols = true, true
 	m.dropRights()
@@ -135,7 +131,6 @@ func (m *Matrix) Clone() *Matrix {
 	}
 	out := getMatrix()
 	*out = Matrix{
-		vars:        m.vars,
 		ix:          m.ix,
 		tab:         m.tab,
 		rows:        m.rows,
@@ -185,31 +180,21 @@ func (m *Matrix) Entry(p, q string) Entry {
 	return m.at(i, j)
 }
 
-// slot returns v's index for a write, moving the matrix to an extended index
-// when v is not in its own. The engine only ever names a run's variables,
-// so this is the rare path that keeps arbitrary names safe.
-func (m *Matrix) slot(v string) int {
-	if i, ok := m.ix.pos[v]; ok {
-		return i
-	}
-	names := append(append([]string(nil), m.ix.names...), v)
-	m.ensureRows()
-	m.dropRights() // owned rows are only as long as the old index
-	m.ix = newVarIndex(names)
-	return len(names) - 1
-}
-
-// writable returns m's entry table for interning and memo lookups, first
-// moving m into a fresh table when its own is frozen; the move renumbers
-// m's cells. The engine only writes to its run's own table, so this is the
-// rare path that keeps writes to finished results safe.
+// writable returns m's entry table for interning and memo lookups. Only
+// the open run that owns the table writes to it: a write to a matrix of a
+// finished run is a fault, and panics.
 func (m *Matrix) writable() *entryTable {
 	if m.tab.frozen {
-		o := m.onIndex(m.ix, newEntryTable())
-		m.tab, m.rows, m.sharedRows = o.tab, o.rows, false
-		m.dropRights()
+		panic("pathmatrix: write to a matrix of a finished run")
 	}
 	return m.tab
+}
+
+// sameRun panics unless a and b belong to one run.
+func sameRun(a, b *Matrix) {
+	if a.ix != b.ix || a.tab != b.tab {
+		panic("pathmatrix: matrices of two runs")
+	}
 }
 
 func (m *Matrix) owns(i int) bool {
@@ -231,13 +216,14 @@ func (m *Matrix) revoke(i int) {
 }
 
 // ensureRows makes the row table private and full-length (rows may still
-// be shared).
+// be shared). Making it private starts a write, so m's run must be open.
 func (m *Matrix) ensureRows() {
 	n := len(m.ix.names)
-	if !m.sharedRows && len(m.rows) >= n {
+	if !m.sharedRows && len(m.rows) == n {
 		return
 	}
-	rows := make([][]uint32, max(n, len(m.rows)))
+	m.writable()
+	rows := make([][]uint32, n)
 	copy(rows, m.rows)
 	m.rows = rows
 	m.sharedRows = false
@@ -256,7 +242,8 @@ func (m *Matrix) row(i int) []uint32 {
 	return r
 }
 
-// ensureViols makes the violations map private and non-nil.
+// ensureViols makes the violations map private and non-nil. Making it
+// private starts a write, so m's run must be open.
 func (m *Matrix) ensureViols() {
 	if !m.sharedViols {
 		if m.viols == nil {
@@ -264,6 +251,7 @@ func (m *Matrix) ensureViols() {
 		}
 		return
 	}
+	m.writable()
 	nv := make(map[Violation]bool, len(m.viols))
 	for v := range m.viols {
 		nv[v] = true
@@ -284,18 +272,16 @@ func (m *Matrix) set(p, q string, e Entry) {
 	if len(e) == 0 && m.Entry(p, q) == nil {
 		return
 	}
-	i := m.slot(p)
-	m.setID(i, m.slot(q), m.writable().intern(e))
+	m.setID(m.index(p), m.index(q), m.writable().intern(e))
 }
 
-// addRel inserts one relation into PM(p, q). Alias and Top relations are
-// mirrored into PM(q, p). Self-cells are never stored.
+// addRel inserts one relation into PM(p, q), both variables of m's run.
+// Alias and Top relations are mirrored into PM(q, p). Self-cells are never
+// stored.
 func (m *Matrix) addRel(p, q string, r Rel) {
-	if p == q {
-		return
+	if p != q {
+		m.addRelAt(m.index(p), m.index(q), r)
 	}
-	i := m.slot(p)
-	m.addRelAt(i, m.slot(q), r)
 }
 
 // addRelAt is addRel by index, through the table's add memo.
@@ -401,7 +387,7 @@ func (m *Matrix) copyRelations(dst, src string) {
 	if !ok {
 		return
 	}
-	d := m.slot(dst)
+	d := m.index(dst)
 	for q := range m.ix.names {
 		if id := m.id(s, q); id != 0 && q != d {
 			m.setID(d, q, id)
@@ -527,44 +513,19 @@ func sigCanonical(e Entry) bool {
 	return true
 }
 
-// onIndex re-addresses m's cells over ix by name, extending ix with any
-// variable it lacks, into table t; the ids stay m's when t is m's table and
-// are interned into t otherwise. It backs Join and Equal on matrices built
-// over different variable lists or tables, and moves a matrix out of a
-// frozen table.
-func (m *Matrix) onIndex(ix *varIndex, t *entryTable) *Matrix {
-	out := newMatrix(m.vars, ix, t)
+// onIndex copies m's cells onto ix, whose names start with m's, into a
+// fresh table: the seed of IterationMatrix's run over the loop head's
+// variables and their shadows. Ids intern in m's row order.
+func (m *Matrix) onIndex(ix *varIndex) *Matrix {
+	out := newMatrix(ix, newEntryTable())
 	for i, r := range m.rows {
 		for j, id := range r {
-			if id == 0 {
-				continue
+			if id != 0 {
+				out.setID(i, j, out.tab.intern(m.tab.entries[id]))
 			}
-			if t != m.tab {
-				id = t.intern(m.tab.entries[id])
-			}
-			p := out.slot(m.ix.names[i])
-			out.setID(p, out.slot(m.ix.names[j]), id)
 		}
 	}
 	return out
-}
-
-// cellsOn returns views of a's and b's cells over one common index, each in
-// its own table.
-func cellsOn(a, b *Matrix) (*Matrix, *Matrix) {
-	if a.ix.same(b.ix) {
-		return a, b
-	}
-	vb := b.onIndex(a.ix, b.tab)
-	return a.onIndex(vb.ix, a.tab), vb
-}
-
-// inTable returns m, or a copy of it re-interned into t.
-func (m *Matrix) inTable(t *entryTable) *Matrix {
-	if m.tab == t {
-		return m
-	}
-	return m.onIndex(m.ix, t)
 }
 
 func rowAt(m *Matrix, i int) []uint32 {
@@ -581,30 +542,26 @@ func cellAt(r []uint32, j int) uint32 {
 	return 0
 }
 
-// Join merges two matrices (control-flow join). Cells holding one id on
+// join merges two matrices (control-flow join). Cells holding one id on
 // both sides — the overwhelmingly common case at the joins of a converging
 // fixpoint — keep that id instead of joining, and a row all of whose cells
 // keep theirs is the left row itself, so a join that changes one cell
 // shares every other with its parents. Keeping an id requires a
 // sig-canonical entry (see sigCanonical): for those, signature matching
 // pairs each relation with itself, merges paths to identical content and
-// keeps certainty, so the joined entry is the same entry. The result lives
-// in a's table, or in a fresh one when a's is frozen. a gives up its
-// mutation rights. The second result counts the kept cells.
-func Join(a, b *Matrix) (*Matrix, int) {
+// keeps certainty, so the joined entry is the same entry. a and b belong to
+// one open run, whose table holds the result. a gives up its mutation
+// rights. The second result counts the kept cells.
+func join(a, b *Matrix) (*Matrix, int) {
+	sameRun(a, b)
+	t := a.writable()
 	a.dropRights()
-	t := a.tab
-	if t.frozen {
-		t = newEntryTable()
-	}
-	va, vb := cellsOn(a, b)
-	va, vb = va.inTable(t), vb.inTable(t)
-	n := len(va.ix.names)
-	out := newMatrix(a.vars, va.ix, t)
+	n := len(a.ix.names)
+	out := newMatrix(a.ix, t)
 	out.rows = make([][]uint32, n)
 	shared := 0
 	for i := range out.rows {
-		out.rows[i] = t.joinRows(rowAt(va, i), rowAt(vb, i), n, &shared)
+		out.rows[i] = t.joinRows(rowAt(a, i), rowAt(b, i), n, &shared)
 	}
 	for v := range a.viols {
 		out.addViolation(v)
@@ -642,23 +599,21 @@ func (t *entryTable) joinRows(ra, rb []uint32, n int, shared *int) []uint32 {
 	return out
 }
 
-// Equal compares matrices for fixed-point detection. Rows the two share
-// compare equal without a scan; cells of one table compare by id.
-func (m *Matrix) Equal(o *Matrix) bool {
+// equal compares two matrices of one run for fixed-point detection. Rows
+// the two share compare equal without a scan; cells compare by id.
+func (m *Matrix) equal(o *Matrix) bool {
+	sameRun(m, o)
 	if len(m.viols) != len(o.viols) {
 		return false
 	}
-	vm, vo := cellsOn(m, o)
-	sameTab := vm.tab == vo.tab
-	if n := len(vm.ix.names); len(vm.rows) != len(vo.rows) || len(vm.rows) > 0 && &vm.rows[0] != &vo.rows[0] {
+	if n := len(m.ix.names); len(m.rows) != len(o.rows) || len(m.rows) > 0 && &m.rows[0] != &o.rows[0] {
 		for i := 0; i < n; i++ {
-			ra, rb := rowAt(vm, i), rowAt(vo, i)
+			ra, rb := rowAt(m, i), rowAt(o, i)
 			if len(ra) == len(rb) && (len(ra) == 0 || &ra[0] == &rb[0]) {
 				continue
 			}
 			for j := 0; j < n; j++ {
-				a, b := cellAt(ra, j), cellAt(rb, j)
-				if sameTab && a != b || !sameTab && !equalEntries(vm.tab.entries[a], vo.tab.entries[b]) {
+				if cellAt(ra, j) != cellAt(rb, j) {
 					return false
 				}
 			}
@@ -723,7 +678,7 @@ func (m *Matrix) displayVars() []string {
 		}
 	}
 	var out []string
-	for _, v := range m.vars {
+	for _, v := range m.ix.names {
 		if !strings.HasPrefix(v, "@t") || used[m.ix.pos[v]] {
 			out = append(out, v)
 		}

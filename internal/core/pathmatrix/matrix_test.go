@@ -8,6 +8,9 @@ import (
 )
 
 func alias(certain bool) Rel { return Rel{Kind: RelAlias, Certain: certain} }
+
+// sibling returns an empty matrix of m's run, to join or compare with m.
+func sibling(m *Matrix) *Matrix { return newMatrix(m.ix, m.tab) }
 func pathRel(f string, certain bool) Rel {
 	return Rel{Kind: RelPath, Certain: certain, Path: single(f)}
 }
@@ -27,6 +30,9 @@ func TestMatrixAddAndQuery(t *testing.T) {
 	}
 	if got := relatedNames(m, "a"); len(got) != 2 {
 		t.Errorf("related variables = %v", got)
+	}
+	if m.Entry("y", "a") != nil || m.Entry("a", "y") != nil {
+		t.Error("an unknown variable has no relations")
 	}
 }
 
@@ -74,7 +80,7 @@ func TestMatrixKillAndStaleVia(t *testing.T) {
 }
 
 func TestMatrixCopyRelations(t *testing.T) {
-	m := NewMatrix([]string{"a", "b", "c"})
+	m := NewMatrix([]string{"a", "b", "c", "d"})
 	m.addRel("a", "b", pathRel("next", true))
 	m.addRel("c", "a", pathRel("prev", false))
 	m.copyRelations("d", "a")
@@ -89,8 +95,8 @@ func TestMatrixCopyRelations(t *testing.T) {
 func TestJoinDropsOneSidedCertainty(t *testing.T) {
 	a := NewMatrix([]string{"p", "q"})
 	a.addRel("p", "q", alias(true))
-	b := NewMatrix([]string{"p", "q"})
-	j, _ := Join(a, b)
+	b := sibling(a)
+	j, _ := join(a, b)
 	if j.MustAlias("p", "q") {
 		t.Error("one-sided alias must demote")
 	}
@@ -102,8 +108,8 @@ func TestJoinDropsOneSidedCertainty(t *testing.T) {
 func TestJoinUnionsViolations(t *testing.T) {
 	a := NewMatrix([]string{"p"})
 	a.addViolation(Violation{Prop: "acyclic", Field: "next", Base: "p"})
-	b := NewMatrix([]string{"p"})
-	j, _ := Join(a, b)
+	b := sibling(a)
+	j, _ := join(a, b)
 	if j.Valid() {
 		t.Error("violations must union at joins")
 	}
@@ -127,16 +133,16 @@ func TestMatrixEqual(t *testing.T) {
 	a := NewMatrix([]string{"p", "q"})
 	a.addRel("p", "q", pathRel("next", true))
 	b := a.Clone()
-	if !a.Equal(b) {
+	if !a.equal(b) {
 		t.Error("clone must be equal")
 	}
 	b.addRel("p", "q", alias(false))
-	if a.Equal(b) {
+	if a.equal(b) {
 		t.Error("different entries must differ")
 	}
 	c := a.Clone()
 	c.addViolation(Violation{Prop: "acyclic", Field: "next", Base: "p"})
-	if a.Equal(c) {
+	if a.equal(c) {
 		t.Error("violations participate in equality")
 	}
 }
@@ -173,7 +179,7 @@ func BenchmarkMatrixJoin(b *testing.B) {
 	c.addRel("q", "r", pathRel("prev", true))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Join(a, c)
+		join(a, c)
 	}
 }
 
@@ -312,7 +318,7 @@ func TestJoinSharesWithoutAliasing(t *testing.T) {
 	a.addRel("q", "r", alias(true))
 	b := a.Clone()
 	b.addRel("p", "r", pathRel("next", false))
-	j, _ := Join(a, b)
+	j, _ := join(a, b)
 	want := j.String()
 	a.addRel("p", "q", alias(false))
 	a.kill("r")
@@ -320,30 +326,7 @@ func TestJoinSharesWithoutAliasing(t *testing.T) {
 	if got := j.String(); got != want {
 		t.Fatalf("join changed after writes to its parents:\n%s\nwant\n%s", got, want)
 	}
-	if jj, _ := Join(j.Clone(), j); !j.Equal(jj) {
+	if jj, _ := join(j.Clone(), j); !j.equal(jj) {
 		t.Error("joining a matrix with itself must be the identity")
-	}
-}
-
-// TestMatrixForeignNames: matrices over different variable lists, and
-// writes naming a variable outside the list, still join and compare by name.
-func TestMatrixForeignNames(t *testing.T) {
-	a := NewMatrix([]string{"p", "q"})
-	a.addRel("p", "q", alias(true))
-	a.addRel("p", "x", pathRel("next", true)) // x is not a declared variable
-	b := NewMatrix([]string{"q", "p"})
-	b.addRel("q", "p", alias(true))
-	b.addRel("p", "x", pathRel("next", true))
-	if !a.Equal(b) || !b.Equal(a) {
-		t.Fatal("same relations over permuted variable lists must compare equal")
-	}
-	if j, _ := Join(a, b); j.Entry("p", "x").String() != "next" {
-		t.Errorf("PM(p, x) after join = %q, want next", j.Entry("p", "x"))
-	}
-	if got := relatedNames(a, "p"); strings.Join(got, ",") != "q,x" {
-		t.Errorf("variables related to p = %v", got)
-	}
-	if a.Entry("y", "p") != nil || a.Entry("p", "y") != nil {
-		t.Error("an unknown variable has no relations")
 	}
 }

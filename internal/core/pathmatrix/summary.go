@@ -606,8 +606,7 @@ func (tab *SummaryTable) computeSummary(ctx context.Context, g *norm.Graph) (*Fu
 // alias of its formal and never assigned, so exit rows between shadows
 // relate the formals' ENTRY values.
 func summaryInit(g *norm.Graph) *Matrix {
-	vars := shadowFormalVars(g) // a fresh slice the run's matrices share
-	init := newMatrix(vars, newVarIndex(vars), newEntryTable())
+	init := newMatrix(newVarIndex(shadowFormalVars(g)), newEntryTable())
 	initParams(init, g)
 	seedFormalShadows(init, g)
 	return init

@@ -18,12 +18,12 @@ import (
 // Each memo key holds everything its rewrite reads, with (variable, field)
 // pairs numbered per table (see site).
 //
-// Only the run that owns a table writes to it, memos included; the run
-// freezes it when it ends, after which its matrices are read concurrently.
-// A write that has to intern into or look up a memo of a frozen table first
-// moves its matrix into a fresh one (see Matrix.writable). Tables die with
-// their matrices: none is process-wide, and summaries leave a run as entry
-// values.
+// A table belongs to one run, as do the matrices over it: only that run
+// writes to it, memos included, and it freezes the table when it ends,
+// after which its matrices are only read, concurrently. A write to a
+// matrix of a frozen table panics (see Matrix.writable); nothing moves a
+// matrix into another table. Tables die with their matrices: none is
+// process-wide, and summaries leave a run as entry values.
 type entryTable struct {
 	entries []Entry      // by id; entries[0] is the empty entry
 	facts   []entryFacts // by id: factsOf(entries[id]), plus factHeld

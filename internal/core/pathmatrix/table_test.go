@@ -3,7 +3,9 @@ package pathmatrix
 import (
 	"context"
 	"encoding/json"
-	"strings"
+	"fmt"
+	"slices"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -50,7 +52,7 @@ func runTables(t *testing.T, info *types.Info) []*entryTable {
 // equalEntries holds, each id's canonical flag is sigCanonical of its
 // entry, and every memoized join is the joinEntries of its pair.
 func TestEntryTableEquivalence(t *testing.T) {
-	infos := hostileInfos(t)
+	infos := hostileInfos(t, 1)
 	for _, file := range miniFiles(t) {
 		infos = append(infos, loadMini(t, file))
 	}
@@ -92,11 +94,11 @@ func TestEntryTableEquivalence(t *testing.T) {
 }
 
 // TestConcurrentResultReads: one Result is read from several goroutines at
-// once — IterationMatrix (computed on first use), MarshalJSON, Entry, Join
-// of two of its matrices, and a write to a clone of one, which moves the
-// clone out of the frozen table — and every answer equals a serial run's.
+// once — IterationMatrix (computed on first use), MarshalJSON, Entry, String,
+// a clone of each matrix, and equal of two matrices of one run — and every
+// answer equals a serial run's.
 func TestConcurrentResultReads(t *testing.T) {
-	info := hostileInfos(t)[0]
+	info := hostileInfos(t, 1)[0]
 	ctx := context.Background()
 	serial, err := AnalyzeProgramCtx(ctx, info, info.Env, 1)
 	if err != nil {
@@ -131,16 +133,10 @@ func TestConcurrentResultReads(t *testing.T) {
 					out = append(out, m.Entry(p, q).String()...)
 				}
 			}
-			if prev != nil {
-				j, _ := Join(m, prev)
-				out = append(out, j.String()...)
+			if prev != nil && prev.tab == m.tab {
+				out = strconv.AppendBool(out, m.equal(prev))
 			}
-			if vars := m.Vars(); len(vars) > 1 {
-				c := m.Clone()
-				c.addRel(vars[0], vars[1], Rel{Kind: RelTop})
-				c.kill(vars[1])
-				out = append(out, c.String()...)
-			}
+			out = append(out, m.Clone().String()...)
 			out = append(out, m.String()...)
 			prev = m
 		}
@@ -268,67 +264,153 @@ func TestEntryTableFacts(t *testing.T) {
 	}
 }
 
-// TestConcurrentFrozenTransfers: eight goroutines at once re-apply every
-// store, kill and assign of each function to clones of one frozen Result's
-// before-states. A write that interns or looks up a memo moves its clone
-// into a fresh table, so only a table's own run writes its entries and
-// memos: every goroutine's after-states equal a serial run's, and the
-// shared Result and its table are unchanged.
-func TestConcurrentFrozenTransfers(t *testing.T) {
-	ctx := context.Background()
-	// apply renders the state after each re-applied statement of r.
-	apply := func(r *Result) string {
-		tr := transferer{env: r.Env}
-		var b strings.Builder
-		for _, n := range r.Graph.Nodes {
-			m := r.Before[n.ID]
-			if n.Stmt == nil || m == nil {
-				continue
+// TestOneRunContract: a matrix belongs to one fixpoint run. A store, kill
+// or assign, or a new violation, on a clone of a finished Result's matrix
+// panics with the finished-run message, and join and equal of matrices of
+// two runs panic.
+func TestOneRunContract(t *testing.T) {
+	const finished = "pathmatrix: write to a matrix of a finished run"
+	const twoRuns = "pathmatrix: matrices of two runs"
+	// panics returns what f panics with, "" when it returns.
+	panics := func(f func()) (msg string) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
 			}
-			switch n.Stmt.Op {
-			case norm.StorePtr, norm.Assign, norm.AssignNil, norm.AssignNew, norm.Free:
-			default:
-				continue
-			}
-			c := m.Clone()
-			tr.apply(c, n.Stmt)
-			b.WriteString(c.String())
-		}
-		return b.String()
+		}()
+		f()
+		return ""
 	}
-	for _, info := range hostileInfos(t) {
-		serial, err := AnalyzeProgramCtx(ctx, info, info.Env, 1)
+	var stores, kills, assigns int
+	for _, info := range hostileInfos(t, 1) {
+		res, err := AnalyzeProgramCtx(context.Background(), info, info.Env, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		shared, err := AnalyzeProgramCtx(ctx, info, info.Env, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, fr := range serial {
-			want := apply(fr.Result)
-			before := shared[name].Result.String()
-			tab := shared[name].Result.AtEntry().tab
-			sizes := func() [2]int { return [2]int{len(tab.entries), int(tab.memo.n)} }
-			frozen := sizes()
-			got := make([]string, 8)
-			var wg sync.WaitGroup
-			for g := range got {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					got[g] = apply(shared[name].Result)
-				}()
-			}
-			wg.Wait()
-			for g, s := range got {
-				if s != want {
-					t.Fatalf("%s: goroutine %d's transfers differ from the serial ones", name, g)
+		for name, fr := range res {
+			r := fr.Result
+			tr := transferer{env: r.Env}
+			for _, n := range r.Graph.Nodes {
+				m := r.Before[n.ID]
+				if m == nil {
+					continue
+				}
+				if s := n.Stmt; s != nil && (s.Op == norm.StorePtr || s.Op == norm.Assign && s.Dst != s.Src) {
+					if got := panics(func() { tr.apply(m.Clone(), s) }); got != finished {
+						t.Fatalf("%s: %v on a finished run's matrix: panic %q, want %q", name, s, got, finished)
+					}
+					if s.Op == norm.StorePtr {
+						stores++
+					} else {
+						assigns++
+					}
+				}
+				if got := panics(func() { m.Clone().addViolation(Violation{Prop: "call", Base: name}) }); got != finished {
+					t.Fatalf("%s: a violation on a finished run's matrix: panic %q, want %q", name, got, finished)
+				}
+				for i, v := range m.Vars() {
+					if len(m.appendRelated(nil, i)) == 0 {
+						continue
+					}
+					if got := panics(func() { m.Clone().kill(v) }); got != finished {
+						t.Fatalf("%s: kill %s on a finished run's matrix: panic %q, want %q", name, v, got, finished)
+					}
+					kills++
 				}
 			}
-			if shared[name].Result.String() != before || sizes() != frozen {
-				t.Fatalf("%s: transfers on clones changed the shared result or its table", name)
+		}
+	}
+	t.Logf("%d stores, %d kills, %d assigns panicked", stores, kills, assigns)
+	if stores == 0 || kills == 0 || assigns == 0 {
+		t.Error("some transfer was never tried on a finished run's matrix")
+	}
+
+	a := NewMatrix([]string{"p", "q"})
+	for _, b := range []*Matrix{
+		NewMatrix([]string{"p", "q"}),           // another index and table
+		newMatrix(a.ix, newEntryTable()),        // another table
+		newMatrix(newVarIndex(a.Vars()), a.tab), // another index
+	} {
+		if got := panics(func() { join(a, b) }); got != twoRuns {
+			t.Errorf("join of two runs: panic %q, want %q", got, twoRuns)
+		}
+		if got := panics(func() { a.equal(b) }); got != twoRuns {
+			t.Errorf("equal of two runs: panic %q, want %q", got, twoRuns)
+		}
+	}
+}
+
+// TestRunSharesIndexAndTable: over testdata/*.mini and seeds 1-5 of the
+// hostile profiles, every recorded matrix of a Result has its run's index
+// and frozen table, every cell holds an id that table holds, and each
+// IterationMatrix is a run of its own over the loop head's variables and
+// their shadows.
+func TestRunSharesIndexAndTable(t *testing.T) {
+	infos := hostileInfos(t, 5)
+	for _, file := range miniFiles(t) {
+		infos = append(infos, loadMini(t, file))
+	}
+	// check reports how m departs from the run of ix and tab, "" if not.
+	check := func(m *Matrix, ix *varIndex, tab *entryTable) string {
+		switch {
+		case m.ix != ix:
+			return "another index"
+		case m.tab != tab:
+			return "another table"
+		case !tab.frozen:
+			return "a table still writable"
+		}
+		for _, r := range m.rows {
+			for _, id := range r {
+				if int(id) >= len(tab.entries) || id != 0 && tab.facts[id]&factHeld == 0 {
+					return fmt.Sprintf("cell id %d its table does not hold", id)
+				}
+			}
+		}
+		return ""
+	}
+	var matrices, iters int
+	for _, info := range infos {
+		res, err := AnalyzeProgramCtx(context.Background(), info, info.Env, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, fr := range res {
+			r := fr.Result
+			ix, tab := r.AtEntry().ix, r.AtEntry().tab
+			for _, ms := range [][]*Matrix{r.Before, r.After} {
+				for id, m := range ms {
+					if m == nil {
+						continue
+					}
+					if why := check(m, ix, tab); why != "" {
+						t.Fatalf("%s: node %d's matrix has %s", name, id, why)
+					}
+					matrices++
+				}
+			}
+			for k, l := range r.Graph.Loops {
+				if len(l.Branch.Succs) == 0 {
+					continue
+				}
+				im := r.IterationMatrix(l)
+				if im.ix == ix || im.tab == tab {
+					t.Fatalf("%s: loop %d's iteration matrix is in the function's run", name, k)
+				}
+				if why := check(im, im.ix, im.tab); why != "" {
+					t.Fatalf("%s: loop %d's iteration matrix has %s", name, k, why)
+				}
+				head := r.LoopHead(l).Vars()
+				want := append([]string(nil), head...)
+				for _, v := range head {
+					want = append(want, v+Shadow)
+				}
+				if !slices.Equal(im.Vars(), want) {
+					t.Fatalf("%s: loop %d's iteration matrix is over %v, want %v", name, k, im.Vars(), want)
+				}
+				iters++
 			}
 		}
 	}
+	t.Logf("%d recorded matrices, %d iteration matrices", matrices, iters)
 }

@@ -136,7 +136,7 @@ func (t *transferer) assign(m *Matrix, dst, src string) {
 
 // pending is a relation between two variables, by index, to install after
 // the whole statement has been derived from the pre-state. dstIdx marks
-// the destination, which may have no index yet.
+// the destination, which install resolves once dst's old value is killed.
 type pending struct {
 	p, q int
 	rel  Rel
@@ -154,7 +154,7 @@ func (t *transferer) deref(m *Matrix, dst, src, field, record string) {
 	}
 
 	t.scratch = t.scratch[:0]
-	si := m.slot(src)
+	si := m.index(src)
 	t.idx = m.appendRelated(t.idx[:0], si)
 
 	// Unknown or circular traversal: the paper's conservative case — the
@@ -475,7 +475,7 @@ func (t *transferer) add(p, q int, r Rel) {
 // dstIdx marker to dst's index.
 func (t *transferer) install(m *Matrix, dst string) {
 	m.kill(dst)
-	d := m.slot(dst)
+	d := m.index(dst)
 	for _, a := range t.scratch {
 		p, q := a.p, a.q
 		if p == dstIdx {
@@ -527,8 +527,6 @@ func (t *transferer) store(m *Matrix, base, field, src, record string) {
 	}
 
 	// The new edge: base --field--> src's node.
-	b = m.slot(base)
-	s = m.slot(src)
 	via := Via{Var: base, Field: field}
 	m.addRelAt(b, s, Rel{Kind: RelPath, Certain: true, Path: single(field), Via: via})
 

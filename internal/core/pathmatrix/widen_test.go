@@ -85,7 +85,7 @@ violations: !widened()
 `},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := widened(tc.vars, recordsOf(g), newEntryTable()).String(); got != tc.want {
+			if got := widened(newVarIndex(tc.vars), recordsOf(g), newEntryTable()).String(); got != tc.want {
 				t.Errorf("widened state drifted:\ngot:\n%s\nwant:\n%s", got, tc.want)
 			}
 		})
