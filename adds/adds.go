@@ -23,7 +23,6 @@ import (
 	"context"
 
 	"repro/internal/alias"
-	"repro/internal/alias/klimit"
 	"repro/internal/core/pathmatrix"
 	"repro/internal/core/validation"
 	"repro/internal/depgraph"
@@ -219,9 +218,11 @@ func (a *Analysis) SummaryTable() *SummaryTable { return a.GPM.Summaries }
 // ConservativeOracle returns the worst-case baseline.
 func (a *Analysis) ConservativeOracle() Oracle { return alias.NewConservative(a.Graph) }
 
-// KLimitedOracle returns the k-limited storage-graph baseline.
+// KLimitedOracle returns the k-limited storage-graph baseline, built by the
+// oracle table's klimit factory.
 func (a *Analysis) KLimitedOracle(k int) Oracle {
-	return klimit.Analyze(a.Graph, a.Unit.Info.Env, k)
+	o, _ := a.OracleNamed(context.Background(), "klimit", k) // listed in package alias; cannot fail
+	return o
 }
 
 // options builds dependence options for loop i under an oracle.

@@ -15,6 +15,7 @@
 package klimit
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -235,8 +236,9 @@ type Analysis struct {
 	Before []*Heap // per CFG node
 }
 
-// Analyze runs the k-limited storage-graph analysis.
-func Analyze(g *norm.Graph, env *shape.Env, k int) *Analysis {
+// Analyze runs the k-limited storage-graph analysis. It stops with ctx's
+// error once ctx is done.
+func Analyze(ctx context.Context, g *norm.Graph, env *shape.Env, k int) (*Analysis, error) {
 	if k <= 0 {
 		k = DefaultK
 	}
@@ -250,60 +252,44 @@ func Analyze(g *norm.Graph, env *shape.Env, k int) *Analysis {
 		u := a.unknownNode(init, p.TypeName)
 		init.vars[p.Name] = nodeSet{u: true}
 	}
-
-	out := make([][]*Heap, len(g.Nodes))
-	for i, n := range g.Nodes {
-		out[i] = make([]*Heap, len(n.Succs))
+	if _, err := norm.Solve[*Heap](ctx, g, g.Entry, 0, &flow{a: a, init: init}); err != nil {
+		return nil, err
 	}
-	work := []*norm.Node{g.Entry}
-	inWork := map[int]bool{g.Entry.ID: true}
-	for len(work) > 0 {
-		n := work[0]
-		work = work[1:]
-		inWork[n.ID] = false
-
-		var before *Heap
-		if n == g.Entry {
-			before = init.Clone()
-		} else {
-			for _, p := range n.Preds {
-				for si, s := range p.Succs {
-					if s != n || out[p.ID][si] == nil {
-						continue
-					}
-					if before == nil {
-						before = out[p.ID][si].Clone()
-					} else {
-						before = join(before, out[p.ID][si])
-					}
-				}
-			}
-			if before == nil {
-				continue
-			}
-		}
-		a.Before[n.ID] = before
-		after := before.Clone()
-		if n.Kind == norm.NodeStmt {
-			a.apply(after, n)
-		}
-		for si, succ := range n.Succs {
-			st := after
-			if n.Kind == norm.NodeBranch && n.Cond != nil {
-				st = refine(after, n.Cond, si == 0)
-			}
-			if out[n.ID][si] != nil && out[n.ID][si].equal(st) {
-				continue
-			}
-			out[n.ID][si] = st
-			if !inWork[succ.ID] {
-				work = append(work, succ)
-				inWork[succ.ID] = true
-			}
-		}
-	}
-	return a
+	return a, nil
 }
+
+// flow is the analysis's dataflow for norm.Solve: a plain join of the
+// incoming heaps (the entry starts from init), the statement's transfer,
+// and a refinement per branch edge.
+type flow struct {
+	a    *Analysis
+	init *Heap
+}
+
+func (f *flow) Visit(n *norm.Node, in, out []*Heap) {
+	var before *Heap
+	if len(in) == 0 {
+		before = f.init.Clone()
+	} else {
+		before = in[0].Clone()
+		for _, h := range in[1:] {
+			before = join(before, h)
+		}
+	}
+	f.a.Before[n.ID] = before
+	after := before.Clone()
+	if n.Kind == norm.NodeStmt {
+		f.a.apply(after, n)
+	}
+	for si := range n.Succs {
+		out[si] = after
+		if n.Kind == norm.NodeBranch && n.Cond != nil {
+			out[si] = refine(after, n.Cond, si == 0)
+		}
+	}
+}
+
+func (*flow) Equal(a, b *Heap) bool { return a.equal(b) }
 
 // unknownNode materializes the fully-connected summary region representing
 // an unknown input of the given type, returning its label.

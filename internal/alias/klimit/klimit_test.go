@@ -1,6 +1,7 @@
 package klimit
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -24,7 +25,11 @@ func analyze(t *testing.T, src, fn string, k int) (*Analysis, *norm.Graph) {
 		t.Fatalf("func %s missing", fn)
 	}
 	g := norm.Build(fi, info.Env)
-	return Analyze(g, info.Env, k), g
+	a, err := Analyze(context.Background(), g, info.Env, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, g
 }
 
 // build-then-traverse: the scenario of experiment E8.

@@ -109,12 +109,14 @@ var factories = []*Factory{
 		Description: "k-limited storage graphs (Jones & Muchnick); -k bounds per-site materialization",
 		NeedsK:      true,
 		Aliases:     []string{"klimited"},
-		Build: func(_ context.Context, g *norm.Graph, opts BuildOpts) Oracle {
-			k := opts.K
-			if k <= 0 {
-				k = klimit.DefaultK
+		Build: func(ctx context.Context, g *norm.Graph, opts BuildOpts) Oracle {
+			// A done context stops the fixpoint; the conservative oracle
+			// answering instead is sound.
+			o, err := klimit.Analyze(ctx, g, opts.Env, opts.K)
+			if err != nil {
+				return NewConservative(g)
 			}
-			return klimit.Analyze(g, opts.Env, k)
+			return o
 		},
 	},
 	{

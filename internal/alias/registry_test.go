@@ -128,3 +128,48 @@ void f(List *p) {
 		t.Errorf("live classic build answered with %q", o.Name())
 	}
 }
+
+// TestStorageGraphsHonourCancelledContext: under a done context the
+// k-limited and SMG fixpoints stop, and their oracles answer soundly: every
+// pair of same-record pointers may alias, here even two fresh allocations
+// the live analyses tell apart.
+func TestStorageGraphsHonourCancelledContext(t *testing.T) {
+	src := `
+type List [X] {
+    int data;
+    List *next is uniquely forward along X;
+};
+void f(List *p) {
+    List *a;
+    List *b;
+    a = new List;
+    b = new List;
+    a->next = b;
+}
+`
+	info := types.MustCheck(parser.MustParse(src))
+	g := norm.Build(info.Func("f"), info.Env)
+	opts := alias.BuildOpts{Env: info.Env, Info: info, K: 2}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	vars := g.PointerVars()
+	for _, name := range []string{"klimit", "smg"} {
+		f, err := alias.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Build(context.Background(), g, opts).MayAlias(g.Exit, "a", "b") {
+			t.Fatalf("%s: the live analysis should tell a and b apart", name)
+		}
+		o := f.Build(ctx, g, opts)
+		for _, n := range g.Nodes {
+			for _, p := range vars {
+				for _, q := range vars {
+					if g.VarTypes[p].Record == g.VarTypes[q].Record && !o.MayAlias(n, p, q) {
+						t.Errorf("%s under a cancelled context: node %d denies %s, %s", name, n.ID, p, q)
+					}
+				}
+			}
+		}
+	}
+}

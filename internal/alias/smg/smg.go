@@ -274,8 +274,8 @@ type Analysis struct {
 
 	// bailed is the sound escape hatch: if the fixpoint failed to converge
 	// within the step budget (never observed; strong updates make the
-	// transfer non-monotone in principle), every query degrades to the
-	// conservative answer.
+	// transfer non-monotone in principle) or its context ended first, every
+	// query degrades to the conservative answer.
 	bailed bool
 
 	// Per-analysis counter snapshots (also accumulated process-wide).
@@ -289,9 +289,11 @@ func Analyze(g *norm.Graph, env *shape.Env) *Analysis {
 	return AnalyzeCtx(context.Background(), g, env)
 }
 
-// AnalyzeCtx runs the SMG analysis over one function. When the context
-// carries a tracer the run lands as an "smg" span whose attributes report
-// the engine counters (nodes created, segments folded, materializations).
+// AnalyzeCtx runs the SMG analysis over one function. A done context ends
+// the run as the step budget does: every query then answers conservatively.
+// When the context carries a tracer the run lands as an "smg" span whose
+// attributes report the engine counters (nodes created, segments folded,
+// materializations) and whether the run bailed.
 func AnalyzeCtx(ctx context.Context, g *norm.Graph, env *shape.Env) *Analysis {
 	_, span := obs.Start(ctx, "smg")
 	defer span.End()
@@ -313,90 +315,10 @@ func AnalyzeCtx(ctx context.Context, g *norm.Graph, env *shape.Env) *Analysis {
 		entry.vars[p.Name] = valSet{u: true, nilLabel: true}
 	}
 
-	out := make([][]*State, len(g.Nodes))
-	upd := make([][]int, len(g.Nodes))
-	for i, n := range g.Nodes {
-		out[i] = make([]*State, len(n.Succs))
-		upd[i] = make([]int, len(n.Succs))
-	}
-	// widenAt is the per-edge update count after which new out-states are
-	// joined with the old ones, forcing monotone growth (and with the
-	// finite label universe, convergence).
-	const widenAt = 16
-	steps, maxSteps := 0, 4096+512*len(g.Nodes)
-
-	work := []*norm.Node{g.Entry}
-	inWork := map[int]bool{g.Entry.ID: true}
-	for len(work) > 0 {
-		if steps++; steps > maxSteps {
-			a.bailed = true
-			break
-		}
-		n := work[0]
-		work = work[1:]
-		inWork[n.ID] = false
-
-		var before *State
-		if n == g.Entry {
-			before = entry.Clone()
-		} else {
-			joins := 0
-			for _, p := range n.Preds {
-				for si, s := range p.Succs {
-					if s != n || out[p.ID][si] == nil {
-						continue
-					}
-					if before == nil {
-						before = out[p.ID][si].Clone()
-					} else {
-						before = join(before, out[p.ID][si])
-					}
-					joins++
-				}
-			}
-			if before == nil {
-				continue
-			}
-			if joins > 1 {
-				// Joins are where runs appear (a loop's back edge merging
-				// the grown list into the head state): garbage-collect,
-				// then fold uninterrupted runs into segments.
-				a.gc(before)
-				a.fold(before)
-			}
-		}
-		a.Before[n.ID] = before
-		after := before.Clone()
-		if n.Kind == norm.NodeStmt {
-			a.apply(after, n)
-		}
-		for si, succ := range n.Succs {
-			st := after
-			if n.Kind == norm.NodeBranch && n.Cond != nil {
-				st = refine(after, n.Cond, si == 0)
-				if st == nil {
-					// Infeasible edge: nothing flows to this successor.
-					// An earlier, coarser out-state may linger from a
-					// previous iteration; keeping it only over-approximates.
-					continue
-				}
-			}
-			if out[n.ID][si] != nil && out[n.ID][si].equal(st) {
-				continue
-			}
-			if upd[n.ID][si]++; upd[n.ID][si] > widenAt && out[n.ID][si] != nil {
-				st = join(out[n.ID][si], st)
-				if out[n.ID][si].equal(st) {
-					continue
-				}
-			}
-			out[n.ID][si] = st
-			if !inWork[succ.ID] {
-				work = append(work, succ)
-				inWork[succ.ID] = true
-			}
-		}
-	}
+	f := &flow{a: a, entry: entry, upd: map[[2]int]int{}}
+	_, err := norm.Solve[*State](ctx, g, g.Entry, 4096+512*len(g.Nodes), f)
+	a.bailed = err != nil
+	span.SetAttr("bailed", a.bailed)
 
 	stats.analyses.Add(1)
 	stats.nodes.Add(uint64(a.NodesCreated))
@@ -407,6 +329,69 @@ func AnalyzeCtx(ctx context.Context, g *norm.Graph, env *shape.Env) *Analysis {
 	span.SetAttr("materializations", a.Materializations)
 	return a
 }
+
+// widenAt is the per-edge update count after which new out-states are
+// joined with the old ones, forcing monotone growth (and with the finite
+// label universe, convergence).
+const widenAt = 16
+
+// flow is the analysis's dataflow for norm.Solve.
+type flow struct {
+	a     *Analysis
+	entry *State
+	upd   map[[2]int]int // per edge, by node ID and successor index: its updates
+}
+
+// Visit joins the incoming states (the entry starts from entry), applies
+// n's statement and sends the result along n's edges, narrowed per branch
+// edge. An infeasible edge keeps its old state, and past widenAt updates an
+// edge's new state is joined with its old one.
+func (f *flow) Visit(n *norm.Node, in, out []*State) {
+	a := f.a
+	var before *State
+	if len(in) == 0 {
+		before = f.entry.Clone()
+	} else {
+		before = in[0].Clone()
+		for _, st := range in[1:] {
+			before = join(before, st)
+		}
+		if len(in) > 1 {
+			// Joins are where runs appear (a loop's back edge merging the
+			// grown list into the head state): garbage-collect, then fold
+			// uninterrupted runs into segments.
+			a.gc(before)
+			a.fold(before)
+		}
+	}
+	a.Before[n.ID] = before
+	after := before.Clone()
+	if n.Kind == norm.NodeStmt {
+		a.apply(after, n)
+	}
+	for si := range n.Succs {
+		st := after
+		if n.Kind == norm.NodeBranch && n.Cond != nil {
+			if st = refine(after, n.Cond, si == 0); st == nil {
+				// Infeasible edge: nothing flows to this successor. An
+				// earlier, coarser out-state may linger from a previous
+				// iteration; keeping it only over-approximates.
+				continue
+			}
+		}
+		old := out[si]
+		if old != nil && old.equal(st) {
+			continue
+		}
+		e := [2]int{n.ID, si}
+		if f.upd[e]++; f.upd[e] > widenAt && old != nil {
+			st = join(old, st)
+		}
+		out[si] = st
+	}
+}
+
+func (*flow) Equal(a, b *State) bool { return a.equal(b) }
 
 // newNode installs a node with every declared pointer field nil-initialized
 // (mini's new zeroes records).

@@ -1,9 +1,11 @@
 package smg
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/norm"
+	"repro/internal/obs"
 	"repro/internal/source/parser"
 	"repro/internal/source/types"
 )
@@ -272,6 +274,38 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 	if after.Segments <= before.Segments {
 		t.Error("segments counter did not move")
+	}
+}
+
+// TestSpanReportsBail: the smg span says whether the run bailed, here
+// because its context was already done.
+func TestSpanReportsBail(t *testing.T) {
+	info := types.MustCheck(parser.MustParse(buildTraverse))
+	g := norm.Build(info.Func("f"), info.Env)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		ctx  context.Context
+		want bool
+	}{{context.Background(), false}, {cancelled, true}} {
+		tr := obs.NewTracer(1)
+		ctx, root := tr.StartRoot(tc.ctx, "test", obs.TraceID{})
+		a := AnalyzeCtx(ctx, g, info.Env)
+		root.End()
+		if a.bailed != tc.want {
+			t.Errorf("bailed = %v, want %v", a.bailed, tc.want)
+		}
+		var got []any
+		for _, rec := range tr.Ring().Get(root.TraceID()).Snapshot() {
+			for _, at := range rec.Attrs {
+				if rec.Name == "smg" && at.Key == "bailed" {
+					got = append(got, at.Value)
+				}
+			}
+		}
+		if len(got) != 1 || got[0] != tc.want {
+			t.Errorf("smg span bailed attributes %v, want [%v]", got, tc.want)
+		}
 	}
 }
 

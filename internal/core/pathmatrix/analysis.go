@@ -2,6 +2,7 @@ package pathmatrix
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -31,10 +32,6 @@ type Result struct {
 // maxIterations bounds the fixed-point computation; the bounded domain
 // converges long before this, but a safety valve beats an infinite loop.
 const maxIterations = 100000
-
-// ctxCheckMask controls how often the fixed-point loop polls the context:
-// every (ctxCheckMask+1) iterations. Must be a power of two minus one.
-const ctxCheckMask = 63
 
 // nodeVisitBudget bounds how often one CFG node is reprocessed before its
 // state is forcibly widened to the fully conservative matrix. Pathological
@@ -136,7 +133,7 @@ func analyzeFunc(ctx context.Context, g *norm.Graph, env *shape.Env, tab *Summar
 	return &Result{Graph: g, Env: env, Before: f.before, After: f.after, Summaries: tab}, nil
 }
 
-// fixpoint is one FIFO worklist run of the path-matrix dataflow over g: the
+// fixpoint is one norm.Solve run of the path-matrix dataflow over g: the
 // function analysis and the summary runs from the entry over the whole
 // graph, and IterationMatrix from a loop's body entry over its body.
 type fixpoint struct {
@@ -150,9 +147,14 @@ type fixpoint struct {
 	onStop func(*Matrix)
 
 	before, after []*Matrix // per node ID; nil where never reached
-	// tab is the run's entry table: the seed state's, written only by this
-	// run and frozen when it ends.
+	// in is the seed's in-state. tab, its entry table, is the run's:
+	// written only by this run and frozen when it ends.
+	in  *Matrix
 	tab *entryTable
+	// visits counts the visits per node ID; wide is the widened state the
+	// nodes past nodeVisitBudget share.
+	visits []int
+	wide   *Matrix
 	// stats counts the run's iterations, widenings, the clones the solver
 	// makes and the join cells it shares.
 	stats Stats
@@ -174,133 +176,76 @@ func newFixpoint(g *norm.Graph, env *shape.Env, tab *SummaryTable) *fixpoint {
 // entry table, which must not be frozen, becomes the run's. When solve
 // returns, the table and the recorded matrices are frozen.
 func (f *fixpoint) solve(ctx context.Context, seed *norm.Node, in *Matrix) error {
-	g := f.g
-	f.tab = in.tab
+	f.in, f.tab = in, in.tab
 	defer f.freeze()
-	f.before = make([]*Matrix, len(g.Nodes))
-	f.after = make([]*Matrix, len(g.Nodes))
-
-	// Edge states: for each node, the state flowing out along each
-	// successor edge (branches refine differently per edge). The per-node
-	// slices are carved from one backing array.
-	totalSuccs := 0
-	for _, n := range g.Nodes {
-		totalSuccs += len(n.Succs)
+	n := len(f.g.Nodes)
+	states := make([]*Matrix, 2*n)
+	f.before, f.after = states[:n:n], states[n:]
+	f.visits = make([]int, n)
+	steps, err := norm.Solve[*Matrix](ctx, f.g, seed, maxIterations, f)
+	f.stats.Iterations = uint64(steps)
+	if errors.Is(err, norm.ErrStepLimit) {
+		panic("pathmatrix: fixed point not reached")
 	}
-	edgeOut := make([][]*Matrix, len(g.Nodes))
-	edgeBuf := make([]*Matrix, totalSuccs)
-	for i, n := range g.Nodes {
-		edgeOut[i], edgeBuf = edgeBuf[:len(n.Succs):len(n.Succs)], edgeBuf[len(n.Succs):]
-	}
-
-	// inState joins the states on n's incoming edges. A node is queued only
-	// after one of them has been set, so the join is never empty.
-	inState := func(n *norm.Node) *Matrix {
-		if n == seed {
-			return in
-		}
-		var acc *Matrix
-		for _, p := range n.Preds {
-			for si, s := range p.Succs {
-				if s != n {
-					continue
-				}
-				st := edgeOut[p.ID][si]
-				if st == nil {
-					continue
-				}
-				if acc == nil {
-					acc = st.Clone()
-					f.stats.Clones++
-				} else {
-					var shared int
-					acc, shared = join(acc, st)
-					f.stats.SharedRows += uint64(shared)
-				}
-			}
-		}
-		return acc
-	}
-
-	// The FIFO worklist is a slice drained by index and compacted in place
-	// once the drained prefix dominates, so steady-state processing appends
-	// into existing capacity, sized by the nodes the run may visit, instead
-	// of reallocating.
-	visitable := len(g.Nodes)
-	if f.body != nil {
-		visitable = len(f.body)
-	}
-	work := make([]*norm.Node, 1, 4*visitable+64)
-	work[0] = seed
-	head := 0
-	inWork := make([]bool, len(g.Nodes))
-	inWork[seed.ID] = true
-	visits := make([]int, len(g.Nodes))
-	var wide *Matrix
-	for head < len(work) {
-		if f.stats.Iterations++; f.stats.Iterations > maxIterations {
-			panic("pathmatrix: fixed point not reached")
-		}
-		if f.stats.Iterations&ctxCheckMask == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		if head > 32 && head*2 >= len(work) {
-			n := copy(work, work[head:])
-			work, head = work[:n], 0
-		}
-		n := work[head]
-		head++
-		inWork[n.ID] = false
-
-		var before, after *Matrix
-		if visits[n.ID]++; visits[n.ID] > nodeVisitBudget {
-			if visits[n.ID] == nodeVisitBudget+1 {
-				f.stats.Widenings++
-			}
-			if wide == nil {
-				wide = widened(in.ix, recordsOf(g), f.tab)
-			}
-			before, after = wide, wide
-		} else {
-			before = inState(n)
-			after = before.Clone()
-			f.stats.Clones++
-			if n.Kind == norm.NodeStmt {
-				f.trans.apply(after, n.Stmt)
-			}
-		}
-		f.before[n.ID] = before
-		f.after[n.ID] = after
-
-		for si, succ := range n.Succs {
-			out := after
-			if n.Kind == norm.NodeBranch && visits[n.ID] <= nodeVisitBudget {
-				if out = refine(after, n.Cond, si == 0); out != after {
-					f.stats.Clones++
-				}
-			}
-			if succ == f.stop {
-				f.onStop(out)
-				continue
-			}
-			if f.body != nil && !f.body[succ] {
-				continue
-			}
-			old := edgeOut[n.ID][si]
-			if old != nil && old.equal(out) {
-				continue
-			}
-			edgeOut[n.ID][si] = out
-			if !inWork[succ.ID] {
-				work = append(work, succ)
-				inWork[succ.ID] = true
-			}
-		}
-	}
-	return nil
+	return err
 }
+
+// Visit implements norm.Flow: it records n's before and after matrices and
+// sends the after matrix, refined per edge at a branch, along n's edges.
+// Past nodeVisitBudget visits the node's state is the widened matrix.
+func (f *fixpoint) Visit(n *norm.Node, in, out []*Matrix) {
+	var before, after *Matrix
+	if f.visits[n.ID]++; f.visits[n.ID] > nodeVisitBudget {
+		if f.visits[n.ID] == nodeVisitBudget+1 {
+			f.stats.Widenings++
+		}
+		if f.wide == nil {
+			f.wide = widened(f.in.ix, recordsOf(f.g), f.tab)
+		}
+		before, after = f.wide, f.wide
+	} else {
+		before = f.inState(in)
+		after = before.Clone()
+		f.stats.Clones++
+		if n.Kind == norm.NodeStmt {
+			f.trans.apply(after, n.Stmt)
+		}
+	}
+	f.before[n.ID], f.after[n.ID] = before, after
+	for si, succ := range n.Succs {
+		st := after
+		if n.Kind == norm.NodeBranch && f.visits[n.ID] <= nodeVisitBudget {
+			if st = refine(after, n.Cond, si == 0); st != after {
+				f.stats.Clones++
+			}
+		}
+		switch {
+		case succ == f.stop:
+			f.onStop(st)
+		case f.body == nil || f.body[succ]:
+			out[si] = st
+		}
+	}
+}
+
+// inState joins the states on a node's incoming edges; the seed has none
+// and starts from the run's in-state.
+func (f *fixpoint) inState(in []*Matrix) *Matrix {
+	if len(in) == 0 {
+		return f.in
+	}
+	acc := in[0].Clone()
+	f.stats.Clones++
+	for _, st := range in[1:] {
+		var shared int
+		acc, shared = join(acc, st)
+		f.stats.SharedRows += uint64(shared)
+	}
+	return acc
+}
+
+// Equal implements norm.Flow.
+func (f *fixpoint) Equal(a, b *Matrix) bool { return a.equal(b) }
 
 // freeze ends the run's writes: its table and the matrices it recorded are
 // read concurrently from here on.

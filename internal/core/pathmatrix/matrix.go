@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"repro/internal/norm"
 )
 
 // varIndex addresses a variable list by dense index. Every matrix of one
@@ -679,7 +681,7 @@ func (m *Matrix) displayVars() []string {
 	}
 	var out []string
 	for _, v := range m.ix.names {
-		if !strings.HasPrefix(v, "@t") || used[m.ix.pos[v]] {
+		if !norm.IsTemp(v) || used[m.ix.pos[v]] {
 			out = append(out, v)
 		}
 	}

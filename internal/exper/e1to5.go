@@ -1,6 +1,7 @@
 package exper
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/alias"
@@ -291,7 +292,7 @@ void buildwalk(int n) {
 			"hd aliases iterate of p"},
 	}
 	for _, k := range []int{1, 2, 3} {
-		o := klimit.Analyze(f.g, f.info.Env, k)
+		o, _ := klimit.Analyze(context.Background(), f.g, f.info.Env, k) // a background context never stops the run
 		r.Rows = append(r.Rows, []string{
 			o.Name(),
 			yes(o.LoopCarried(traverse, "p", "p")),

@@ -27,14 +27,6 @@ func RefWord(n *interp.Node) Word { return Word{IsRef: true, Ref: n} }
 // Null is the NULL reference.
 var Null = Word{IsRef: true}
 
-// IsZero reports whether the word is NULL or integer zero.
-func (w Word) IsZero() bool {
-	if w.IsRef {
-		return w.Ref == nil
-	}
-	return w.Int == 0
-}
-
 // Equal compares two words.
 func (w Word) Equal(o Word) bool {
 	if w.IsRef || o.IsRef {

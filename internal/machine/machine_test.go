@@ -290,9 +290,6 @@ int f(List *hd) {
 }
 
 func TestWordHelpers(t *testing.T) {
-	if !Null.IsZero() || !IntWord(0).IsZero() || IntWord(3).IsZero() {
-		t.Error("IsZero wrong")
-	}
 	if !IntWord(3).Equal(IntWord(3)) || IntWord(3).Equal(IntWord(4)) {
 		t.Error("Equal wrong")
 	}

@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"repro/adds/wire"
-	"repro/internal/core/pathmatrix"
 	"repro/internal/par"
 )
 
@@ -76,17 +75,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // batchLine resolves one batch item and renders its NDJSON line.
 func (s *Server) batchLine(ctx context.Context, idx int, item *wire.AnalyzeRequest, forwarded bool) []byte {
-	compute := func(c context.Context) (any, error) { return BuildAnalyze(c, item) }
-	if s.computeHook != nil {
-		if h := s.computeHook("analyze"); h != nil {
-			compute = h
-		}
-	}
-	var res resolved
-	if canonical, err := json.Marshal(workerless(item)); err != nil {
-		res = resolved{err: fmt.Errorf("%w: %v", ErrBadRequest, err)}
-	} else {
-		key := Key("analyze", pathmatrix.EngineVersion, string(canonical))
+	key, canonical, compute, err := s.keyed("analyze", item, func(c context.Context) (any, error) { return BuildAnalyze(c, item) })
+	res := resolved{err: err}
+	if err == nil {
 		res = s.resolve(ctx, "batch", "analyze", key, canonical, forwarded, compute)
 	}
 

@@ -189,3 +189,28 @@ func TestBatchDuplicateItemsShareOneCompute(t *testing.T) {
 		t.Errorf("hits+coalesced = %d, want 3", got)
 	}
 }
+
+// A batch item keys exactly as the same /v1/analyze request does, worker
+// count aside, so each answers from the other's cache entry.
+func TestBatchSharesAnalyzeKeys(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	resp, body := postJSON(t, ts.URL+"/v1/analyze", wire.AnalyzeRequest{Source: shiftSrc, Workers: 3})
+	if resp.StatusCode != 200 {
+		t.Fatalf("analyze = %d", resp.StatusCode)
+	}
+	b, err := json.Marshal(wire.BatchRequest{Items: []wire.AnalyzeRequest{{Source: shiftSrc, Workers: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, _ = postBatch(t, ts.URL, b); resp.StatusCode != 200 {
+		t.Fatalf("batch = %d", resp.StatusCode)
+	}
+	m := s.Metrics()
+	if m.Count(CacheMisses) != 1 || m.Count(CacheHits) != 1 {
+		t.Errorf("misses, hits = %d, %d; want 1, 1", m.Count(CacheMisses), m.Count(CacheHits))
+	}
+	resp, again := postJSON(t, ts.URL+"/v1/analyze", wire.AnalyzeRequest{Source: shiftSrc})
+	if resp.Header.Get("X-Cache") != "hit" || !bytes.Equal(again, body) {
+		t.Errorf("analyze after batch: X-Cache %q, same body %v", resp.Header.Get("X-Cache"), bytes.Equal(again, body))
+	}
+}

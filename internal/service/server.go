@@ -172,16 +172,8 @@ func (s *Server) observeSpan(rec obs.SpanRecord) {
 		return
 	}
 	for _, a := range rec.Attrs {
-		if a.Key != "iterations" {
-			continue
-		}
-		switch n := a.Value.(type) {
-		case int:
+		if n, ok := a.Value.(int); ok && a.Key == "iterations" {
 			s.metrics.ObserveFixpointIters(n)
-		case int64:
-			s.metrics.ObserveFixpointIters(int(n))
-		case uint64:
-			s.metrics.ObserveFixpointIters(int(n))
 		}
 	}
 }
@@ -495,17 +487,11 @@ func (s *Server) decodeBody(r *http.Request, v any) error {
 // compute-side spans (queue wait, analysis phases) land on that request's
 // trace; coalesced waiters keep only their own root span.
 func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint string, req any, compute func(ctx context.Context) (any, error)) {
-	if s.computeHook != nil {
-		if h := s.computeHook(endpoint); h != nil {
-			compute = h
-		}
-	}
-	canonical, err := json.Marshal(req)
+	key, canonical, compute, err := s.keyed(endpoint, req, compute)
 	if err != nil {
-		writeError(w, fmt.Errorf("%w: %v", ErrBadRequest, err))
+		writeError(w, err)
 		return
 	}
-	key := Key(endpoint, pathmatrix.EngineVersion, string(canonical))
 	label := endpointLabel(r.URL.Path)
 	res := s.resolve(r.Context(), label, endpoint, key, canonical, isForwarded(r), compute)
 	if res.err != nil {
@@ -598,14 +584,25 @@ func (s *Server) localResolve(reqCtx context.Context, label, key, prefix string,
 	return resolved{status: http.StatusOK, body: val, cache: prefix + outcome.String()}
 }
 
-// workerless returns the copy of req that keys and forwards it: Workers
-// is zeroed because the analysis result does not depend on the worker
-// count (see pathmatrix.AnalyzeProgramCtx). The computation itself still
-// runs with req's own value.
-func workerless(req *wire.AnalyzeRequest) *wire.AnalyzeRequest {
-	keyed := *req
-	keyed.Workers = 0
-	return &keyed
+// keyed returns the key and canonical body one request is cached and
+// forwarded under, and compute unless the computeHook replaces it. An
+// analyze request keys with Workers zeroed, as its result does not depend
+// on the worker count (see pathmatrix.AnalyzeProgramCtx).
+func (s *Server) keyed(endpoint string, req any, compute func(ctx context.Context) (any, error)) (key string, canonical []byte, _ func(ctx context.Context) (any, error), err error) {
+	if s.computeHook != nil {
+		if h := s.computeHook(endpoint); h != nil {
+			compute = h
+		}
+	}
+	if a, ok := req.(*wire.AnalyzeRequest); ok {
+		workerless := *a
+		workerless.Workers = 0
+		req = &workerless
+	}
+	if canonical, err = json.Marshal(req); err != nil {
+		return "", nil, nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	return Key(endpoint, pathmatrix.EngineVersion, string(canonical)), canonical, compute, nil
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
@@ -614,7 +611,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	s.serveCached(w, r, "analyze", workerless(&req), func(ctx context.Context) (any, error) {
+	s.serveCached(w, r, "analyze", &req, func(ctx context.Context) (any, error) {
 		return BuildAnalyze(ctx, &req)
 	})
 }

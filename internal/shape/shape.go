@@ -198,17 +198,6 @@ func (t *Type) ForwardPartners(b string) []*Field {
 	return out
 }
 
-// FieldsIndependentOf returns true when fields f and g traverse dimensions
-// declared independent: a node reached forward by f from one place cannot be
-// reached forward by g from another (Def 4.9a).
-func (t *Type) FieldsIndependent(f, g string) bool {
-	ff, gf := t.byName[f], t.byName[g]
-	if ff == nil || gf == nil {
-		return false
-	}
-	return t.Independent(ff.Dim, gf.Dim)
-}
-
 // String renders the model compactly for diagnostics.
 func (t *Type) String() string {
 	var b strings.Builder

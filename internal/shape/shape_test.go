@@ -105,9 +105,6 @@ func TestOrthLDependentDims(t *testing.T) {
 	if ol.Independent("X", "Y") {
 		t.Error("OrthL dims must be dependent by default (Def 4.10)")
 	}
-	if ol.FieldsIndependent("across", "down") {
-		t.Error("across/down must be dependent in OrthL")
-	}
 }
 
 func TestLOLSIndependentDims(t *testing.T) {
@@ -118,9 +115,6 @@ func TestLOLSIndependentDims(t *testing.T) {
 	}
 	if ll.Independent("X", "X") {
 		t.Error("a dimension is never independent of itself")
-	}
-	if !ll.FieldsIndependent("across", "down") {
-		t.Error("across/down must be independent in LOLS")
 	}
 }
 

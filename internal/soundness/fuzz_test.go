@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/alias"
-	"repro/internal/alias/klimit"
 	"repro/internal/gen"
 	"repro/internal/interp"
 	"repro/internal/norm"
@@ -70,7 +69,7 @@ func runSoundness(t *testing.T, seed int64, pr gen.Profile, build func(h *interp
 		alias.NewGPM(g, info.Env),
 		alias.NewClassic(g, info.Env),
 		alias.NewConservative(g),
-		klimit.Analyze(g, info.Env, 2),
+		kLimited(t, g, info.Env),
 	}
 
 	for run := 0; run < 3; run++ {

@@ -8,6 +8,7 @@
 package soundness
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -15,6 +16,7 @@ import (
 	"repro/internal/alias/klimit"
 	"repro/internal/interp"
 	"repro/internal/norm"
+	"repro/internal/shape"
 	"repro/internal/source/ast"
 	"repro/internal/source/parser"
 	"repro/internal/source/token"
@@ -275,7 +277,7 @@ func TestOraclesSoundAgainstExecution(t *testing.T) {
 				alias.NewGPM(g, info.Env),
 				alias.NewClassic(g, info.Env),
 				alias.NewConservative(g),
-				klimit.Analyze(g, info.Env, 2),
+				kLimited(t, g, info.Env),
 			}
 
 			for seed := int64(1); seed <= 5; seed++ {
@@ -348,4 +350,14 @@ func TestPrecisionOrdering(t *testing.T) {
 	if nc < nv {
 		t.Errorf("classic (%d) should not be worse than conservative (%d)", nc, nv)
 	}
+}
+
+// kLimited builds the k=2 storage-graph oracle for g.
+func kLimited(t testing.TB, g *norm.Graph, env *shape.Env) alias.Oracle {
+	t.Helper()
+	o, err := klimit.Analyze(context.Background(), g, env, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
 }
