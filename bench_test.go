@@ -6,8 +6,8 @@
 package repro
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -340,6 +340,7 @@ func BenchmarkBuildAnalyzeHostile(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	var buf []byte
 	for i := 0; i < b.N; i++ {
 		pathmatrix.ResetSummaryCache()
 		for _, req := range reqs {
@@ -347,9 +348,34 @@ func BenchmarkBuildAnalyzeHostile(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := json.Marshal(resp); err != nil {
-				b.Fatal(err)
-			}
+			buf = resp.AppendJSON(buf[:0])
+			encoded = bytes.Clone(buf)
+		}
+	}
+}
+
+// encoded keeps the benchmarks' encodings live.
+var encoded []byte
+
+// BenchmarkEncodeHostile times only the encoding of the four responses
+// BenchmarkBuildAnalyzeHostile builds, as the daemon encodes a miss: one
+// pass into a reused buffer, then a copy of just the body's bytes.
+func BenchmarkEncodeHostile(b *testing.B) {
+	var resps []*wire.AnalyzeResponse
+	for _, src := range hostileSources(b) {
+		resp, err := service.BuildAnalyze(context.Background(), &wire.AnalyzeRequest{Source: src})
+		if err != nil {
+			b.Fatal(err)
+		}
+		resps = append(resps, resp)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var buf []byte
+	for i := 0; i < b.N; i++ {
+		for _, resp := range resps {
+			buf = resp.AppendJSON(buf[:0])
+			encoded = bytes.Clone(buf)
 		}
 	}
 }

@@ -120,31 +120,30 @@ func (h *Heap) targets(set nodeSet, field string) nodeSet {
 	return out
 }
 
-// join unions two heaps.
-func join(a, b *Heap) *Heap {
-	out := a.Clone()
+// join adds b's nodes, edges and variable targets to h, which must own its
+// maps (a clone, not a heap stored on an edge).
+func (h *Heap) join(b *Heap) {
 	for v, s := range b.vars {
-		if out.vars[v] == nil {
-			out.vars[v] = nodeSet{}
+		if h.vars[v] == nil {
+			h.vars[v] = nodeSet{}
 		}
 		for n := range s {
-			out.vars[v][n] = true
+			h.vars[v][n] = true
 		}
 	}
 	for n, fs := range b.edges {
 		for f, s := range fs {
 			for t := range s {
-				out.addEdge(n, f, t)
+				h.addEdge(n, f, t)
 			}
 		}
 	}
 	for n := range b.summary {
-		out.summary[n] = true
+		h.summary[n] = true
 	}
 	for n, t := range b.typeOf {
-		out.typeOf[n] = t
+		h.typeOf[n] = t
 	}
-	return out
 }
 
 // equal compares heaps for fixed-point detection.
@@ -273,7 +272,7 @@ func (f *flow) Visit(n *norm.Node, in, out []*Heap) {
 	} else {
 		before = in[0].Clone()
 		for _, h := range in[1:] {
-			before = join(before, h)
+			before.join(h)
 		}
 	}
 	f.a.Before[n.ID] = before

@@ -385,13 +385,18 @@ func (f *flow) Visit(n *norm.Node, in, out []*State) {
 		}
 		e := [2]int{n.ID, si}
 		if f.upd[e]++; f.upd[e] > widenAt && old != nil {
-			st = join(old, st)
+			if st = join(old, st); old.equal(st) {
+				continue
+			}
 		}
 		out[si] = st
 	}
 }
 
-func (*flow) Equal(a, b *State) bool { return a.equal(b) }
+// Equal reports no two states equal: Visit hands the solver only states it
+// has already compared unequal to the edge's old one, so comparing again
+// would only repeat that work.
+func (*flow) Equal(a, b *State) bool { return false }
 
 // newNode installs a node with every declared pointer field nil-initialized
 // (mini's new zeroes records).

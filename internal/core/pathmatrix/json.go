@@ -1,67 +1,89 @@
 package pathmatrix
 
-import "encoding/json"
+import "repro/internal/jsonw"
 
-// relJSON is the wire form of one relation. Kind is "alias", "path", or
-// "top"; Path carries the paper's display form ("next^2", "next+") for path
-// relations only.
-type relJSON struct {
-	Kind    string `json:"kind"`
-	Certain bool   `json:"certain"`
-	Path    string `json:"path,omitempty"`
-}
-
-// cellJSON is the wire form of one non-empty matrix cell PM(p, q).
-type cellJSON struct {
-	P    string    `json:"p"`
-	Q    string    `json:"q"`
-	Rels []relJSON `json:"rels"`
-}
-
-// matrixJSON is the wire form of a Matrix.
-type matrixJSON struct {
-	Vars       []string   `json:"vars"`
-	Cells      []cellJSON `json:"cells"`
-	Violations []string   `json:"violations,omitempty"`
-	Valid      bool       `json:"valid"`
-}
-
-func relToJSON(r Rel) relJSON {
-	switch r.Kind {
-	case RelAlias:
-		return relJSON{Kind: "alias", Certain: r.Certain}
-	case RelTop:
-		return relJSON{Kind: "top"}
-	default:
-		return relJSON{Kind: "path", Certain: r.Certain, Path: r.Path.String()}
-	}
-}
-
-// MarshalJSON renders the matrix deterministically: display variables in
-// declaration order, non-empty cells sorted by (p, q), relations in the
+// AppendJSON appends the matrix's wire encoding to dst: display variables
+// in declaration order, non-empty cells sorted by (p, q), relations in the
 // package's stable order, violations sorted by their rendering. It is the
-// one encoding shared by the addsd responses and addsc -format json.
-func (m *Matrix) MarshalJSON() ([]byte, error) {
-	out := matrixJSON{
-		Vars:  m.displayVars(),
-		Cells: []cellJSON{},
-		Valid: m.Valid(),
+// one encoding shared by the addsd responses and addsc -format json, and it
+// only reads the matrix, so matrices of a frozen run encode concurrently.
+func (m *Matrix) AppendJSON(dst []byte) []byte {
+	var vb [32]string
+	vars := m.displayVars(vb[:0])
+	if len(vars) == 0 {
+		vars = nil // a matrix without variables has "vars": null
 	}
+	dst = append(dst, `{"vars":`...)
+	dst = jsonw.Strings(dst, vars)
+	dst = append(dst, `,"cells":[`...)
+	first := true
 	for _, i := range m.ix.byName {
 		for _, j := range m.ix.byName {
 			e := m.at(i, j)
 			if len(e) == 0 {
 				continue
 			}
-			rj := make([]relJSON, len(e))
-			for k, r := range e {
-				rj[k] = relToJSON(r)
+			if !first {
+				dst = append(dst, ',')
 			}
-			out.Cells = append(out.Cells, cellJSON{P: m.ix.names[i], Q: m.ix.names[j], Rels: rj})
+			first = false
+			dst = append(dst, `{"p":`...)
+			dst = jsonw.String(dst, m.ix.names[i])
+			dst = append(dst, `,"q":`...)
+			dst = jsonw.String(dst, m.ix.names[j])
+			dst = append(dst, `,"rels":`...)
+			dst = appendRels(dst, e)
+			dst = append(dst, '}')
 		}
 	}
-	for _, v := range m.Violations() {
-		out.Violations = append(out.Violations, v.String())
+	dst = append(dst, ']')
+	if len(m.viols) > 0 {
+		var buf [256]byte
+		rendered, spans := m.sortedViolations(buf[:0])
+		dst = append(dst, `,"violations":[`...)
+		for k, s := range spans {
+			if k > 0 {
+				dst = append(dst, ',')
+			}
+			dst = jsonw.String(dst, rendered[s.start:s.end])
+		}
+		dst = append(dst, ']')
 	}
-	return json.Marshal(out)
+	dst = append(dst, `,"valid":`...)
+	dst = jsonw.Bool(dst, m.Valid())
+	return append(dst, '}')
 }
+
+// appendRels appends the wire form of an entry's relations: kind "alias",
+// "path" or "top", whether the relation is certain, and for a path its
+// display form ("next^2", "next+").
+func appendRels(dst []byte, e Entry) []byte {
+	dst = append(dst, '[')
+	for k := range e {
+		r := &e[k]
+		if k > 0 {
+			dst = append(dst, ',')
+		}
+		switch r.Kind {
+		case RelAlias:
+			dst = append(dst, `{"kind":"alias","certain":`...)
+			dst = jsonw.Bool(dst, r.Certain)
+		case RelTop:
+			dst = append(dst, `{"kind":"top","certain":false`...)
+		default:
+			dst = append(dst, `{"kind":"path","certain":`...)
+			dst = jsonw.Bool(dst, r.Certain)
+			var buf [64]byte
+			if p := r.Path.appendTo(buf[:0], false); len(p) > 0 {
+				dst = append(dst, `,"path":`...)
+				dst = jsonw.String(dst, p)
+			}
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, ']')
+}
+
+// MarshalJSON is AppendJSON for encoding/json, through which the facade and
+// addsc encode matrices.
+func (m *Matrix) MarshalJSON() ([]byte, error) { return m.AppendJSON(nil), nil }

@@ -1,9 +1,9 @@
 package pathmatrix
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -437,29 +437,39 @@ func (m *Matrix) deleteViolation(v Violation) {
 	delete(m.viols, v)
 }
 
-// Violations returns outstanding violations in stable order.
+// Violations returns outstanding violations in stable order: sorted by
+// their String form.
 func (m *Matrix) Violations() []Violation {
-	out := make([]Violation, 0, len(m.viols))
-	for v := range m.viols {
-		out = append(out, v)
-	}
-	if len(out) > 1 {
-		// Render each key once; sorting (key, violation) pairs makes the
-		// comparisons, and so the permutation, those of sorting by String.
-		type keyed struct {
-			key string
-			v   Violation
-		}
-		ks := make([]keyed, len(out))
-		for i, v := range out {
-			ks[i] = keyed{v.String(), v}
-		}
-		sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
-		for i, k := range ks {
-			out[i] = k.v
-		}
+	var buf [256]byte
+	_, spans := m.sortedViolations(buf[:0])
+	out := make([]Violation, len(spans))
+	for i, s := range spans {
+		out[i] = s.v
 	}
 	return out
+}
+
+// violationSpan is one violation with its String form, which
+// sortedViolations rendered into buf[start:end].
+type violationSpan struct {
+	v          Violation
+	start, end int
+}
+
+// sortedViolations appends the String form of each outstanding violation to
+// buf and returns the grown buffer with the violations sorted by that form,
+// each with its span in the buffer.
+func (m *Matrix) sortedViolations(buf []byte) ([]byte, []violationSpan) {
+	spans := make([]violationSpan, 0, len(m.viols))
+	for v := range m.viols {
+		start := len(buf)
+		buf = v.appendTo(buf)
+		spans = append(spans, violationSpan{v, start, len(buf)})
+	}
+	slices.SortFunc(spans, func(a, b violationSpan) int {
+		return bytes.Compare(buf[a.start:a.end], buf[b.start:b.end])
+	})
+	return buf, spans
 }
 
 // Valid reports whether the abstraction is currently valid (no outstanding
@@ -633,7 +643,7 @@ func (m *Matrix) equal(o *Matrix) bool {
 // only variables that have at least one relation (plus all declared vars
 // when small). Temporaries with no relations are omitted.
 func (m *Matrix) String() string {
-	vars := m.displayVars()
+	vars := m.displayVars(nil)
 	width := 3
 	for _, v := range vars {
 		if len(v) > width {
@@ -668,10 +678,14 @@ func (m *Matrix) String() string {
 	return b.String()
 }
 
-// displayVars returns declared variables plus any temporaries that carry
-// relations.
-func (m *Matrix) displayVars() []string {
-	used := make([]bool, len(m.ix.names))
+// displayVars appends to dst the declared variables plus any temporaries
+// that carry relations, in the run's variable order.
+func (m *Matrix) displayVars(dst []string) []string {
+	var buf [64]bool
+	used := buf[:]
+	if n := len(m.ix.names); n > len(buf) {
+		used = make([]bool, n)
+	}
 	for i, r := range m.rows {
 		for j, id := range r {
 			if id != 0 {
@@ -679,11 +693,10 @@ func (m *Matrix) displayVars() []string {
 			}
 		}
 	}
-	var out []string
 	for _, v := range m.ix.names {
 		if !norm.IsTemp(v) || used[m.ix.pos[v]] {
-			out = append(out, v)
+			dst = append(dst, v)
 		}
 	}
-	return out
+	return dst
 }

@@ -2,7 +2,6 @@ package pathmatrix
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 )
 
@@ -387,11 +386,26 @@ type Violation struct {
 
 // String renders the violation in !prop(detail) form.
 func (v Violation) String() string {
-	detail := v.Field
-	if v.Other != "" {
-		detail += ";" + v.Base + "," + v.Other
-	} else if detail == "" {
-		detail = v.Base // "call" violations carry only the callee
+	var buf [64]byte
+	return string(v.appendTo(buf[:0]))
+}
+
+// appendTo appends the violation's String form to dst.
+func (v Violation) appendTo(dst []byte) []byte {
+	dst = append(dst, '!')
+	dst = append(dst, v.Prop...)
+	dst = append(dst, '(')
+	switch {
+	case v.Other != "":
+		dst = append(dst, v.Field...)
+		dst = append(dst, ';')
+		dst = append(dst, v.Base...)
+		dst = append(dst, ',')
+		dst = append(dst, v.Other...)
+	case v.Field == "":
+		dst = append(dst, v.Base...) // "call" violations carry only the callee
+	default:
+		dst = append(dst, v.Field...)
 	}
-	return fmt.Sprintf("!%s(%s)", v.Prop, detail)
+	return append(dst, ')')
 }

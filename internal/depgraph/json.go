@@ -1,40 +1,50 @@
 package depgraph
 
-import "encoding/json"
+import "repro/internal/jsonw"
 
-// edgeJSON is the wire form of one dependence edge.
-type edgeJSON struct {
-	From    int    `json:"from"`
-	To      int    `json:"to"`
-	Kind    string `json:"kind"`
-	Carried bool   `json:"carried,omitempty"`
-	Must    bool   `json:"must,omitempty"`
-	Mem     bool   `json:"mem,omitempty"`
-	Loc     string `json:"loc"`
-}
-
-// graphJSON is the wire form of a dependence graph. Body instructions keep
-// their S-numbered rendering; edges appear in construction order, which is
-// deterministic for a given program and oracle.
-type graphJSON struct {
-	Oracle string     `json:"oracle"`
-	Body   []string   `json:"body"`
-	Edges  []edgeJSON `json:"edges"`
-}
-
-// MarshalJSON renders the graph in the encoding shared by addsd responses
-// and addsc -format json. Control edges are included (unlike String, which
-// drops them as listing noise) so consumers can rebuild the full graph.
-func (g *Graph) MarshalJSON() ([]byte, error) {
-	out := graphJSON{Oracle: g.Oracle, Body: []string{}, Edges: []edgeJSON{}}
-	for _, in := range g.Body {
-		out.Body = append(out.Body, in.String())
+// AppendJSON appends the graph's wire encoding to dst: the oracle name, the
+// body instructions in their S-numbered rendering, and the edges in
+// construction order, which is deterministic for a given program and
+// oracle. Control edges are included (unlike String, which drops them as
+// listing noise) so consumers can rebuild the full graph. It is the
+// encoding shared by addsd responses and addsc -format json.
+func (g *Graph) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"oracle":`...)
+	dst = jsonw.String(dst, g.Oracle)
+	dst = append(dst, `,"body":[`...)
+	for i, in := range g.Body {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = jsonw.String(dst, in.String())
 	}
-	for _, e := range g.Edges {
-		out.Edges = append(out.Edges, edgeJSON{
-			From: e.From, To: e.To, Kind: e.Kind.String(),
-			Carried: e.Carried, Must: e.Must, Mem: e.Mem, Loc: e.Loc,
-		})
+	dst = append(dst, `],"edges":[`...)
+	for i, e := range g.Edges {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"from":`...)
+		dst = jsonw.Int(dst, e.From)
+		dst = append(dst, `,"to":`...)
+		dst = jsonw.Int(dst, e.To)
+		dst = append(dst, `,"kind":`...)
+		dst = jsonw.String(dst, e.Kind.String())
+		if e.Carried {
+			dst = append(dst, `,"carried":true`...)
+		}
+		if e.Must {
+			dst = append(dst, `,"must":true`...)
+		}
+		if e.Mem {
+			dst = append(dst, `,"mem":true`...)
+		}
+		dst = append(dst, `,"loc":`...)
+		dst = jsonw.String(dst, e.Loc)
+		dst = append(dst, '}')
 	}
-	return json.Marshal(out)
+	return append(dst, "]}"...)
 }
+
+// MarshalJSON is AppendJSON for encoding/json, through which the facade and
+// addsc encode graphs.
+func (g *Graph) MarshalJSON() ([]byte, error) { return g.AppendJSON(nil), nil }

@@ -1,32 +1,44 @@
 package exper
 
-import "encoding/json"
+import "repro/internal/jsonw"
 
-// reportJSON is the wire form of a Report. Slices are normalized to empty
-// (never null) so the encoding is stable across reports that lack a section.
-type reportJSON struct {
-	ID      string     `json:"id"`
-	Title   string     `json:"title"`
-	Claim   string     `json:"claim,omitempty"`
-	Headers []string   `json:"headers"`
-	Rows    [][]string `json:"rows"`
-	Notes   []string   `json:"notes"`
-	Figures []string   `json:"figures"`
-}
-
-func nonNil[T any](s []T) []T {
-	if s == nil {
-		return []T{}
+// AppendJSON appends the report's wire encoding to dst, the encoding shared
+// by addsd /v1/experiments responses and addsbench -format json. Missing
+// sections encode as empty arrays (never null), so the encoding is stable
+// across reports that lack a section.
+func (r *Report) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"id":`...)
+	dst = jsonw.String(dst, r.ID)
+	dst = append(dst, `,"title":`...)
+	dst = jsonw.String(dst, r.Title)
+	if r.Claim != "" {
+		dst = append(dst, `,"claim":`...)
+		dst = jsonw.String(dst, r.Claim)
 	}
-	return s
+	dst = append(dst, `,"headers":`...)
+	dst = appendSection(dst, r.Headers)
+	dst = append(dst, `,"rows":[`...)
+	for i, row := range r.Rows {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = jsonw.Strings(dst, row)
+	}
+	dst = append(dst, `],"notes":`...)
+	dst = appendSection(dst, r.Notes)
+	dst = append(dst, `,"figures":`...)
+	dst = appendSection(dst, r.Figures)
+	return append(dst, '}')
 }
 
-// MarshalJSON renders the report in the encoding shared by addsd
-// /v1/experiments responses and addsbench -format json.
-func (r *Report) MarshalJSON() ([]byte, error) {
-	return json.Marshal(reportJSON{
-		ID: r.ID, Title: r.Title, Claim: r.Claim,
-		Headers: nonNil(r.Headers), Rows: nonNil(r.Rows),
-		Notes: nonNil(r.Notes), Figures: nonNil(r.Figures),
-	})
+// appendSection appends a report section, [] when it is missing.
+func appendSection(dst []byte, ss []string) []byte {
+	if ss == nil {
+		return append(dst, "[]"...)
+	}
+	return jsonw.Strings(dst, ss)
 }
+
+// MarshalJSON is AppendJSON for encoding/json, through which addsbench
+// encodes reports.
+func (r *Report) MarshalJSON() ([]byte, error) { return r.AppendJSON(nil), nil }

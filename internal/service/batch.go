@@ -75,7 +75,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // batchLine resolves one batch item and renders its NDJSON line.
 func (s *Server) batchLine(ctx context.Context, idx int, item *wire.AnalyzeRequest, forwarded bool) []byte {
-	key, canonical, compute, err := s.keyed("analyze", item, func(c context.Context) (any, error) { return BuildAnalyze(c, item) })
+	key, canonical, compute, err := s.keyed("analyze", item, func(c context.Context) (response, error) { return BuildAnalyze(c, item) })
 	res := resolved{err: err}
 	if err == nil {
 		res = s.resolve(ctx, "batch", "analyze", key, canonical, forwarded, compute)

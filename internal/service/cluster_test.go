@@ -331,11 +331,11 @@ func TestReadyzStates(t *testing.T) {
 func TestReadyzQueueSaturation(t *testing.T) {
 	release := make(chan struct{})
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
-	s.computeHook = func(string) func(context.Context) (any, error) {
-		return func(ctx context.Context) (any, error) {
+	s.computeHook = func(string) func(context.Context) (response, error) {
+		return func(ctx context.Context) (response, error) {
 			select {
 			case <-release:
-				return map[string]string{"ok": "true"}, nil
+				return testBody{"ok": "true"}, nil
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}

@@ -82,12 +82,12 @@ func TestCoalescedWaitersSurviveLeaderDisconnect(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{})
 	var startedOnce sync.Once
-	s.computeHook = func(endpoint string) func(context.Context) (any, error) {
-		return func(ctx context.Context) (any, error) {
+	s.computeHook = func(endpoint string) func(context.Context) (response, error) {
+		return func(ctx context.Context) (response, error) {
 			startedOnce.Do(func() { close(started) })
 			select {
 			case <-release:
-				return map[string]string{"answer": "survived"}, nil
+				return testBody{"answer": "survived"}, nil
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
@@ -149,11 +149,11 @@ func TestCoalescedWaitersSurviveLeaderDisconnect(t *testing.T) {
 func TestWaiterCancelReturns499Promptly(t *testing.T) {
 	s := New(Config{Workers: 3})
 	release := make(chan struct{})
-	s.computeHook = func(endpoint string) func(context.Context) (any, error) {
-		return func(ctx context.Context) (any, error) {
+	s.computeHook = func(endpoint string) func(context.Context) (response, error) {
+		return func(ctx context.Context) (response, error) {
 			select {
 			case <-release:
-				return map[string]string{"answer": "ok"}, nil
+				return testBody{"answer": "ok"}, nil
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
@@ -199,12 +199,12 @@ func TestOverloadShedsWith429(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{})
 	var startedOnce sync.Once
-	s.computeHook = func(endpoint string) func(context.Context) (any, error) {
-		return func(ctx context.Context) (any, error) {
+	s.computeHook = func(endpoint string) func(context.Context) (response, error) {
+		return func(ctx context.Context) (response, error) {
 			startedOnce.Do(func() { close(started) })
 			select {
 			case <-release:
-				return map[string]string{"slow": "done"}, nil
+				return testBody{"slow": "done"}, nil
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
@@ -253,11 +253,11 @@ func TestOverloadShedsWith429(t *testing.T) {
 func TestOverloadQueueAdmitsThenSheds(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 1})
 	release := make(chan struct{})
-	s.computeHook = func(endpoint string) func(context.Context) (any, error) {
-		return func(ctx context.Context) (any, error) {
+	s.computeHook = func(endpoint string) func(context.Context) (response, error) {
+		return func(ctx context.Context) (response, error) {
 			select {
 			case <-release:
-				return map[string]string{"ok": "1"}, nil
+				return testBody{"ok": "1"}, nil
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
@@ -298,12 +298,12 @@ func TestOverloadQueueAdmitsThenSheds(t *testing.T) {
 func TestFailingFlightFansOutErrorOnce(t *testing.T) {
 	s := New(Config{Workers: 2})
 	var calls atomic.Int32
-	s.computeHook = func(endpoint string) func(context.Context) (any, error) {
-		return func(ctx context.Context) (any, error) {
+	s.computeHook = func(endpoint string) func(context.Context) (response, error) {
+		return func(ctx context.Context) (response, error) {
 			if calls.Add(1) == 1 {
 				return nil, errors.New("injected failure")
 			}
-			return map[string]string{"second": "try"}, nil
+			return testBody{"second": "try"}, nil
 		}
 	}
 	body := analyzeBody(t, "fails-once")
@@ -322,8 +322,8 @@ func TestFailingFlightFansOutErrorOnce(t *testing.T) {
 // the waiter gets 504 — the flight's deadline, not its own.
 func TestHangingFlightBoundedByTimeout(t *testing.T) {
 	s := New(Config{Workers: 1, RequestTimeout: 30 * time.Millisecond})
-	s.computeHook = func(endpoint string) func(context.Context) (any, error) {
-		return func(ctx context.Context) (any, error) {
+	s.computeHook = func(endpoint string) func(context.Context) (response, error) {
+		return func(ctx context.Context) (response, error) {
 			<-ctx.Done() // hang until the flight budget expires
 			return nil, ctx.Err()
 		}
@@ -344,15 +344,15 @@ func TestExperimentDisconnectResultReused(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{})
 	var calls atomic.Int32
-	s.computeHook = func(endpoint string) func(context.Context) (any, error) {
+	s.computeHook = func(endpoint string) func(context.Context) (response, error) {
 		if endpoint != "experiment:E4" {
 			return nil
 		}
-		return func(ctx context.Context) (any, error) {
+		return func(ctx context.Context) (response, error) {
 			calls.Add(1)
 			close(started)
 			<-release // not context-aware, exactly like exper.ByID
-			return map[string]string{"id": "E4"}, nil
+			return testBody{"id": "E4"}, nil
 		}
 	}
 	base := runtime.NumGoroutine()
@@ -388,11 +388,11 @@ func TestSingleKeyStressWithClientKills(t *testing.T) {
 	const clients = 16
 	rng := rand.New(rand.NewSource(1))
 	s := New(Config{Workers: 3, CacheEntries: 1})
-	s.computeHook = func(endpoint string) func(context.Context) (any, error) {
-		return func(ctx context.Context) (any, error) {
+	s.computeHook = func(endpoint string) func(context.Context) (response, error) {
+		return func(ctx context.Context) (response, error) {
 			select {
 			case <-time.After(20 * time.Millisecond):
-				return map[string]string{"answer": "stress"}, nil
+				return testBody{"answer": "stress"}, nil
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
@@ -458,12 +458,12 @@ func TestSingleKeyStressWithClientKills(t *testing.T) {
 func TestFlightPanicIsolated(t *testing.T) {
 	s := New(Config{Workers: 1}) // one slot: a leaked slot would hang the rest
 	var calls, panicAt atomic.Int32
-	s.computeHook = func(endpoint string) func(context.Context) (any, error) {
-		return func(ctx context.Context) (any, error) {
+	s.computeHook = func(endpoint string) func(context.Context) (response, error) {
+		return func(ctx context.Context) (response, error) {
 			if calls.Add(1) == panicAt.Load() {
 				panic("injected panic")
 			}
-			return map[string]string{"answer": "served"}, nil
+			return testBody{"answer": "served"}, nil
 		}
 	}
 

@@ -102,7 +102,7 @@ type Server struct {
 	// It is a fault-injection seam for tests (slow, failing, or hanging
 	// computations); returning nil keeps the real compute. Never set in
 	// production.
-	computeHook func(endpoint string) func(ctx context.Context) (any, error)
+	computeHook func(endpoint string) func(ctx context.Context) (response, error)
 }
 
 // New builds a server from the config.
@@ -481,12 +481,12 @@ func (s *Server) decodeBody(r *http.Request, v any) error {
 // flight timeout, alive as long as any waiter remains. The handler itself
 // only waits, selecting on its own request context, so one client's
 // disconnect never decides another client's answer. The cached value is the
-// marshaled response body, so hits cost one map lookup and one write.
+// encoded response body, so hits cost one map lookup and one write.
 //
 // The leader's flight adopts the trace of the request that started it, so
 // compute-side spans (queue wait, analysis phases) land on that request's
 // trace; coalesced waiters keep only their own root span.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint string, req any, compute func(ctx context.Context) (any, error)) {
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint string, req any, compute func(ctx context.Context) (response, error)) {
 	key, canonical, compute, err := s.keyed(endpoint, req, compute)
 	if err != nil {
 		writeError(w, err)
@@ -524,7 +524,7 @@ type resolved struct {
 // or shedding, the request is computed locally — availability beats
 // placement. A request that already made a hop (ForwardedHeader) is always
 // local, so disagreeing ring views can never bounce it a second time.
-func (s *Server) resolve(ctx context.Context, label, endpoint, key string, canonical []byte, forwarded bool, compute func(ctx context.Context) (any, error)) resolved {
+func (s *Server) resolve(ctx context.Context, label, endpoint, key string, canonical []byte, forwarded bool, compute func(ctx context.Context) (response, error)) resolved {
 	if s.cluster != nil && !forwarded {
 		if owner := s.cluster.ring.Owner(key); owner != s.cluster.self {
 			if res, ok := s.viaPeer(ctx, owner, endpoint, key, canonical); ok {
@@ -555,10 +555,36 @@ func (s *Server) admit(ctx context.Context, rs *reqStats) error {
 	return nil
 }
 
+// response is what a cached endpoint computes: an answer that appends its
+// own JSON encoding (wire.AnalyzeResponse, DepgraphResponse,
+// PipelineResponse and exper.Report), the bytes json.Marshal writes for it.
+type response interface{ AppendJSON(dst []byte) []byte }
+
+// encodeBufs holds the scratch buffers responses are encoded into.
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledEncode caps the scratch buffers kept for reuse, so one huge
+// response does not pin its buffer.
+const maxPooledEncode = 1 << 20
+
+// encode writes resp in one pass into a reused scratch buffer and returns a
+// copy of just its bytes, as json.Marshal does, so a cached body carries no
+// buffer slack.
+func encode(resp response) []byte {
+	bp := encodeBufs.Get().(*[]byte)
+	buf := resp.AppendJSON((*bp)[:0])
+	body := bytes.Clone(buf)
+	if cap(buf) <= maxPooledEncode {
+		*bp = buf
+		encodeBufs.Put(bp)
+	}
+	return body
+}
+
 // localResolve is the single-process path: the content-addressed cache with
 // singleflight, computing on a pool slot behind the admission queue. prefix
 // qualifies the cache outcome when this is a cluster fallback.
-func (s *Server) localResolve(reqCtx context.Context, label, key, prefix string, compute func(ctx context.Context) (any, error)) resolved {
+func (s *Server) localResolve(reqCtx context.Context, label, key, prefix string, compute func(ctx context.Context) (response, error)) resolved {
 	rs := reqStatsFrom(reqCtx)
 	val, outcome, err := s.cache.Do(reqCtx, key, func(ctx context.Context) ([]byte, error) {
 		ctx = obs.Adopt(ctx, reqCtx)
@@ -570,7 +596,7 @@ func (s *Server) localResolve(reqCtx context.Context, label, key, prefix string,
 		if err != nil {
 			return nil, err
 		}
-		return json.Marshal(resp)
+		return encode(resp), nil
 	}, func(delta int) { s.metrics.FlightRefs(label, delta) })
 	s.metrics.ObserveCache(outcome)
 	rs.setOutcome(prefix + outcome.String())
@@ -588,7 +614,7 @@ func (s *Server) localResolve(reqCtx context.Context, label, key, prefix string,
 // forwarded under, and compute unless the computeHook replaces it. An
 // analyze request keys with Workers zeroed, as its result does not depend
 // on the worker count (see pathmatrix.AnalyzeProgramCtx).
-func (s *Server) keyed(endpoint string, req any, compute func(ctx context.Context) (any, error)) (key string, canonical []byte, _ func(ctx context.Context) (any, error), err error) {
+func (s *Server) keyed(endpoint string, req any, compute func(ctx context.Context) (response, error)) (key string, canonical []byte, _ func(ctx context.Context) (response, error), err error) {
 	if s.computeHook != nil {
 		if h := s.computeHook(endpoint); h != nil {
 			compute = h
@@ -611,7 +637,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	s.serveCached(w, r, "analyze", &req, func(ctx context.Context) (any, error) {
+	s.serveCached(w, r, "analyze", &req, func(ctx context.Context) (response, error) {
 		return BuildAnalyze(ctx, &req)
 	})
 }
@@ -622,7 +648,7 @@ func (s *Server) handleDepgraph(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	s.serveCached(w, r, "depgraph", &req, func(ctx context.Context) (any, error) {
+	s.serveCached(w, r, "depgraph", &req, func(ctx context.Context) (response, error) {
 		return BuildDepgraph(ctx, &req)
 	})
 }
@@ -633,7 +659,7 @@ func (s *Server) handlePipeline(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	s.serveCached(w, r, "pipeline", &req, func(ctx context.Context) (any, error) {
+	s.serveCached(w, r, "pipeline", &req, func(ctx context.Context) (response, error) {
 		return BuildPipeline(ctx, &req)
 	})
 }
@@ -701,7 +727,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	// waiting leaves the flight, the computation finishes on its own
 	// goroutine, and the result is cached for (or coalesced with) the next
 	// identical request — reused, never leaked per-request.
-	s.serveCached(w, r, "experiment:"+id, struct{}{}, func(ctx context.Context) (any, error) {
+	s.serveCached(w, r, "experiment:"+id, struct{}{}, func(ctx context.Context) (response, error) {
 		rep := exper.ByID(id)
 		if rep == nil {
 			return nil, fmt.Errorf("%w: experiment %q (known: E1..E10)", ErrNotFound, id)

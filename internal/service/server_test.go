@@ -583,3 +583,14 @@ func TestEndpointLabelBounded(t *testing.T) {
 		}
 	}
 }
+
+// testBody is a compute hook's answer: a JSON object of strings.
+type testBody map[string]string
+
+func (b testBody) AppendJSON(dst []byte) []byte {
+	out, err := json.Marshal(map[string]string(b))
+	if err != nil {
+		panic(err) // a map of strings always marshals
+	}
+	return append(dst, out...)
+}

@@ -239,15 +239,15 @@ func TestTraceparentPropagation(t *testing.T) {
 	s := New(Config{Logger: lg})
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
-	s.computeHook = func(endpoint string) func(ctx context.Context) (any, error) {
-		return func(ctx context.Context) (any, error) {
+	s.computeHook = func(endpoint string) func(ctx context.Context) (response, error) {
+		return func(ctx context.Context) (response, error) {
 			started <- struct{}{}
 			select {
 			case <-release:
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
-			return map[string]string{"ok": "yes"}, nil
+			return testBody{"ok": "yes"}, nil
 		}
 	}
 	ts := newHTTPServer(t, s)

@@ -1,31 +1,37 @@
 package xform
 
-import "encoding/json"
+import "repro/internal/jsonw"
 
-// pipelineInfoJSON is the wire form of a PipelineInfo. Carried memory
+// AppendJSON appends the pipelining analysis's wire encoding to dst, the
+// encoding shared by addsd responses and addsc -format json. Carried memory
 // dependences are rendered as their display strings; the structured edges
 // are available through the dependence-graph encoding when needed.
-type pipelineInfoJSON struct {
-	BodyOps    int      `json:"bodyOps"`
-	ResMII     int      `json:"resMII"`
-	RecMII     int      `json:"recMII"`
-	II         int      `json:"ii"`
-	Stages     int      `json:"stages"`
-	Theoretic  float64  `json:"theoreticalSpeedup"`
-	CarriedMem []string `json:"carriedMem"`
-	OK         bool     `json:"ok"`
+// Theoretic is always finite: AnalyzePipeline divides by an II of at least 1.
+func (i PipelineInfo) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"bodyOps":`...)
+	dst = jsonw.Int(dst, i.BodyOps)
+	dst = append(dst, `,"resMII":`...)
+	dst = jsonw.Int(dst, i.ResMII)
+	dst = append(dst, `,"recMII":`...)
+	dst = jsonw.Int(dst, i.RecMII)
+	dst = append(dst, `,"ii":`...)
+	dst = jsonw.Int(dst, i.II)
+	dst = append(dst, `,"stages":`...)
+	dst = jsonw.Int(dst, i.Stages)
+	dst = append(dst, `,"theoreticalSpeedup":`...)
+	dst = jsonw.Float(dst, i.Theoretic)
+	dst = append(dst, `,"carriedMem":[`...)
+	for k, e := range i.CarriedMem {
+		if k > 0 {
+			dst = append(dst, ',')
+		}
+		dst = jsonw.String(dst, e.String())
+	}
+	dst = append(dst, `],"ok":`...)
+	dst = jsonw.Bool(dst, i.OK)
+	return append(dst, '}')
 }
 
-// MarshalJSON renders the pipelining analysis in the encoding shared by
-// addsd responses and addsc -format json.
-func (i PipelineInfo) MarshalJSON() ([]byte, error) {
-	out := pipelineInfoJSON{
-		BodyOps: i.BodyOps, ResMII: i.ResMII, RecMII: i.RecMII,
-		II: i.II, Stages: i.Stages, Theoretic: i.Theoretic,
-		CarriedMem: []string{}, OK: i.OK,
-	}
-	for _, e := range i.CarriedMem {
-		out.CarriedMem = append(out.CarriedMem, e.String())
-	}
-	return json.Marshal(out)
-}
+// MarshalJSON is AppendJSON for encoding/json, through which the facade and
+// addsc encode pipelining analyses.
+func (i PipelineInfo) MarshalJSON() ([]byte, error) { return i.AppendJSON(nil), nil }
