@@ -159,32 +159,31 @@ func (g *State) addEdge(n, f, t string) {
 	s[t] = true
 }
 
-// join unions two states pointwise. Kinds and types of a shared label
-// always agree: a label's kind is fixed by the construction that names it.
-func join(a, b *State) *State {
-	out := a.Clone()
+// join unions b into g pointwise; b is only read. Kinds and types of a
+// shared label always agree: a label's kind is fixed by the construction
+// that names it.
+func (g *State) join(b *State) {
 	for v, s := range b.vars {
-		if out.vars[v] == nil {
-			out.vars[v] = valSet{}
+		if g.vars[v] == nil {
+			g.vars[v] = valSet{}
 		}
 		for n := range s {
-			out.vars[v][n] = true
+			g.vars[v][n] = true
 		}
 	}
 	for n, rows := range b.edges {
 		for f, s := range rows {
 			for t := range s {
-				out.addEdge(n, f, t)
+				g.addEdge(n, f, t)
 			}
 		}
 	}
 	for n, k := range b.kind {
-		out.kind[n] = k
+		g.kind[n] = k
 	}
 	for n, t := range b.typeOf {
-		out.typeOf[n] = t
+		g.typeOf[n] = t
 	}
-	return out
 }
 
 // equal compares states for fixed-point detection.
@@ -354,7 +353,7 @@ func (f *flow) Visit(n *norm.Node, in, out []*State) {
 	} else {
 		before = in[0].Clone()
 		for _, st := range in[1:] {
-			before = join(before, st)
+			before.join(st)
 		}
 		if len(in) > 1 {
 			// Joins are where runs appear (a loop's back edge merging the
@@ -385,7 +384,10 @@ func (f *flow) Visit(n *norm.Node, in, out []*State) {
 		}
 		e := [2]int{n.ID, si}
 		if f.upd[e]++; f.upd[e] > widenAt && old != nil {
-			if st = join(old, st); old.equal(st) {
+			// The edge's stored state must not be written: join into a copy.
+			widened := old.Clone()
+			widened.join(st)
+			if st = widened; old.equal(st) {
 				continue
 			}
 		}

@@ -464,9 +464,7 @@ func (r *Result) iterationMatrix(l *norm.Loop) *Matrix {
 		vars = append(vars, v+Shadow)
 	}
 	m := base.onIndex(newVarIndex(vars))
-	for _, v := range base.Violations() {
-		m.addViolation(v)
-	}
+	m.viols = base.viols
 	for _, v := range names {
 		sh := v + Shadow
 		m.copyRelations(sh, v)

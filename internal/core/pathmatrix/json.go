@@ -38,14 +38,13 @@ func (m *Matrix) AppendJSON(dst []byte) []byte {
 	}
 	dst = append(dst, ']')
 	if len(m.viols) > 0 {
-		var buf [256]byte
-		rendered, spans := m.sortedViolations(buf[:0])
+		var buf [64]byte
 		dst = append(dst, `,"violations":[`...)
-		for k, s := range spans {
+		for k, v := range m.viols {
 			if k > 0 {
 				dst = append(dst, ',')
 			}
-			dst = jsonw.String(dst, rendered[s.start:s.end])
+			dst = jsonw.String(dst, v.appendTo(buf[:0]))
 		}
 		dst = append(dst, ']')
 	}

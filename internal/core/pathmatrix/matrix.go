@@ -1,7 +1,6 @@
 package pathmatrix
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 	"strings"
@@ -44,26 +43,28 @@ func newVarIndex(names []string) *varIndex {
 //
 // Cells are a table of rows indexed by variable: rows[i][j] is the id, in
 // the run's entry table, of PM(names[i], names[j]); 0, a nil or a short
-// row read as empty. Matrices are copy-on-write at two levels. Clone is O(1)
-// and shares the row table and the violation map; the first write after it
-// copies the table (row headers only), and the first write to a row copies
-// that row. Entries need no level of their own: interned entries are
-// immutable. All mutation therefore goes through set, addRel, addRelAt,
+// row read as empty. Rows are copy-on-write at two levels. Clone is O(1)
+// and shares the row table; the first write after it copies the table (row
+// headers only), and the first write to a row copies that row. Entries and
+// violation sets need no level of their own: interned entries are
+// immutable, and a violation set is a sorted slice that is replaced, never
+// written. All mutation therefore goes through set, addRel, addRelAt,
 // copyRelations, kill and addViolation/deleteViolation, which maintain the
-// sharing flags and the row ownership bits, and panic on a matrix of a
-// finished run.
+// row sharing flag and ownership bits, and panic on a matrix of a finished
+// run.
 type Matrix struct {
-	ix    *varIndex
-	tab   *entryTable
-	rows  [][]uint32
-	viols map[Violation]bool
+	ix   *varIndex
+	tab  *entryTable
+	rows [][]uint32
+	// viols is the set of outstanding violations, sorted by
+	// compareViolations. It is immutable, so matrices share it by value.
+	viols []Violation
 	// own marks the rows this matrix copied since it last shared its table
 	// and may therefore mutate in place: bit i is row i.
 	own []uint64
 
-	sharedRows  bool // rows table may be referenced by another matrix
-	sharedViols bool // viols map may be referenced by another matrix
-	ownAny      bool // some bit of own is set
+	sharedRows bool // rows table may be referenced by another matrix
+	ownAny     bool // some bit of own is set
 }
 
 // matrixSlab batch-allocates Matrix headers. Allocating them one by one
@@ -120,7 +121,7 @@ func (m *Matrix) dropRights() {
 // freeze shares everything, so Clone writes nothing to m and finished
 // results may be read and cloned concurrently.
 func (m *Matrix) freeze() {
-	m.sharedRows, m.sharedViols = true, true
+	m.sharedRows = true
 	m.dropRights()
 }
 
@@ -128,18 +129,11 @@ func (m *Matrix) freeze() {
 // mutation rights and copy on their next write. Cloning a matrix that
 // already shares everything writes nothing to it.
 func (m *Matrix) Clone() *Matrix {
-	if !m.sharedRows || !m.sharedViols || m.ownAny {
+	if !m.sharedRows || m.ownAny {
 		m.freeze()
 	}
 	out := getMatrix()
-	*out = Matrix{
-		ix:          m.ix,
-		tab:         m.tab,
-		rows:        m.rows,
-		viols:       m.viols,
-		sharedRows:  true,
-		sharedViols: true,
-	}
+	*out = Matrix{ix: m.ix, tab: m.tab, rows: m.rows, viols: m.viols, sharedRows: true}
 	return out
 }
 
@@ -244,24 +238,6 @@ func (m *Matrix) row(i int) []uint32 {
 	return r
 }
 
-// ensureViols makes the violations map private and non-nil. Making it
-// private starts a write, so m's run must be open.
-func (m *Matrix) ensureViols() {
-	if !m.sharedViols {
-		if m.viols == nil {
-			m.viols = map[Violation]bool{}
-		}
-		return
-	}
-	m.writable()
-	nv := make(map[Violation]bool, len(m.viols))
-	for v := range m.viols {
-		nv[v] = true
-	}
-	m.viols = nv
-	m.sharedViols = false
-}
-
 // setID replaces entry (i, j) by an id of m's table.
 func (m *Matrix) setID(i, j int, id uint32) {
 	if m.id(i, j) != id {
@@ -332,13 +308,8 @@ const deadName = "dead$"
 // otherwise the participant goes dead. Must run before v's cells are
 // removed (the must-alias lookup needs them).
 func (m *Matrix) reanchorViolations(v string) {
-	var renamed []Violation
-	for viol := range m.viols {
-		if viol.Base == v || viol.Other == v {
-			renamed = append(renamed, viol)
-		}
-	}
-	if len(renamed) == 0 {
+	m.writable()
+	if !slices.ContainsFunc(m.viols, func(viol Violation) bool { return viol.Base == v || viol.Other == v }) {
 		return
 	}
 	alias := deadName
@@ -350,17 +321,17 @@ func (m *Matrix) reanchorViolations(v string) {
 			}
 		}
 	}
-	m.ensureViols()
-	for _, viol := range renamed {
-		delete(m.viols, viol)
-		if viol.Base == v {
-			viol.Base = alias
+	out := slices.Clone(m.viols)
+	for k := range out {
+		if out[k].Base == v {
+			out[k].Base = alias
 		}
-		if viol.Other == v {
-			viol.Other = alias
+		if out[k].Other == v {
+			out[k].Other = alias
 		}
-		m.viols[viol] = true
 	}
+	slices.SortFunc(out, compareViolations)
+	m.viols = slices.Compact(out)
 }
 
 // staleVia marks Via tags naming v as stale. Only cells holding a live Via
@@ -425,51 +396,46 @@ func (m *Matrix) appendRelated(dst []int, i int) []int {
 	return dst
 }
 
-// addViolation records an abstraction violation.
+// addViolation records an abstraction violation in a new set.
 func (m *Matrix) addViolation(v Violation) {
-	m.ensureViols()
-	m.viols[v] = true
+	m.writable()
+	if i, found := slices.BinarySearchFunc(m.viols, v, compareViolations); !found {
+		m.viols = slices.Concat(m.viols[:i], []Violation{v}, m.viols[i:])
+	}
 }
 
-// deleteViolation removes a violation (a repairing store was seen).
+// deleteViolation removes a violation (a repairing store was seen), in a
+// new set.
 func (m *Matrix) deleteViolation(v Violation) {
-	m.ensureViols()
-	delete(m.viols, v)
+	m.writable()
+	if i, found := slices.BinarySearchFunc(m.viols, v, compareViolations); found {
+		m.viols = slices.Concat(m.viols[:i], m.viols[i+1:])
+	}
+}
+
+// unionViolations returns the sorted union of two violation sets: a itself
+// when b adds nothing.
+func unionViolations(a, b []Violation) []Violation {
+	if len(a) == 0 {
+		return b
+	}
+	if slices.Equal(a, b) {
+		return a
+	}
+	for _, v := range b {
+		if _, found := slices.BinarySearchFunc(a, v, compareViolations); !found {
+			u := slices.Concat(a, b)
+			slices.SortFunc(u, compareViolations)
+			return slices.Compact(u)
+		}
+	}
+	return a
 }
 
 // Violations returns outstanding violations in stable order: sorted by
-// their String form.
+// their String form, then field by field.
 func (m *Matrix) Violations() []Violation {
-	var buf [256]byte
-	_, spans := m.sortedViolations(buf[:0])
-	out := make([]Violation, len(spans))
-	for i, s := range spans {
-		out[i] = s.v
-	}
-	return out
-}
-
-// violationSpan is one violation with its String form, which
-// sortedViolations rendered into buf[start:end].
-type violationSpan struct {
-	v          Violation
-	start, end int
-}
-
-// sortedViolations appends the String form of each outstanding violation to
-// buf and returns the grown buffer with the violations sorted by that form,
-// each with its span in the buffer.
-func (m *Matrix) sortedViolations(buf []byte) ([]byte, []violationSpan) {
-	spans := make([]violationSpan, 0, len(m.viols))
-	for v := range m.viols {
-		start := len(buf)
-		buf = v.appendTo(buf)
-		spans = append(spans, violationSpan{v, start, len(buf)})
-	}
-	slices.SortFunc(spans, func(a, b violationSpan) int {
-		return bytes.Compare(buf[a.start:a.end], buf[b.start:b.end])
-	})
-	return buf, spans
+	return append([]Violation{}, m.viols...)
 }
 
 // Valid reports whether the abstraction is currently valid (no outstanding
@@ -575,12 +541,7 @@ func join(a, b *Matrix) (*Matrix, int) {
 	for i := range out.rows {
 		out.rows[i] = t.joinRows(rowAt(a, i), rowAt(b, i), n, &shared)
 	}
-	for v := range a.viols {
-		out.addViolation(v)
-	}
-	for v := range b.viols {
-		out.addViolation(v)
-	}
+	out.viols = unionViolations(a.viols, b.viols)
 	return out, shared
 }
 
@@ -611,11 +572,12 @@ func (t *entryTable) joinRows(ra, rb []uint32, n int, shared *int) []uint32 {
 	return out
 }
 
-// equal compares two matrices of one run for fixed-point detection. Rows
-// the two share compare equal without a scan; cells compare by id.
+// equal compares two matrices of one run for fixed-point detection.
+// Violation sets compare first; rows the two share compare equal without a
+// scan; cells compare by id.
 func (m *Matrix) equal(o *Matrix) bool {
 	sameRun(m, o)
-	if len(m.viols) != len(o.viols) {
+	if !slices.Equal(m.viols, o.viols) {
 		return false
 	}
 	if n := len(m.ix.names); len(m.rows) != len(o.rows) || len(m.rows) > 0 && &m.rows[0] != &o.rows[0] {
@@ -629,11 +591,6 @@ func (m *Matrix) equal(o *Matrix) bool {
 					return false
 				}
 			}
-		}
-	}
-	for v := range m.viols {
-		if !o.viols[v] {
-			return false
 		}
 	}
 	return true
@@ -670,7 +627,7 @@ func (m *Matrix) String() string {
 	}
 	if len(m.viols) > 0 {
 		b.WriteString("violations:")
-		for _, v := range m.Violations() {
+		for _, v := range m.viols {
 			b.WriteString(" " + v.String())
 		}
 		b.WriteByte('\n')

@@ -2,7 +2,9 @@ package pathmatrix
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -328,5 +330,126 @@ func TestJoinSharesWithoutAliasing(t *testing.T) {
 	}
 	if jj, _ := join(j.Clone(), j); !j.equal(jj) {
 		t.Error("joining a matrix with itself must be the identity")
+	}
+}
+
+// TestViolationSetModel runs seeded random sequences of add, delete,
+// re-anchor, clone and join over the matrices of one run and checks every
+// matrix's violation set against a map model after each step: the set is
+// sorted by rendering without duplicates, no write changes a set that an
+// earlier matrix or a clone holds, equal agrees with the model, and
+// violations that render alike (!unique(next) with another Base) come back
+// from Violations in one order whatever order they were added in.
+func TestViolationSetModel(t *testing.T) {
+	type model map[Violation]bool
+	// p and q must-alias, so re-anchoring either renames to the other; r,
+	// s and the absent x go dead. Renames therefore collide often.
+	renameTo := map[string]string{"p": "q", "q": "p", "r": deadName, "s": deadName, "x": deadName}
+	names := []string{"p", "q", "r", "s", "x", deadName}
+	fields := []string{"", "next", "prev"}
+	ties := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pick := func(ss []string) string { return ss[rng.Intn(len(ss))] }
+		randViol := func() Violation {
+			v := Violation{Prop: pick([]string{"unique", "acyclic", "call"}), Field: pick(fields), Base: pick(names)}
+			if rng.Intn(3) == 0 {
+				v.Other = pick(names)
+			}
+			if rng.Intn(4) == 0 {
+				v.Partner = pick(fields[1:])
+			}
+			return v
+		}
+		base := NewMatrix([]string{"p", "q", "r", "s"})
+		base.addRel("p", "q", alias(true))
+		ms, models := []*Matrix{base}, []model{{}}
+		for step := 0; step < 200; step++ {
+			k := rng.Intn(len(ms))
+			m, mod := ms[k], models[k]
+			before := m.viols
+			snapshot := append([]Violation(nil), before...)
+			op := rng.Intn(6)
+			switch op {
+			case 0, 1:
+				v := randViol()
+				if len(snapshot) > 0 && rng.Intn(3) == 0 {
+					v = snapshot[rng.Intn(len(snapshot))] // already held
+				}
+				m.addViolation(v)
+				mod[v] = true
+			case 2:
+				v := randViol()
+				if len(snapshot) > 0 && rng.Intn(2) == 0 {
+					v = snapshot[rng.Intn(len(snapshot))]
+				}
+				m.deleteViolation(v)
+				delete(mod, v)
+			case 3:
+				x := pick([]string{"p", "q", "r", "s", "x"})
+				m.reanchorViolations(x)
+				next := model{}
+				for v := range mod {
+					if v.Base == x {
+						v.Base = renameTo[x]
+					}
+					if v.Other == x {
+						v.Other = renameTo[x]
+					}
+					next[v] = true
+				}
+				models[k] = next
+			case 4:
+				ms, models = append(ms, m.Clone()), append(models, maps.Clone(mod))
+			case 5:
+				o := rng.Intn(len(ms))
+				j, _ := join(m, ms[o])
+				u := maps.Clone(mod)
+				maps.Copy(u, models[o])
+				ms, models = append(ms, j), append(models, u)
+			}
+			if !slices.Equal(before, snapshot) {
+				t.Fatalf("seed %d step %d op %d: the earlier set changed from %v to %v", seed, step, op, snapshot, before)
+			}
+			for i, m := range ms {
+				vs := m.viols
+				for n := 1; n < len(vs); n++ {
+					if vs[n-1].String() > vs[n].String() || compareViolations(vs[n-1], vs[n]) >= 0 {
+						t.Fatalf("seed %d step %d: set %d out of order or duplicated: %v", seed, step, i, vs)
+					}
+				}
+				if len(vs) != len(models[i]) || slices.ContainsFunc(vs, func(v Violation) bool { return !models[i][v] }) {
+					t.Fatalf("seed %d step %d op %d: set %d is %v, want %v", seed, step, op, i, vs, models[i])
+				}
+			}
+			if o := rng.Intn(len(ms)); ms[k].equal(ms[o]) != maps.Equal(models[k], models[o]) {
+				t.Fatalf("seed %d step %d: equal of sets %d and %d disagrees with the model", seed, step, k, o)
+			}
+		}
+		for i, m := range ms {
+			want := m.Violations()
+			for n := 1; n < len(want); n++ {
+				if want[n-1].String() == want[n].String() {
+					ties++
+				}
+			}
+			for range 3 {
+				var vs []Violation
+				for v := range models[i] {
+					vs = append(vs, v)
+				}
+				rng.Shuffle(len(vs), func(a, b int) { vs[a], vs[b] = vs[b], vs[a] })
+				again := sibling(base)
+				for _, v := range vs {
+					again.addViolation(v)
+				}
+				if got := again.Violations(); !slices.Equal(got, want) {
+					t.Fatalf("seed %d: set %d depends on insertion order: %v, then %v", seed, i, want, got)
+				}
+			}
+		}
+	}
+	if ties == 0 {
+		t.Error("no set held two violations that render alike")
 	}
 }

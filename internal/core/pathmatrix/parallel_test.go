@@ -157,10 +157,18 @@ func TestAnalyzeCtxCancel(t *testing.T) {
 // TestIterationMatrixConcurrent: a Result computes each loop's iteration
 // matrix once. Repeated calls return the same matrix, and concurrent callers
 // on one shared Result — which also read, clone and compare its matrices —
-// agree on it (run under -race).
+// agree on it (run under -race). The programs are testdata/*.mini and the
+// hostile seed-1 programs, whose break-then-repair loops have heads holding
+// violations: an iteration matrix's run starts from its head's violation
+// set, shared.
 func TestIterationMatrixConcurrent(t *testing.T) {
+	var infos []*types.Info
 	for _, file := range miniFiles(t) {
-		info := loadMini(t, file)
+		infos = append(infos, loadMini(t, file))
+	}
+	infos = append(infos, hostileInfos(t, 1)...)
+	invalidHeads := 0
+	for k, info := range infos {
 		res, err := AnalyzeProgramCtx(context.Background(), info, info.Env, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -168,6 +176,9 @@ func TestIterationMatrixConcurrent(t *testing.T) {
 		for name, fr := range res {
 			r := fr.Result
 			for _, l := range r.Graph.Loops {
+				if !r.LoopHead(l).Valid() {
+					invalidHeads++
+				}
 				const callers = 8
 				got := make([]*Matrix, callers)
 				dumps := make([]string, callers)
@@ -187,13 +198,17 @@ func TestIterationMatrixConcurrent(t *testing.T) {
 				wg.Wait()
 				for c := range got {
 					if got[c] != got[0] || dumps[c] != dumps[0] {
-						t.Fatalf("%s %s: concurrent callers disagree on the iteration matrix", filepath.Base(file), name)
+						t.Fatalf("program %d %s: concurrent callers disagree on the iteration matrix", k, name)
 					}
 				}
 				if r.IterationMatrix(l) != got[0] {
-					t.Fatalf("%s %s: iteration matrix recomputed", filepath.Base(file), name)
+					t.Fatalf("program %d %s: iteration matrix recomputed", k, name)
 				}
 			}
 		}
+	}
+	t.Logf("%d loop heads held violations", invalidHeads)
+	if invalidHeads == 0 {
+		t.Error("no loop head held a violation")
 	}
 }

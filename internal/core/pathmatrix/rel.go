@@ -2,6 +2,7 @@ package pathmatrix
 
 import (
 	"bytes"
+	"cmp"
 	"strings"
 )
 
@@ -388,6 +389,23 @@ type Violation struct {
 func (v Violation) String() string {
 	var buf [64]byte
 	return string(v.appendTo(buf[:0]))
+}
+
+// compareViolations is the order of a matrix's violation set: by String
+// form, then field by field, so violations that render alike still keep one
+// order.
+func compareViolations(a, b Violation) int {
+	var ba, bb [64]byte
+	if c := bytes.Compare(a.appendTo(ba[:0]), b.appendTo(bb[:0])); c != 0 {
+		return c
+	}
+	return cmp.Or(
+		strings.Compare(a.Prop, b.Prop),
+		strings.Compare(a.Field, b.Field),
+		strings.Compare(a.Partner, b.Partner),
+		strings.Compare(a.Base, b.Base),
+		strings.Compare(a.Other, b.Other),
+	)
 }
 
 // appendTo appends the violation's String form to dst.

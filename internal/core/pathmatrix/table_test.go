@@ -265,9 +265,10 @@ func TestEntryTableFacts(t *testing.T) {
 }
 
 // TestOneRunContract: a matrix belongs to one fixpoint run. A store, kill
-// or assign, or a new violation, on a clone of a finished Result's matrix
-// panics with the finished-run message, and join and equal of matrices of
-// two runs panic.
+// or assign, or a violation added or deleted, on a clone of a finished
+// Result's matrix panics with the finished-run message, even when the
+// violation set would not change, and join and equal of matrices of two
+// runs panic.
 func TestOneRunContract(t *testing.T) {
 	const finished = "pathmatrix: write to a matrix of a finished run"
 	const twoRuns = "pathmatrix: matrices of two runs"
@@ -281,7 +282,7 @@ func TestOneRunContract(t *testing.T) {
 		f()
 		return ""
 	}
-	var stores, kills, assigns int
+	var stores, kills, assigns, held int
 	for _, info := range hostileInfos(t, 1) {
 		res, err := AnalyzeProgramCtx(context.Background(), info, info.Env, 1)
 		if err != nil {
@@ -305,8 +306,21 @@ func TestOneRunContract(t *testing.T) {
 						assigns++
 					}
 				}
-				if got := panics(func() { m.Clone().addViolation(Violation{Prop: "call", Base: name}) }); got != finished {
+				absent := Violation{Prop: "call", Base: name + deadName}
+				if got := panics(func() { m.Clone().addViolation(absent) }); got != finished {
 					t.Fatalf("%s: a violation on a finished run's matrix: panic %q, want %q", name, got, finished)
+				}
+				if got := panics(func() { m.Clone().deleteViolation(absent) }); got != finished {
+					t.Fatalf("%s: deleting an absent violation on a finished run's matrix: panic %q, want %q", name, got, finished)
+				}
+				for _, v := range m.Violations() {
+					if got := panics(func() { m.Clone().addViolation(v) }); got != finished {
+						t.Fatalf("%s: re-adding held %v on a finished run's matrix: panic %q, want %q", name, v, got, finished)
+					}
+					if got := panics(func() { m.Clone().deleteViolation(v) }); got != finished {
+						t.Fatalf("%s: deleting held %v on a finished run's matrix: panic %q, want %q", name, v, got, finished)
+					}
+					held++
 				}
 				for i, v := range m.Vars() {
 					if len(m.appendRelated(nil, i)) == 0 {
@@ -320,8 +334,8 @@ func TestOneRunContract(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d stores, %d kills, %d assigns panicked", stores, kills, assigns)
-	if stores == 0 || kills == 0 || assigns == 0 {
+	t.Logf("%d stores, %d kills, %d assigns, %d held violations panicked", stores, kills, assigns, held)
+	if stores == 0 || kills == 0 || assigns == 0 || held == 0 {
 		t.Error("some transfer was never tried on a finished run's matrix")
 	}
 

@@ -508,7 +508,7 @@ func (t *transferer) store(m *Matrix, base, field, src, record string) {
 	// the new edge can refuse to trust those relations.
 	suspectCycle := false
 	if src != "" {
-		for v := range m.viols {
+		for _, v := range m.viols {
 			if v.Prop == "acyclic" && v.Field == field && (v.Base == base || m.mustAliasAt(m.index(v.Base), b)) {
 				suspectCycle = m.relatedAt(s, b)
 			}
@@ -662,7 +662,9 @@ func (t *transferer) clearRepairedViolations(m *Matrix, b int, base, field strin
 		}
 		return st != nil && st.SameGroup(f, field)
 	}
-	for v := range m.viols {
+	// The loop walks the set as it was: deleteViolation replaces m.viols
+	// and never writes the slice.
+	for _, v := range m.viols {
 		touchesVar := v.Base == base || v.Other == base ||
 			m.mustAliasAt(m.index(v.Base), b) || (v.Other != "" && m.mustAliasAt(m.index(v.Other), b))
 		if touchesVar && (sameOrGrouped(v.Field) || (v.Partner != "" && sameOrGrouped(v.Partner))) {

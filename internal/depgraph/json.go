@@ -12,11 +12,12 @@ func (g *Graph) AppendJSON(dst []byte) []byte {
 	dst = append(dst, `{"oracle":`...)
 	dst = jsonw.String(dst, g.Oracle)
 	dst = append(dst, `,"body":[`...)
+	var buf [64]byte
 	for i, in := range g.Body {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = jsonw.String(dst, in.String())
+		dst = jsonw.String(dst, in.AppendTo(buf[:0]))
 	}
 	dst = append(dst, `],"edges":[`...)
 	for i, e := range g.Edges {

@@ -10,6 +10,7 @@ package ir
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -146,54 +147,59 @@ func (i *Instr) IsMem() bool { return i.Op == Load || i.Op == Store }
 
 // String renders the instruction in the paper's style.
 func (i *Instr) String() string {
+	var buf [64]byte
+	return string(i.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the instruction's String form to dst.
+func (i *Instr) AppendTo(dst []byte) []byte {
+	cat := func(parts ...string) []byte {
+		for _, p := range parts {
+			dst = append(dst, p...)
+		}
+		return dst
+	}
+	rhs := i.Src2 // Br, Store and Set spell an empty Src2 as NULL
+	if rhs == "" {
+		rhs = "NULL"
+	}
 	switch i.Op {
 	case Nop:
-		return "nop"
+		return cat("nop")
 	case Label:
-		return i.Name + ":"
+		return cat(i.Name, ":")
 	case Goto:
-		return "goto " + i.Target
+		return cat("goto ", i.Target)
 	case Br:
-		rhs := i.Src2
-		if rhs == "" {
-			rhs = "NULL"
-		}
-		return fmt.Sprintf("if %s %s %s goto %s", i.Src1, i.Rel, rhs, i.Target)
+		return cat("if ", i.Src1, " ", i.Rel.String(), " ", rhs, " goto ", i.Target)
 	case Load:
-		return fmt.Sprintf("load %s->%s, %s", i.Src1, i.Field, i.Dst)
+		return cat("load ", i.Src1, "->", i.Field, ", ", i.Dst)
 	case Store:
-		src := i.Src2
-		if src == "" {
-			src = "NULL"
-		}
-		return fmt.Sprintf("store %s, %s->%s", src, i.Src1, i.Field)
+		return cat("store ", rhs, ", ", i.Src1, "->", i.Field)
 	case LoadImm:
-		return fmt.Sprintf("li %d, %s", i.Imm, i.Dst)
+		dst = strconv.AppendInt(append(dst, "li "...), i.Imm, 10)
+		return cat(", ", i.Dst)
 	case Move:
-		return fmt.Sprintf("move %s, %s", i.Src1, i.Dst)
+		return cat("move ", i.Src1, ", ", i.Dst)
 	case Add, Sub, Mul, Div, Rem:
-		return fmt.Sprintf("%s %s, %s, %s", i.Op, i.Src1, i.Src2, i.Dst)
+		return cat(i.Op.String(), " ", i.Src1, ", ", i.Src2, ", ", i.Dst)
 	case Neg:
-		return fmt.Sprintf("neg %s, %s", i.Src1, i.Dst)
+		return cat("neg ", i.Src1, ", ", i.Dst)
 	case Set:
-		rhs := i.Src2
-		if rhs == "" {
-			rhs = "NULL"
-		}
-		return fmt.Sprintf("set%s %s, %s, %s", i.Rel, i.Src1, rhs, i.Dst)
+		return cat("set", i.Rel.String(), " ", i.Src1, ", ", rhs, ", ", i.Dst)
 	case New:
-		return fmt.Sprintf("new %s, %s", i.TypeName, i.Dst)
+		return cat("new ", i.TypeName, ", ", i.Dst)
 	case FreeOp:
-		return fmt.Sprintf("free %s", i.Src1)
+		return cat("free ", i.Src1)
 	case Call:
-		return "call " + i.Name
+		return cat("call ", i.Name)
 	case Ret:
 		if i.Src1 != "" {
-			return "ret " + i.Src1
+			return cat("ret ", i.Src1)
 		}
-		return "ret"
+		return cat("ret")
 	}
-	return "?"
+	return cat("?")
 }
 
 // LoopInfo describes one while loop in a Program: instruction index ranges

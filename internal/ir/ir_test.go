@@ -248,3 +248,42 @@ void f(TwoWayLL *p) {
 		t.Errorf("R1 type = %v, want TwoWayLL pointer", vt["R1"])
 	}
 }
+
+// TestInstrString pins each opcode's rendering, including the NULL operand
+// spellings, a negative immediate and an unknown opcode.
+func TestInstrString(t *testing.T) {
+	cases := []struct {
+		in   Instr
+		want string
+	}{
+		{Instr{Op: Nop}, "nop"},
+		{Instr{Op: Label, Name: "L1"}, "L1:"},
+		{Instr{Op: Goto, Target: "L2"}, "goto L2"},
+		{Instr{Op: Br, Src1: "p", Rel: NE, Target: "L3"}, "if p != NULL goto L3"},
+		{Instr{Op: Br, Src1: "i", Rel: LE, Src2: "n", Target: "L3"}, "if i <= n goto L3"},
+		{Instr{Op: Load, Src1: "p", Field: "next", Dst: "R1"}, "load p->next, R1"},
+		{Instr{Op: Store, Src1: "p", Field: "next", Src2: "q"}, "store q, p->next"},
+		{Instr{Op: Store, Src1: "p", Field: "next"}, "store NULL, p->next"},
+		{Instr{Op: LoadImm, Imm: -42, Dst: "R2"}, "li -42, R2"},
+		{Instr{Op: Move, Src1: "R1", Dst: "p"}, "move R1, p"},
+		{Instr{Op: Add, Src1: "a", Src2: "b", Dst: "c"}, "add a, b, c"},
+		{Instr{Op: Rem, Src1: "a", Src2: "b", Dst: "c"}, "rem a, b, c"},
+		{Instr{Op: Neg, Src1: "a", Dst: "b"}, "neg a, b"},
+		{Instr{Op: Set, Rel: EQ, Src1: "p", Dst: "R3"}, "set== p, NULL, R3"},
+		{Instr{Op: Set, Rel: GT, Src1: "a", Src2: "b", Dst: "R3"}, "set> a, b, R3"},
+		{Instr{Op: New, TypeName: "TwoWayLL", Dst: "n"}, "new TwoWayLL, n"},
+		{Instr{Op: FreeOp, Src1: "n"}, "free n"},
+		{Instr{Op: Call, Name: "f"}, "call f"},
+		{Instr{Op: Ret, Src1: "r"}, "ret r"},
+		{Instr{Op: Ret}, "ret"},
+		{Instr{Op: Op(99)}, "?"},
+	}
+	for _, c := range cases {
+		if got := c.in.String(); got != c.want {
+			t.Errorf("%+v: String() = %q, want %q", c.in, got, c.want)
+		}
+		if got := string(c.in.AppendTo([]byte("x "))); got != "x "+c.want {
+			t.Errorf("%+v: AppendTo = %q, want %q", c.in, got, "x "+c.want)
+		}
+	}
+}
