@@ -4,12 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/norm"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/shape"
 	"repro/internal/source/types"
 )
@@ -193,6 +192,10 @@ func (f *fixpoint) solve(ctx context.Context, seed *norm.Node, in *Matrix) error
 // Visit implements norm.Flow: it records n's before and after matrices and
 // sends the after matrix, refined per edge at a branch, along n's edges.
 // Past nodeVisitBudget visits the node's state is the widened matrix.
+// Matrices are shared wherever nothing writes them: a node with one input
+// takes that state as its before matrix, and a node whose transfer has no
+// pointer effect sends its before matrix on as its after matrix. Only a
+// statement's transfer writes, into a clone.
 func (f *fixpoint) Visit(n *norm.Node, in, out []*Matrix) {
 	var before, after *Matrix
 	if f.visits[n.ID]++; f.visits[n.ID] > nodeVisitBudget {
@@ -205,9 +208,10 @@ func (f *fixpoint) Visit(n *norm.Node, in, out []*Matrix) {
 		before, after = f.wide, f.wide
 	} else {
 		before = f.inState(in)
-		after = before.Clone()
-		f.stats.Clones++
-		if n.Kind == norm.NodeStmt {
+		after = before
+		if pointerEffect(n) {
+			after = before.Clone()
+			f.stats.Clones++
 			f.trans.apply(after, n.Stmt)
 		}
 	}
@@ -228,14 +232,27 @@ func (f *fixpoint) Visit(n *norm.Node, in, out []*Matrix) {
 	}
 }
 
+// pointerEffect reports whether n's transfer may change a matrix: whether n
+// is a statement other than a scalar access or computation.
+func pointerEffect(n *norm.Node) bool {
+	if n.Kind != norm.NodeStmt {
+		return false
+	}
+	switch n.Stmt.Op {
+	case norm.ScalarRead, norm.ScalarWrite, norm.ScalarOp:
+		return false
+	}
+	return true
+}
+
 // inState joins the states on a node's incoming edges; the seed has none
-// and starts from the run's in-state.
+// and starts from the run's in-state. One incoming state is used as is, and
+// join builds a fresh matrix, so neither is cloned.
 func (f *fixpoint) inState(in []*Matrix) *Matrix {
 	if len(in) == 0 {
 		return f.in
 	}
-	acc := in[0].Clone()
-	f.stats.Clones++
+	acc := in[0]
 	for _, st := range in[1:] {
 		var shared int
 		acc, shared = join(acc, st)
@@ -509,28 +526,20 @@ type FuncResult struct {
 }
 
 // AnalyzeProgramCtx analyzes every function of a checked program on at most
-// workers goroutines (par.Each: workers <= 0 means GOMAXPROCS). Cancelling
-// ctx stops the remaining work and returns ctx's error.
+// workers goroutines (par.Each: workers <= 0 means GOMAXPROCS). It lowers
+// every function once and runs the summary and function fixpoints as one
+// dependency-ordered schedule (see SummaryTable.schedule): a function run
+// needs only its direct callees' summaries, never its own, so it overlaps
+// the summary runs of the functions it does not call. Every function run
+// transfers calls through the same table, and each summary is the same
+// whichever worker computed it, so the results are independent of worker
+// count and scheduling. Cancelling ctx stops the remaining work and
+// returns ctx's error.
 func AnalyzeProgramCtx(ctx context.Context, info *types.Info, env *shape.Env, workers int) (map[string]*FuncResult, error) {
-	names := make([]string, 0, len(info.Funcs))
-	for name := range info.Funcs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	// The summary table is computed serially up front (bottom-up over the
-	// call graph) and then shared read-only by all workers, so the result is
-	// independent of worker count and scheduling. Each worker analyzes the
-	// graph the table lowered.
-	tab, err := ComputeSummariesCtx(ctx, info, env)
-	if err != nil {
-		return nil, err
-	}
-
-	// Results are slotted by position in the sorted name list, so the output
-	// map is identical regardless of which worker analyzed which function.
+	tab := newTable(env, lowerCtx(ctx, info))
+	names := slices.Concat(tab.unit.sccs...)
 	results := make([]*FuncResult, len(names))
-	err = par.Each(ctx, len(names), workers, func(i int) error {
+	err := tab.schedule(ctx, names, workers, func(ctx context.Context, i int) error {
 		name := names[i]
 		fctx, span := obs.Start(ctx, "analyze")
 		span.SetAttr("fn", name)

@@ -127,8 +127,8 @@ func TestStrippedDemandEquivalence(t *testing.T) {
 			if got, want := classicText(t, s, fn), classicText(t, eager, fn); got != want {
 				t.Errorf("%s: %s: classic analysis under the demand table differs:\n%s\nwant:\n%s", names[k], fn, got, want)
 			}
-			for f, sum := range s.byFn {
-				if !reflect.DeepEqual(sum, eager.byFn[f]) {
+			for f := range s.byFn {
+				if !reflect.DeepEqual(s.Lookup(f), eager.Lookup(f)) {
 					t.Errorf("%s: %s: demand summary of %s differs from the eager one", names[k], fn, f)
 				}
 			}

@@ -106,6 +106,10 @@ func (b *builder) addEdge(e *Edge) { b.g.Edges = append(b.g.Edges, e) }
 // within an iteration and across the back edge.
 func (b *builder) registerDeps() {
 	body := b.g.Body
+	uses := make([][]string, len(body))
+	for j, in := range body {
+		uses[j] = in.Uses()
+	}
 	defsBetween := func(reg string, from, to int) bool {
 		for k := from; k < to; k++ {
 			if body[k].Defs() == reg {
@@ -118,7 +122,7 @@ func (b *builder) registerDeps() {
 		if d := a.Defs(); d != "" {
 			// Same-iteration flow: first uses after i with no kill between.
 			for j := i + 1; j < len(body); j++ {
-				for _, u := range body[j].Uses() {
+				for _, u := range uses[j] {
 					if u == d && !defsBetween(d, i+1, j) {
 						b.addEdge(&Edge{From: i, To: j, Kind: Flow, Loc: d, Must: true})
 					}
@@ -130,7 +134,7 @@ func (b *builder) registerDeps() {
 			// Carried flow: def live across the back edge into earlier uses.
 			if !defsBetween(d, i+1, len(body)) {
 				for j := 0; j <= i; j++ {
-					for _, u := range body[j].Uses() {
+					for _, u := range uses[j] {
 						if u == d && !defsBetween(d, 0, j) {
 							b.addEdge(&Edge{From: i, To: j, Kind: Flow, Loc: d,
 								Carried: true, Must: true})
@@ -140,7 +144,7 @@ func (b *builder) registerDeps() {
 			}
 		}
 		// Anti: a use followed by a def.
-		for _, u := range a.Uses() {
+		for _, u := range uses[i] {
 			for j := i + 1; j < len(body); j++ {
 				if body[j].Defs() == u {
 					if !defsBetween(u, i+1, j) {
