@@ -104,7 +104,8 @@ type transferer struct {
 	applied, fallbacks uint64
 }
 
-// apply mutates m according to stmt.
+// apply mutates m according to stmt, which must have a pointer effect:
+// pointerEffect is the one list of ops whose transfer leaves m as it is.
 func (t *transferer) apply(m *Matrix, s *norm.Stmt) {
 	switch s.Op {
 	case norm.Assign:
@@ -120,8 +121,8 @@ func (t *transferer) apply(m *Matrix, s *norm.Stmt) {
 		m.kill(s.Base)
 	case norm.Call:
 		t.call(m, s)
-	case norm.ScalarRead, norm.ScalarWrite, norm.ScalarOp:
-		// No pointer effect.
+	default:
+		panic("pathmatrix: no transfer for " + s.Op.String())
 	}
 }
 
