@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -141,6 +142,41 @@ func TestGoldenDumps(t *testing.T) {
 				t.Errorf("output drifted from %s.\ngot:\n%s\nwant:\n%s\n(run with -update if intentional)", path, out, want)
 			}
 		})
+	}
+}
+
+// TestGoldenJSONDigests pins the bytes of addsc -format json -show pipeline
+// for every testdata program and examples/shift.mini by their SHA-256, one
+// "digest  file" line each in testdata/golden/json.sha256 (the digests keep
+// a few hundred KB of indented JSON out of the repo). Regenerate with
+// `go test ./cmd/addsc -run GoldenJSONDigests -update`.
+func TestGoldenJSONDigests(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.mini"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no testdata programs: %v", err)
+	}
+	files = append(files, filepath.Join("..", "..", "examples", "shift.mini"))
+	var got strings.Builder
+	for _, f := range files {
+		status, out, stderr := runCmd(t, "-format", "json", "-show", "pipeline", f)
+		if status != 0 {
+			t.Fatalf("%s: status %d, stderr %q", f, status, stderr)
+		}
+		fmt.Fprintf(&got, "%x  %s\n", sha256.Sum256([]byte(out)), strings.TrimPrefix(filepath.ToSlash(f), "../../"))
+	}
+	path := filepath.Join("testdata", "golden", "json.sha256")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden %s: %v (run with -update to create)", path, err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("JSON output drifted from %s.\ngot:\n%s\nwant:\n%s\n(run with -update if intentional)", path, got.String(), want)
 	}
 }
 
