@@ -1,9 +1,9 @@
 // Package wire defines the JSON request and response shapes of the adds
 // daemon's /v1 API, promoted out of the server so clients can marshal and
-// unmarshal them without importing internal packages. The daemon aliases
-// these types (internal/service), so the wire format cannot drift between
-// the server and a client built against this package; the encoded bytes are
-// pinned by the goldens under adds/testdata/golden.
+// unmarshal them without importing internal packages. The daemon and addsc
+// build these types (internal/respond), so the wire format cannot drift
+// between the server and a client built against this package; the encoded
+// bytes are pinned by the goldens under adds/testdata/golden.
 package wire
 
 import (

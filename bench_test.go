@@ -23,7 +23,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/machine"
 	"repro/internal/norm"
-	"repro/internal/service"
+	"repro/internal/respond"
 	"repro/internal/source/parser"
 	"repro/internal/source/types"
 	"repro/internal/structures"
@@ -344,7 +344,7 @@ func BenchmarkBuildAnalyzeHostile(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pathmatrix.ResetSummaryCache()
 		for _, req := range reqs {
-			resp, err := service.BuildAnalyze(context.Background(), req)
+			resp, err := respond.BuildAnalyze(context.Background(), req)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -363,7 +363,7 @@ var encoded []byte
 func BenchmarkEncodeHostile(b *testing.B) {
 	var resps []*wire.AnalyzeResponse
 	for _, src := range hostileSources(b) {
-		resp, err := service.BuildAnalyze(context.Background(), &wire.AnalyzeRequest{Source: src})
+		resp, err := respond.BuildAnalyze(context.Background(), &wire.AnalyzeRequest{Source: src})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -32,7 +32,7 @@ import (
 	"repro/adds/wire"
 	"repro/internal/cli"
 	"repro/internal/obs"
-	"repro/internal/service"
+	"repro/internal/respond"
 )
 
 func main() {
@@ -255,7 +255,7 @@ func runJSON(ctx context.Context, stdout, stderr io.Writer, fail func(error) int
 	// Request-shape mistakes (an unknown oracle) are usage errors here, the
 	// same class the flag parser reports.
 	jfail := func(err error) int {
-		if errors.Is(err, service.ErrBadRequest) {
+		if errors.Is(err, respond.ErrBadRequest) {
 			fmt.Fprintln(stderr, "addsc:", err)
 			return adds.ExitUsage
 		}
@@ -268,9 +268,9 @@ func runJSON(ctx context.Context, stdout, stderr io.Writer, fail func(error) int
 	}{}
 	var err error
 	if withPipeline {
-		out.AnalyzeResponse, out.Pipelines, err = service.BuildAnalyzePipelines(ctx, req, width)
+		out.AnalyzeResponse, out.Pipelines, err = respond.BuildAnalyzePipelines(ctx, req, width)
 	} else {
-		out.AnalyzeResponse, err = service.BuildAnalyze(ctx, req)
+		out.AnalyzeResponse, err = respond.BuildAnalyze(ctx, req)
 	}
 	if err != nil {
 		return jfail(err)

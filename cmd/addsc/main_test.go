@@ -14,7 +14,7 @@ import (
 
 	"repro/adds"
 	"repro/adds/wire"
-	"repro/internal/service"
+	"repro/internal/respond"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden addsc dumps")
@@ -409,7 +409,7 @@ func TestJSONPipelinesMatchDaemon(t *testing.T) {
 				if err := json.Unmarshal(raw, &key); err != nil {
 					t.Fatal(err)
 				}
-				want, err := service.BuildPipeline(context.Background(), &wire.PipelineRequest{
+				want, err := respond.BuildPipeline(context.Background(), &wire.PipelineRequest{
 					Source: string(src), Fn: key.Fn, Loop: key.Loop, Oracle: oracle,
 				})
 				if err != nil {

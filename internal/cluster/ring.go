@@ -7,7 +7,7 @@
 // Placement is deterministic by construction: the ring is built from the
 // sorted, deduplicated peer list with a fixed number of virtual nodes per
 // peer, every ring point is the SHA-256 of peer⫶vnode, and keys (already
-// SHA-256 hex strings from service.Key) are rehashed the same way — so two
+// SHA-256 hex strings from respond.Key) are rehashed the same way — so two
 // processes given the same -peers flag compute byte-identical placement
 // with no coordination, and adding or removing one peer moves only ~1/N of
 // the keyspace.
@@ -95,7 +95,7 @@ func pointHash(peer string, vn int) uint64 {
 	return binary.BigEndian.Uint64(h.Sum(nil)[:8])
 }
 
-// keyHash places a key. Keys from service.Key are already uniform SHA-256
+// keyHash places a key. Keys from respond.Key are already uniform SHA-256
 // hex, but rehashing makes Owner total over arbitrary strings.
 func keyHash(key string) uint64 {
 	sum := sha256.Sum256([]byte(key))

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// sampleKeys builds a deterministic keyspace sample shaped like service.Key
+// sampleKeys builds a deterministic keyspace sample shaped like respond.Key
 // output (hex content hashes are uniform, and keyHash rehashes anyway).
 func sampleKeys(n int) []string {
 	keys := make([]string, n)

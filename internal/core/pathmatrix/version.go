@@ -3,7 +3,7 @@ package pathmatrix
 import "sync"
 
 // EngineVersion stamps analysis results produced by this package. It is part
-// of the content-addressed cache key in internal/service AND of the summary
+// of the content-addressed cache key (respond.Key) AND of the summary
 // cache key in summary.go: bump it whenever a change alters analysis output
 // for the same input (transfer functions, join, widening, path
 // canonicalization), so stale cached results can never be served for the

@@ -136,7 +136,7 @@ func (c Campaign) profiles() ([]gen.Profile, error) {
 
 // writeCorpus persists each divergence as <minhash>.mini (the minimized
 // repro source, directly runnable by the CLIs) plus <minhash>.json (the
-// full triage record). Content addressing (the service.Key scheme)
+// full triage record). Content addressing (the respond.Key scheme)
 // deduplicates repros across seeds and campaigns for free.
 func writeCorpus(dir string, divs []Divergence) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -21,7 +21,7 @@
 // program: lint coverage on inputs no human would write.
 //
 // Failures are classified as Divergences, content-addressed with the same
-// SHA-256 scheme as internal/service, and delta-debugged down to minimal
+// SHA-256 scheme as the daemon's cache (respond.Key), and delta-debugged down to minimal
 // statement lists by a structure-aware shrinker (Shrink).
 package difftest
 
@@ -38,7 +38,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/interp"
 	"repro/internal/norm"
-	"repro/internal/service"
+	"repro/internal/respond"
 	"repro/internal/source/ast"
 	"repro/internal/source/parser"
 	"repro/internal/source/token"
@@ -150,7 +150,7 @@ type Divergence struct {
 	Structure string `json:"structure"`
 	Check     string `json:"check"`
 	Detail    string `json:"detail"`
-	// Hash content-addresses the original source (service.Key scheme).
+	// Hash content-addresses the original source (respond.Key scheme).
 	Hash   string `json:"hash"`
 	Source string `json:"source"`
 	// Minimized is the shrunk repro; MinHash its content address;
@@ -184,10 +184,10 @@ func DiffOne(seed int64, pr gen.Profile, cfg Config) []Divergence {
 			Structure: p.TypeName,
 			Check:     name,
 			Detail:    detail,
-			Hash:      service.Key(src),
+			Hash:      respond.Key(src),
 			Source:    src,
 			Minimized: minSrc,
-			MinHash:   service.Key(minSrc),
+			MinHash:   respond.Key(minSrc),
 			MinStmts:  min.NumStmts(),
 		})
 	}

@@ -1,7 +1,13 @@
-package service
+// Package respond builds the /v1 response bodies: the one implementation
+// behind addsd's analysis endpoints and addsc -format json, so the daemon
+// and the CLI can never drift apart. It holds no server state and imports
+// nothing of net/http, so the CLI links none of the daemon.
+package respond
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 
@@ -11,47 +17,26 @@ import (
 )
 
 // ErrBadRequest classifies request-shape failures (unknown oracle, missing
-// fields) that are not typed facade errors; handlers map it to 400.
+// fields) that are not typed facade errors; addsd's handlers map it to 400
+// and addsc to a usage error.
 var ErrBadRequest = errors.New("bad request")
 
-// ErrNotFound classifies lookups of resources outside the registry (an
-// unknown experiment id); handlers map it to 404.
-var ErrNotFound = errors.New("not found")
-
-// UnknownFieldError reports a JSON request body carrying a field no request
-// type defines — almost always a typo (an "orcale" that would otherwise
-// silently select the default oracle). Handlers map it to 400 and echo the
-// offending field in the error envelope.
-type UnknownFieldError struct{ Field string }
-
-func (e *UnknownFieldError) Error() string {
-	return fmt.Sprintf("bad request: unknown field %q", e.Field)
-}
-
-// Unwrap lets errors.Is(err, ErrBadRequest) classify it alongside the other
-// request-shape failures.
-func (e *UnknownFieldError) Unwrap() error { return ErrBadRequest }
-
-// TooLargeError reports a request that exceeds a configured admission bound
-// — a body over -max-body bytes, or a /v1/batch item count over -max-batch.
-// Handlers map it to 413 so an oversized body is rejected before the JSON
-// decoder reads unbounded input, instead of the generic 400.
-type TooLargeError struct {
-	What  string // what was measured: "body", "batch items"
-	Size  int64  // observed size (0 when only the excess is known)
-	Limit int64  // the configured bound
-}
-
-func (e *TooLargeError) Error() string {
-	if e.Size > 0 {
-		return fmt.Sprintf("request too large: %s %d exceeds limit %d", e.What, e.Size, e.Limit)
+// Key derives the content address for the given parts: SHA-256 over the
+// parts with NUL separators (parts are length-prefixed by the separator
+// discipline only; callers pass canonical encodings, never raw user input
+// containing NULs that must stay distinct from separators). addsd's result
+// cache and cluster ring key responses by it, and addsfuzz names its corpus
+// files after it.
+func Key(parts ...string) string {
+	h := sha256.New()
+	for i, p := range parts {
+		if i > 0 {
+			h.Write([]byte{0})
+		}
+		h.Write([]byte(p))
 	}
-	return fmt.Sprintf("request too large: %s exceeds limit %d", e.What, e.Limit)
+	return hex.EncodeToString(h.Sum(nil))
 }
-
-// Unwrap classifies an oversized request as a request-shape failure for
-// callers that only branch on ErrBadRequest.
-func (e *TooLargeError) Unwrap() error { return ErrBadRequest }
 
 // oracleFor resolves the request's oracle selection against an analysis
 // through the registry; unknown names are 400s. The context carries the

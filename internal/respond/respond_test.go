@@ -1,4 +1,4 @@
-package service
+package respond
 
 import (
 	"context"
@@ -171,6 +171,32 @@ func TestEngineSumsMatchSpans(t *testing.T) {
 		}
 		if memoHits == 0 {
 			t.Errorf("%s: no fixpoint run answered a join from its memo", filepath.Base(file))
+		}
+	}
+}
+
+func TestKeyDistinguishesParts(t *testing.T) {
+	if Key("ab", "c") == Key("a", "bc") {
+		t.Error("part boundaries must be part of the key")
+	}
+	if Key("a", "b") != Key("a", "b") {
+		t.Error("key not deterministic")
+	}
+}
+
+// TestKeyPinned pins Key's digests: cluster peers place and look up cached
+// bodies by these keys, and addsfuzz names its corpus files after them, so
+// they must not change while the engine version stays the same.
+func TestKeyPinned(t *testing.T) {
+	for _, tc := range []struct {
+		parts []string
+		want  string
+	}{
+		{[]string{"analyze", "gpm-5", "x"}, "f9ef536a6c03966e074a8ac9fe7cde29ddb3df65543d8d7a1f9333696f6551cd"},
+		{[]string{"pipeline", "gpm-5", `{"source":"void f() { return; }"}`}, "44c15c847bb840184c208b9f00d5dbdddb293776a83ecae64f039cb1d79eeded"},
+	} {
+		if got := Key(tc.parts...); got != tc.want {
+			t.Errorf("Key(%q) = %s, want %s", tc.parts, got, tc.want)
 		}
 	}
 }

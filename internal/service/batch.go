@@ -10,6 +10,7 @@ import (
 
 	"repro/adds/wire"
 	"repro/internal/par"
+	"repro/internal/respond"
 )
 
 // handleBatch serves POST /v1/batch: many analyze requests in one call,
@@ -32,7 +33,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	n := len(req.Items)
 	if n == 0 {
-		writeError(w, fmt.Errorf("%w: batch has no items", ErrBadRequest))
+		writeError(w, fmt.Errorf("%w: batch has no items", respond.ErrBadRequest))
 		return
 	}
 	if n > s.cfg.MaxBatchItems {
@@ -75,7 +76,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // batchLine resolves one batch item and renders its NDJSON line.
 func (s *Server) batchLine(ctx context.Context, idx int, item *wire.AnalyzeRequest, forwarded bool) []byte {
-	key, canonical, compute, err := s.keyed("analyze", item, func(c context.Context) (response, error) { return BuildAnalyze(c, item) })
+	key, canonical, compute, err := s.keyed("analyze", item, func(c context.Context) (response, error) { return respond.BuildAnalyze(c, item) })
 	res := resolved{err: err}
 	if err == nil {
 		res = s.resolve(ctx, "batch", "analyze", key, canonical, forwarded, compute)

@@ -2,9 +2,10 @@
 // content-addressed result cache with singleflight deduplication, a bounded
 // worker pool behind an admission queue, HTTP handlers for the whole
 // pipeline (analyze, software pipelining, experiments), and a
-// Prometheus-text observability surface.
+// Prometheus-text observability surface. The response bodies themselves are
+// built by internal/respond, which addsc shares without linking the daemon.
 //
-// The cache key is the SHA-256 of the request's canonical encoding plus the
+// The cache key (respond.Key) is the SHA-256 of the request's canonical encoding plus the
 // engine version (pathmatrix.EngineVersion), so a result can never outlive
 // the engine that produced it, and two requests differing only in field
 // order still share one entry.
@@ -12,8 +13,6 @@ package service
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"sync"
 	"time"
@@ -43,21 +42,6 @@ func (o Outcome) String() string {
 		return "coalesced"
 	}
 	return "?"
-}
-
-// Key derives the content address for the given parts: SHA-256 over the
-// parts with NUL separators (parts are length-prefixed by the separator
-// discipline only; callers pass canonical encodings, never raw user input
-// containing NULs that must stay distinct from separators).
-func Key(parts ...string) string {
-	h := sha256.New()
-	for i, p := range parts {
-		if i > 0 {
-			h.Write([]byte{0})
-		}
-		h.Write([]byte(p))
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // flight is one in-progress computation that later identical requests join.

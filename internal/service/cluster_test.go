@@ -15,6 +15,7 @@ import (
 
 	"repro/adds/wire"
 	"repro/internal/core/pathmatrix"
+	"repro/internal/respond"
 )
 
 // startCluster launches n in-process shards that share one peer list, each
@@ -103,7 +104,7 @@ func TestClusterPeerCacheHit(t *testing.T) {
 	// ports, and a request that lands on the owner forwards nothing.
 	src := shiftSrc
 	canonical, _ := json.Marshal(&wire.AnalyzeRequest{Source: src})
-	key := Key("analyze", pathmatrix.EngineVersion, string(canonical))
+	key := respond.Key("analyze", pathmatrix.EngineVersion, string(canonical))
 	owner := servers[0].cluster.ring.Owner(key)
 	order := make([]string, 0, len(urls))
 	for i, s := range servers {
@@ -148,7 +149,7 @@ func TestClusterXCacheHeaders(t *testing.T) {
 
 	// Find which node owns shiftSrc's key by asking the ring directly.
 	canonical, _ := json.Marshal(&wire.AnalyzeRequest{Source: shiftSrc})
-	key := Key("analyze", pathmatrix.EngineVersion, string(canonical))
+	key := respond.Key("analyze", pathmatrix.EngineVersion, string(canonical))
 	owner := servers[0].cluster.ring.Owner(key)
 	ownerIdx, otherIdx := 0, 1
 	if servers[1].cluster.self == owner {
@@ -198,7 +199,7 @@ func TestClusterDeadPeerFallback(t *testing.T) {
 		}
 		src = shiftSrc + fmt.Sprintf("\nvoid probe%d(TwoWayLL *q) { q = NULL; }\n", i)
 		canonical, _ := json.Marshal(&wire.AnalyzeRequest{Source: src})
-		key := Key("analyze", pathmatrix.EngineVersion, string(canonical))
+		key := respond.Key("analyze", pathmatrix.EngineVersion, string(canonical))
 		if s.cluster.ring.Owner(key) == deadAddr {
 			break
 		}
@@ -227,7 +228,7 @@ func TestClusterDeadPeerFallback(t *testing.T) {
 func TestClusterForwardedRequestStaysLocal(t *testing.T) {
 	servers, urls := startCluster(t, 2, nil)
 	canonical, _ := json.Marshal(&wire.AnalyzeRequest{Source: shiftSrc})
-	key := Key("analyze", pathmatrix.EngineVersion, string(canonical))
+	key := respond.Key("analyze", pathmatrix.EngineVersion, string(canonical))
 	// Pick the NON-owner and send it a pre-forwarded request.
 	idx := 0
 	if servers[0].cluster.ring.Owner(key) == servers[0].cluster.self {
@@ -272,7 +273,7 @@ func TestCachePeekEndpoint(t *testing.T) {
 		t.Fatalf("analyze = %d", aresp.StatusCode)
 	}
 	canonical, _ := json.Marshal(&wire.AnalyzeRequest{Source: shiftSrc})
-	key := Key("analyze", pathmatrix.EngineVersion, string(canonical))
+	key := respond.Key("analyze", pathmatrix.EngineVersion, string(canonical))
 	resp, err = http.Get(ts.URL + "/v1/cache/" + key)
 	if err != nil {
 		t.Fatal(err)

@@ -17,6 +17,7 @@ import (
 	"repro/internal/exper"
 	"repro/internal/gen"
 	"repro/internal/norm"
+	"repro/internal/respond"
 	"repro/internal/xform"
 )
 
@@ -332,7 +333,7 @@ func TestWireEncodingEquivalence(t *testing.T) {
 	for i, src := range sources {
 		for _, oracle := range []string{"gpm", "classic", "klimit", "smg"} {
 			name := names[i] + "/" + oracle
-			resp, err := BuildAnalyze(ctx, &wire.AnalyzeRequest{Source: src, Oracle: oracle})
+			resp, err := respond.BuildAnalyze(ctx, &wire.AnalyzeRequest{Source: src, Oracle: oracle})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -344,13 +345,13 @@ func TestWireEncodingEquivalence(t *testing.T) {
 				if fr.Loops == 0 {
 					continue
 				}
-				dg, err := BuildDepgraph(ctx, &wire.DepgraphRequest{Source: src, Fn: fr.Name, Oracle: oracle})
+				dg, err := respond.BuildDepgraph(ctx, &wire.DepgraphRequest{Source: src, Fn: fr.Name, Oracle: oracle})
 				if err != nil {
 					t.Fatalf("%s/%s: depgraph: %v", name, fr.Name, err)
 				}
 				checkEncoding(t, name+"/"+fr.Name+"/depgraph", dg, refDepgraphOf(dg))
 				for loop := 0; loop < fr.Loops; loop++ {
-					p, err := BuildPipeline(ctx, &wire.PipelineRequest{Source: src, Fn: fr.Name, Loop: loop, Oracle: oracle})
+					p, err := respond.BuildPipeline(ctx, &wire.PipelineRequest{Source: src, Fn: fr.Name, Loop: loop, Oracle: oracle})
 					if err != nil {
 						t.Fatalf("%s/%s/%d: pipeline: %v", name, fr.Name, loop, err)
 					}

@@ -11,6 +11,7 @@ import (
 	"repro/adds"
 	"repro/adds/wire"
 	"repro/internal/gen"
+	"repro/internal/respond"
 )
 
 // FuzzSource feeds raw bytes through the whole /v1/analyze path — lexer,
@@ -37,7 +38,7 @@ func FuzzSource(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src []byte) {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		resp, err := BuildAnalyze(ctx, &wire.AnalyzeRequest{Source: string(src)})
+		resp, err := respond.BuildAnalyze(ctx, &wire.AnalyzeRequest{Source: string(src)})
 		var srcErr *adds.SourceError
 		switch {
 		case err == nil:

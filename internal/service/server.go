@@ -20,6 +20,7 @@ import (
 	"repro/internal/core/pathmatrix"
 	"repro/internal/exper"
 	"repro/internal/obs"
+	"repro/internal/respond"
 )
 
 // DefaultMaxBodyBytes bounds request bodies when Config.MaxBodyBytes is
@@ -415,7 +416,7 @@ func statusFor(err error) (int, wire.ErrorEnvelope) {
 		body.Field = ufe.Field
 	case errors.As(err, &tle):
 		code = http.StatusRequestEntityTooLarge
-	case errors.Is(err, ErrBadRequest), errors.Is(err, adds.ErrBadWidth):
+	case errors.Is(err, respond.ErrBadRequest), errors.Is(err, adds.ErrBadWidth):
 		code = http.StatusBadRequest
 	case errors.Is(err, adds.ErrUnknownFunction), errors.Is(err, adds.ErrNoSuchLoop),
 		errors.Is(err, ErrNotFound):
@@ -456,7 +457,7 @@ func (s *Server) decodeBody(r *http.Request, v any) error {
 	limit := s.cfg.MaxBodyBytes
 	body, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
 	if err != nil {
-		return fmt.Errorf("%w: reading body: %v", ErrBadRequest, err)
+		return fmt.Errorf("%w: reading body: %v", respond.ErrBadRequest, err)
 	}
 	if int64(len(body)) > limit {
 		return &TooLargeError{What: "body", Limit: limit}
@@ -470,7 +471,7 @@ func (s *Server) decodeBody(r *http.Request, v any) error {
 		if rest, ok := strings.CutPrefix(err.Error(), `json: unknown field "`); ok {
 			return &UnknownFieldError{Field: strings.TrimSuffix(rest, `"`)}
 		}
-		return fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return fmt.Errorf("%w: %v", respond.ErrBadRequest, err)
 	}
 	return nil
 }
@@ -626,9 +627,9 @@ func (s *Server) keyed(endpoint string, req any, compute func(ctx context.Contex
 		req = &workerless
 	}
 	if canonical, err = json.Marshal(req); err != nil {
-		return "", nil, nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return "", nil, nil, fmt.Errorf("%w: %v", respond.ErrBadRequest, err)
 	}
-	return Key(endpoint, pathmatrix.EngineVersion, string(canonical)), canonical, compute, nil
+	return respond.Key(endpoint, pathmatrix.EngineVersion, string(canonical)), canonical, compute, nil
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
@@ -638,7 +639,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serveCached(w, r, "analyze", &req, func(ctx context.Context) (response, error) {
-		return BuildAnalyze(ctx, &req)
+		return respond.BuildAnalyze(ctx, &req)
 	})
 }
 
@@ -649,7 +650,7 @@ func (s *Server) handleDepgraph(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serveCached(w, r, "depgraph", &req, func(ctx context.Context) (response, error) {
-		return BuildDepgraph(ctx, &req)
+		return respond.BuildDepgraph(ctx, &req)
 	})
 }
 
@@ -660,7 +661,7 @@ func (s *Server) handlePipeline(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serveCached(w, r, "pipeline", &req, func(ctx context.Context) (response, error) {
-		return BuildPipeline(ctx, &req)
+		return respond.BuildPipeline(ctx, &req)
 	})
 }
 
@@ -691,7 +692,7 @@ func (s *Server) handleReanalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.pool.release()
-	resp, err := BuildReanalyze(ctx, &req)
+	resp, err := respond.BuildReanalyze(ctx, &req)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -741,7 +742,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id, err := obs.ParseTraceID(r.PathValue("id"))
 	if err != nil {
-		writeError(w, fmt.Errorf("%w: %v", ErrBadRequest, err))
+		writeError(w, fmt.Errorf("%w: %v", respond.ErrBadRequest, err))
 		return
 	}
 	t := s.tracer.Ring().Get(id)
