@@ -160,12 +160,12 @@ type fixpoint struct {
 }
 
 // newFixpoint prepares a run over g. A non-nil summary table enables
-// summary-based call transfer.
+// summary-based call transfer and lends the run g's record map.
 func newFixpoint(g *norm.Graph, env *shape.Env, tab *SummaryTable) *fixpoint {
 	f := &fixpoint{g: g, trans: transferer{env: env}}
 	if tab != nil {
 		f.trans.summaries = tab
-		f.trans.varRecord = recordsOf(g)
+		f.trans.varRecord = tab.records(g)
 	}
 	return f
 }
@@ -203,7 +203,11 @@ func (f *fixpoint) Visit(n *norm.Node, in, out []*Matrix) {
 			f.stats.Widenings++
 		}
 		if f.wide == nil {
-			f.wide = widened(f.in.ix, recordsOf(f.g), f.tab)
+			rec := f.trans.varRecord
+			if rec == nil {
+				rec = recordsOf(f.g)
+			}
+			f.wide = widened(f.in.ix, rec, f.tab)
 		}
 		before, after = f.wide, f.wide
 	} else {
@@ -292,7 +296,8 @@ func shadowFormalVars(g *norm.Graph) []string {
 
 // recordsOf maps every pointer variable of the graph — and its potential
 // shadow — to its record type name, for the summary call transfer's
-// type-taint test.
+// type-taint test and for widening. A table builds it once per lowered
+// graph (SummaryTable.records); runs only read it.
 func recordsOf(g *norm.Graph) map[string]string {
 	out := make(map[string]string, 2*len(g.VarTypes))
 	for v, t := range g.VarTypes {

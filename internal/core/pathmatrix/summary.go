@@ -176,6 +176,16 @@ func (t *SummaryTable) Graph(fn string) *norm.Graph {
 	return t.unit.graphs[fn]
 }
 
+// records returns g's record map (recordsOf), shared read-only by every run
+// over the table's own graph of that function; a graph lowered elsewhere
+// gets a map of its own.
+func (t *SummaryTable) records(g *norm.Graph) map[string]string {
+	if name := g.Fn.Decl.Name; t.unit.graphs[name] == g {
+		return t.unit.records[name]
+	}
+	return recordsOf(g)
+}
+
 // Env returns the shape environment the table's summaries were computed
 // under (nil for a nil table).
 func (t *SummaryTable) Env() *shape.Env {
@@ -291,7 +301,8 @@ func reachClosure(env *shape.Env) map[string]map[string]bool {
 // and the table's stripped table shares it.
 type loweredUnit struct {
 	graphs    map[string]*norm.Graph
-	src       map[string]string // ast.FuncString, summary-key material
+	records   map[string]map[string]string // recordsOf each graph
+	src       map[string]string            // ast.FuncString, summary-key material
 	callees   map[string][]string
 	sccs      [][]string
 	recursive map[string]bool
@@ -301,11 +312,14 @@ type loweredUnit struct {
 // canonical source.
 func lower(info *types.Info) *loweredUnit {
 	u := &loweredUnit{
-		graphs: make(map[string]*norm.Graph, len(info.Funcs)),
-		src:    make(map[string]string, len(info.Funcs)),
+		graphs:  make(map[string]*norm.Graph, len(info.Funcs)),
+		records: make(map[string]map[string]string, len(info.Funcs)),
+		src:     make(map[string]string, len(info.Funcs)),
 	}
 	for name, fi := range info.Funcs {
-		u.graphs[name] = norm.Build(fi, info.Env)
+		g := norm.Build(fi, info.Env)
+		u.graphs[name] = g
+		u.records[name] = recordsOf(g)
 		u.src[name] = ast.FuncString(fi.Decl)
 	}
 	u.callees = callGraph(info.Prog)

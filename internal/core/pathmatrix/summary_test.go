@@ -2,6 +2,7 @@ package pathmatrix
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/norm"
@@ -328,5 +329,43 @@ void f(TwoWayLL *p) {
 	warm := render()
 	if cold != warm {
 		t.Errorf("cold/warm mismatch:\ncold:\n%s\nwarm:\n%s", cold, warm)
+	}
+}
+
+// TestRunsShareRecordMaps: every run over a table's own graph, under the
+// table or its stripped table, reads the one record map the table built
+// when it lowered the graph; a graph lowered elsewhere gets an equal map of
+// its own.
+func TestRunsShareRecordMaps(t *testing.T) {
+	info, foreign := summaryProgram(t, twoWayLL+`
+void f(TwoWayLL *p) {
+    TwoWayLL *q;
+    q = p->next;
+}`, "f")
+	tab := ComputeSummaries(info, info.Env)
+	g := tab.Graph("f")
+	want := recordsOf(g)
+	if len(want) == 0 {
+		t.Fatal("f has no pointer variables")
+	}
+	stripped, err := tab.Stripped(context.Background(), "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := newFixpoint(g, info.Env, tab).trans.varRecord
+	for _, rec := range []map[string]string{
+		newFixpoint(g, info.Env, tab).trans.varRecord,
+		newFixpoint(g, info.Env.Stripped(), stripped).trans.varRecord,
+	} {
+		if reflect.ValueOf(rec).UnsafePointer() != reflect.ValueOf(shared).UnsafePointer() {
+			t.Error("two runs over the table's graph built separate record maps")
+		}
+	}
+	own := newFixpoint(foreign, info.Env, tab).trans.varRecord
+	if reflect.ValueOf(own).UnsafePointer() == reflect.ValueOf(shared).UnsafePointer() {
+		t.Error("a graph lowered elsewhere got the table's record map")
+	}
+	if !reflect.DeepEqual(own, want) || !reflect.DeepEqual(shared, want) {
+		t.Errorf("record maps differ from recordsOf:\nshared %v\nown    %v\nwant   %v", shared, own, want)
 	}
 }
