@@ -21,8 +21,8 @@
 // program: lint coverage on inputs no human would write.
 //
 // Failures are classified as Divergences, content-addressed with the same
-// SHA-256 scheme as the daemon's cache (respond.Key), and delta-debugged down to minimal
-// statement lists by a structure-aware shrinker (Shrink).
+// SHA-256 scheme as the daemon's cache (respond.Key), and delta-debugged
+// down to minimal statement lists by a structure-aware shrinker (Shrink).
 package difftest
 
 import (

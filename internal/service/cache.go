@@ -5,10 +5,10 @@
 // Prometheus-text observability surface. The response bodies themselves are
 // built by internal/respond, which addsc shares without linking the daemon.
 //
-// The cache key (respond.Key) is the SHA-256 of the request's canonical encoding plus the
-// engine version (pathmatrix.EngineVersion), so a result can never outlive
-// the engine that produced it, and two requests differing only in field
-// order still share one entry.
+// The cache key (respond.Key) is the SHA-256 of the request's canonical
+// encoding plus the engine version (pathmatrix.EngineVersion), so a result
+// can never outlive the engine that produced it, and two requests differing
+// only in field order still share one entry.
 package service
 
 import (

@@ -1,9 +1,11 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
+	"repro/adds/wire"
 	"repro/internal/respond"
 )
 
@@ -45,3 +47,15 @@ func (e *TooLargeError) Error() string {
 // Unwrap classifies an oversized request as a request-shape failure for
 // callers that only branch on respond.ErrBadRequest.
 func (e *TooLargeError) Unwrap() error { return respond.ErrBadRequest }
+
+// BuildAnalyze forwards to respond.BuildAnalyze for the layer walk's tests
+// in bench/, which call it here; new code calls respond directly.
+func BuildAnalyze(ctx context.Context, req *wire.AnalyzeRequest) (*wire.AnalyzeResponse, error) {
+	return respond.BuildAnalyze(ctx, req)
+}
+
+// BuildReanalyze forwards to respond.BuildReanalyze for the layer walk's
+// tests in bench/, which call it here; new code calls respond directly.
+func BuildReanalyze(ctx context.Context, req *wire.ReanalyzeRequest) (*wire.ReanalyzeResponse, error) {
+	return respond.BuildReanalyze(ctx, req)
+}
