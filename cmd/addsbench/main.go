@@ -18,7 +18,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -29,6 +28,7 @@ import (
 
 	"repro/adds"
 	"repro/internal/cli"
+	"repro/internal/jsonw"
 	"repro/internal/par"
 )
 
@@ -70,15 +70,18 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 
 	if *list {
 		if *format == "json" {
-			type row struct {
-				ID    string `json:"id"`
-				Title string `json:"title"`
+			doc := []byte{'['}
+			for i, d := range adds.ExperimentDefs() {
+				if i > 0 {
+					doc = append(doc, ',')
+				}
+				doc = append(doc, `{"id":`...)
+				doc = jsonw.StringNoHTML(doc, d.ID)
+				doc = append(doc, `,"title":`...)
+				doc = jsonw.StringNoHTML(doc, d.Title)
+				doc = append(doc, '}')
 			}
-			rows := []row{}
-			for _, d := range adds.ExperimentDefs() {
-				rows = append(rows, row{ID: d.ID, Title: d.Title})
-			}
-			return writeIndentedJSON(stdout, stderr, fail, rows)
+			return writeIndented(stdout, fail, append(doc, ']'))
 		}
 		for _, d := range adds.ExperimentDefs() {
 			fmt.Fprintf(stdout, "%-4s %s\n", d.ID, d.Title)
@@ -135,7 +138,14 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 		"elapsed", time.Since(start))
 
 	if *format == "json" {
-		if s := writeIndentedJSON(stdout, stderr, fail, reports); s != 0 {
+		doc := []byte{'['}
+		for i, rep := range reports {
+			if i > 0 {
+				doc = append(doc, ',')
+			}
+			doc = rep.AppendJSON(doc)
+		}
+		if s := writeIndented(stdout, fail, append(doc, ']')); s != 0 {
 			return s
 		}
 		return status
@@ -158,11 +168,10 @@ func effectiveWorkers(n int, profiling bool) (workers int, note string) {
 	return n, ""
 }
 
-func writeIndentedJSON(stdout, stderr io.Writer, fail func(error) int, v any) int {
-	enc := json.NewEncoder(stdout)
-	enc.SetIndent("", "  ")
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(v); err != nil {
+// writeIndented prints the compact document doc laid out as the indenting,
+// non-HTML-escaping json.Encoder that -format json used to go through.
+func writeIndented(stdout io.Writer, fail func(error) int, doc []byte) int {
+	if _, err := stdout.Write(jsonw.Indent(nil, doc)); err != nil {
 		return fail(err)
 	}
 	return 0

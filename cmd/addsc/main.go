@@ -19,7 +19,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -31,6 +30,7 @@ import (
 	"repro/adds"
 	"repro/adds/wire"
 	"repro/internal/cli"
+	"repro/internal/jsonw"
 	"repro/internal/obs"
 	"repro/internal/respond"
 )
@@ -262,23 +262,23 @@ func runJSON(ctx context.Context, stdout, stderr io.Writer, fail func(error) int
 		return fail(err)
 	}
 	req := &wire.AnalyzeRequest{Source: src, Fn: fn, Oracle: oracle, K: k, Workers: par}
-	out := struct {
-		*wire.AnalyzeResponse
-		Pipelines []*wire.PipelineResponse `json:"pipelines,omitempty"`
-	}{}
-	var err error
+	var (
+		resp      *wire.AnalyzeResponse
+		pipelines []*wire.PipelineResponse
+		err       error
+	)
 	if withPipeline {
-		out.AnalyzeResponse, out.Pipelines, err = respond.BuildAnalyzePipelines(ctx, req, width)
+		resp, pipelines, err = respond.BuildAnalyzePipelines(ctx, req, width)
 	} else {
-		out.AnalyzeResponse, err = respond.BuildAnalyze(ctx, req)
+		resp, err = respond.BuildAnalyze(ctx, req)
 	}
 	if err != nil {
 		return jfail(err)
 	}
-	enc := json.NewEncoder(stdout)
-	enc.SetIndent("", "  ")
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(out); err != nil {
+	// One pass writes the compact document, one more indents it (to about
+	// three times its size), and a single Write prints it.
+	doc := wire.AppendCLI(nil, resp, pipelines)
+	if _, err := stdout.Write(jsonw.Indent(make([]byte, 0, 4*len(doc)), doc)); err != nil {
 		return fail(err)
 	}
 	return 0

@@ -83,6 +83,6 @@ func appendRels(dst []byte, e Entry) []byte {
 	return append(dst, ']')
 }
 
-// MarshalJSON is AppendJSON for encoding/json, through which the facade and
-// addsc encode matrices.
+// MarshalJSON is AppendJSON for encoding/json, through which callers that
+// marshal the facade's and the wire package's types encode matrices.
 func (m *Matrix) MarshalJSON() ([]byte, error) { return m.AppendJSON(nil), nil }

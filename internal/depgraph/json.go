@@ -46,6 +46,6 @@ func (g *Graph) AppendJSON(dst []byte) []byte {
 	return append(dst, "]}"...)
 }
 
-// MarshalJSON is AppendJSON for encoding/json, through which the facade and
-// addsc encode graphs.
+// MarshalJSON is AppendJSON for encoding/json, through which callers that
+// marshal the facade's and the wire package's types encode graphs.
 func (g *Graph) MarshalJSON() ([]byte, error) { return g.AppendJSON(nil), nil }

@@ -39,6 +39,6 @@ func appendSection(dst []byte, ss []string) []byte {
 	return jsonw.Strings(dst, ss)
 }
 
-// MarshalJSON is AppendJSON for encoding/json, through which addsbench
-// encodes reports.
+// MarshalJSON is AppendJSON for encoding/json, through which callers that
+// marshal adds.Report encode reports.
 func (r *Report) MarshalJSON() ([]byte, error) { return r.AppendJSON(nil), nil }

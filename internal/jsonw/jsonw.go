@@ -1,9 +1,10 @@
 // Package jsonw appends JSON values to a byte slice: the append writers
-// behind the /v1 responses and the core types' encodings. Each writer
-// produces exactly the bytes encoding/json's Marshal produces for the same
-// Go value, with no reflection and no second compaction pass, so a response
-// written in one pass into a reused buffer is byte-identical to its old
-// json.Marshal encoding.
+// behind the /v1 responses, the core types' encodings and the CLIs' JSON
+// output. Each writer produces exactly the bytes encoding/json's Marshal
+// produces for the same Go value, with no reflection and no second
+// compaction pass, so a response written in one pass into a reused buffer is
+// byte-identical to its old json.Marshal encoding. Indent then lays such a
+// document out as an indenting json.Encoder would.
 package jsonw
 
 import (
@@ -14,13 +15,15 @@ import (
 
 const hex = "0123456789abcdef"
 
-// safe reports the ASCII bytes a string writes as themselves: printable
-// characters other than '"', '\\' and the HTML-sensitive '<', '>' and '&'.
-var safe = func() (t [utf8.RuneSelf]bool) {
+// safeSet reports the ASCII bytes a string writes as themselves without
+// HTML escaping: printable characters other than '"' and '\\'. htmlSafeSet
+// also excludes the HTML-sensitive '<', '>' and '&'.
+var safeSet, htmlSafeSet = func() (t, h [utf8.RuneSelf]bool) {
 	for b := byte(' '); b < utf8.RuneSelf; b++ {
-		t[b] = b != '"' && b != '\\' && b != '<' && b != '>' && b != '&'
+		t[b] = b != '"' && b != '\\'
+		h[b] = t[b] && b != '<' && b != '>' && b != '&'
 	}
-	return t
+	return t, h
 }()
 
 // String appends s as a JSON string escaped as json.Marshal escapes it: '"'
@@ -29,6 +32,16 @@ var safe = func() (t [utf8.RuneSelf]bool) {
 // and \u0026 (HTML escaping); U+2028 and U+2029 as \u2028 and \u2029;
 // and each byte of invalid UTF-8 as \ufffd.
 func String[S ~string | ~[]byte](dst []byte, s S) []byte {
+	return appendString(dst, s, &htmlSafeSet)
+}
+
+// StringNoHTML appends s as String does but writes '<', '>' and '&' as
+// themselves: the bytes a json.Encoder with SetEscapeHTML(false) writes.
+func StringNoHTML[S ~string | ~[]byte](dst []byte, s S) []byte {
+	return appendString(dst, s, &safeSet)
+}
+
+func appendString[S ~string | ~[]byte](dst []byte, s S, safe *[utf8.RuneSelf]bool) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
@@ -82,6 +95,12 @@ func String[S ~string | ~[]byte](dst []byte, s S) []byte {
 
 // Strings appends ss as a JSON array of strings, or null for a nil slice.
 func Strings(dst []byte, ss []string) []byte {
+	return StringsWith(dst, ss, String[string])
+}
+
+// StringsWith is Strings with each element written by str, String or
+// StringNoHTML.
+func StringsWith(dst []byte, ss []string, str func([]byte, string) []byte) []byte {
 	if ss == nil {
 		return append(dst, "null"...)
 	}
@@ -90,7 +109,7 @@ func Strings(dst []byte, ss []string) []byte {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = String(dst, s)
+		dst = str(dst, s)
 	}
 	return append(dst, ']')
 }
@@ -120,6 +139,66 @@ func Float(dst []byte, f float64) []byte {
 			dst[n-2] = dst[n-1]
 			dst = dst[:n-1]
 		}
+	}
+	return dst
+}
+
+// Indent appends src, one compact JSON value made by these writers, laid
+// out as a json.Encoder with SetIndent("", "  ") writes it: each element
+// and member on its own line, two spaces per level, [] and {} kept
+// compact, a key followed by ": ", and one newline at the end. src is
+// trusted: Indent validates nothing and only tracks whether it is inside a
+// string, so bytes there, '{' or ',' included, are copied as they are.
+func Indent(dst, src []byte) []byte {
+	depth := 0
+	open := false // the last byte opened an array or object
+	for i := 0; i < len(src); {
+		c := src[i]
+		if open && c != ']' && c != '}' {
+			open = false
+			depth++
+			dst = newline(dst, depth)
+		}
+		switch c {
+		case '"':
+			end := i + 1
+			for src[end] != '"' {
+				if src[end] == '\\' {
+					end++
+				}
+				end++
+			}
+			dst = append(dst, src[i:end+1]...)
+			i = end + 1
+			continue
+		case '[', '{':
+			open = true
+			dst = append(dst, c)
+		case ']', '}':
+			if open {
+				open = false
+			} else {
+				depth--
+				dst = newline(dst, depth)
+			}
+			dst = append(dst, c)
+		case ',':
+			dst = newline(append(dst, ','), depth)
+		case ':':
+			dst = append(dst, ':', ' ')
+		default:
+			dst = append(dst, c)
+		}
+		i++
+	}
+	return append(dst, '\n')
+}
+
+// newline appends a line break and the indentation of depth levels.
+func newline(dst []byte, depth int) []byte {
+	dst = append(dst, '\n')
+	for range depth {
+		dst = append(dst, ' ', ' ')
 	}
 	return dst
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"unicode/utf8"
 
@@ -97,6 +98,29 @@ func TestStringMatchesMarshal(t *testing.T) {
 	}
 }
 
+// TestStringNoHTMLMatchesEncoder: StringNoHTML writes what a json.Encoder
+// with SetEscapeHTML(false) writes, less the Encoder's newline.
+func TestStringNoHTMLMatchesEncoder(t *testing.T) {
+	cases := append(stringCases(), experimentStrings(t)...)
+	cases = append(cases, randomStrings(3, 5000)...)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	for _, s := range cases {
+		buf.Reset()
+		if err := enc.Encode(s); err != nil {
+			t.Fatal(err)
+		}
+		want := bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
+		if got := jsonw.StringNoHTML(nil, s); !bytes.Equal(got, want) {
+			t.Errorf("StringNoHTML(%q) = %s, Encoder = %s", s, got, want)
+		}
+		if got := jsonw.StringNoHTML([]byte("pre"), []byte(s)); !bytes.Equal(got, append([]byte("pre"), want...)) {
+			t.Errorf("StringNoHTML(pre, []byte(%q)) = %s, want pre%s", s, got, want)
+		}
+	}
+}
+
 func TestStringsMatchesMarshal(t *testing.T) {
 	for _, ss := range [][]string{nil, {}, {""}, {"a", "<b>", "c\n"}, randomStrings(2, 7)} {
 		want, err := json.Marshal(ss)
@@ -132,4 +156,66 @@ func TestNumbersMatchMarshal(t *testing.T) {
 			t.Errorf("Bool(%v) = %s, json.Marshal = %s", b, got, want)
 		}
 	}
+}
+
+// indentSeeds are compact documents for Indent: empty and nested-empty
+// arrays and objects, strings holding JSON punctuation and escaped quotes
+// and backslashes, numbers and literals, alone and nested.
+var indentSeeds = []string{
+	`[]`, `{}`, `[[]]`, `{"a":{}}`, `[{},[],{"b":[]}]`, `[[[{}]],{}]`,
+	`"{}[],:"`, `"\\"`, `"\""`, `"a\\\"b\\"`, `"\\\\"`, `{"k\"{":"v\\,]"}`,
+	`0`, `-1.5e-7`, `true`, `false`, `null`, `[1,2.5,-3e21,true,false,null]`,
+	`{"a":1,"b":[true,{"c":null,"d":"x:y,z"}],"e":{}}`,
+	`{"<tag>":"a-\u003enext","u":"\u2028\ufffd"}`,
+}
+
+// indentRef is what an indenting json.Encoder writes for the compact src.
+func indentRef(t testing.TB, src []byte) []byte {
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, src, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	return append(buf.Bytes(), '\n')
+}
+
+func TestIndentMatchesEncoder(t *testing.T) {
+	for _, s := range indentSeeds {
+		if got, want := jsonw.Indent(nil, []byte(s)), indentRef(t, []byte(s)); !bytes.Equal(got, want) {
+			t.Errorf("Indent(%s) =\n%s\nwant\n%s", s, got, want)
+		}
+	}
+	// A deeply nested document, after a prefix.
+	deep := strings.Repeat(`{"k":[`, 40) + `1` + strings.Repeat(`]}`, 40)
+	want := append([]byte("pre"), indentRef(t, []byte(deep))...)
+	if got := jsonw.Indent([]byte("pre"), []byte(deep)); !bytes.Equal(got, want) {
+		t.Errorf("Indent of 80 levels differs from json.Indent")
+	}
+	// The E1–E10 reports, which the CLIs print indented.
+	for i := 1; i <= 10; i++ {
+		src := exper.ByID(fmt.Sprintf("E%d", i)).AppendJSON(nil)
+		if got, want := jsonw.Indent(nil, src), indentRef(t, src); !bytes.Equal(got, want) {
+			t.Errorf("E%d: Indent differs from json.Indent", i)
+		}
+	}
+}
+
+// FuzzIndent: on any valid document, compacted, Indent writes what
+// json.Indent with a two-space indent writes, plus the Encoder's newline.
+func FuzzIndent(f *testing.F) {
+	for _, s := range indentSeeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		if !json.Valid(doc) {
+			return
+		}
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, doc); err != nil {
+			t.Fatal(err)
+		}
+		src := compact.Bytes()
+		if got, want := jsonw.Indent(nil, src), indentRef(t, src); !bytes.Equal(got, want) {
+			t.Errorf("Indent(%s) =\n%s\nwant\n%s", src, got, want)
+		}
+	})
 }

@@ -32,6 +32,7 @@ func (i PipelineInfo) AppendJSON(dst []byte) []byte {
 	return append(dst, '}')
 }
 
-// MarshalJSON is AppendJSON for encoding/json, through which the facade and
-// addsc encode pipelining analyses.
+// MarshalJSON is AppendJSON for encoding/json, through which callers that
+// marshal the facade's and the wire package's types encode pipelining
+// analyses.
 func (i PipelineInfo) MarshalJSON() ([]byte, error) { return i.AppendJSON(nil), nil }
