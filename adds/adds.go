@@ -78,8 +78,6 @@ type (
 	// WithTracer (or an obs-carrying context) and read the finished traces
 	// from its ring. See internal/obs for the span model.
 	Tracer = obs.Tracer
-	// Span is one timed phase of a trace; all methods are nil-safe.
-	Span = obs.Span
 )
 
 // NewTracer returns a tracer whose ring keeps the last n finished traces
@@ -90,7 +88,6 @@ func NewTracer(n int) *Tracer { return obs.NewTracer(n) }
 var (
 	IntVal  = interp.IntVal
 	PtrVal  = interp.PtrVal
-	IntWord = machine.IntWord
 	RefWord = machine.RefWord
 )
 
@@ -218,13 +215,6 @@ func (a *Analysis) SummaryTable() *SummaryTable { return a.GPM.Summaries }
 // ConservativeOracle returns the worst-case baseline.
 func (a *Analysis) ConservativeOracle() Oracle { return alias.NewConservative(a.Graph) }
 
-// KLimitedOracle returns the k-limited storage-graph baseline, built by the
-// oracle table's klimit factory.
-func (a *Analysis) KLimitedOracle(k int) Oracle {
-	o, _ := a.OracleNamed(context.Background(), "klimit", k) // listed in package alias; cannot fail
-	return o
-}
-
 // options builds dependence options for loop i under an oracle.
 func (a *Analysis) options(i int, o Oracle) depgraph.Options {
 	return depgraph.Options{
@@ -282,14 +272,9 @@ func (a *Analysis) PipelineCtx(ctx context.Context, i, width int) (*VLIWProgram,
 	return pl.Prog, pl.Info, nil
 }
 
-// Unroll returns loop i unrolled k times for the scalar machine. A bad loop
-// index reports ErrNoSuchLoop.
-func (a *Analysis) Unroll(i, k int) (*IRProgram, error) {
-	return a.UnrollCtx(context.Background(), i, k)
-}
-
-// UnrollCtx is Unroll under a context: with a tracer the transformation
-// lands as an "unroll" span.
+// UnrollCtx returns loop i unrolled k times for the scalar machine. A bad
+// loop index reports ErrNoSuchLoop. With a tracer the transformation lands
+// as an "unroll" span.
 func (a *Analysis) UnrollCtx(ctx context.Context, i, k int) (*IRProgram, error) {
 	if err := a.CheckLoop(i); err != nil {
 		return nil, err
@@ -299,28 +284,6 @@ func (a *Analysis) UnrollCtx(ctx context.Context, i, k int) (*IRProgram, error) 
 	span.SetAttr("loop", i)
 	span.SetAttr("factor", k)
 	return xform.Unroll(a.prog, a.prog.Loops[i], k, a.options(i, a.GPMOracle()))
-}
-
-// LICM hoists loop-invariant loads of loop i under the oracle and returns
-// the transformed program plus how many loads moved.
-func (a *Analysis) LICM(i int, o Oracle) (*IRProgram, int) {
-	return a.LICMCtx(context.Background(), i, o)
-}
-
-// LICMCtx is LICM under a context: with a tracer the pass lands as a
-// "licm" span carrying the hoist count.
-func (a *Analysis) LICMCtx(ctx context.Context, i int, o Oracle) (*IRProgram, int) {
-	_, span := obs.Start(ctx, "licm")
-	defer span.End()
-	span.SetAttr("loop", i)
-	p, _, hoisted := xform.LICM(a.prog, a.prog.Loops[i], a.options(i, o))
-	span.SetAttr("hoisted", len(hoisted))
-	return p, len(hoisted)
-}
-
-// Compact packs the function into VLIW bundles without pipelining.
-func (a *Analysis) Compact(width int) *VLIWProgram {
-	return xform.Compact(a.prog, width)
 }
 
 // RunScalar executes an IR program on the scalar machine model.
@@ -344,6 +307,3 @@ type ExperimentDef = exper.Def
 // ExperimentDefs returns the experiment registry (ids and titles) without
 // running anything.
 func ExperimentDefs() []ExperimentDef { return exper.Defs() }
-
-// Experiment regenerates one experiment by id ("E1".."E10").
-func Experiment(id string) *Report { return exper.ByID(id) }

@@ -2,6 +2,7 @@ package adds
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -131,30 +132,27 @@ int sum(TwoWayLL *hd) {
 	}
 }
 
-func TestFacadeUnrollAndCompact(t *testing.T) {
+func TestFacadeUnroll(t *testing.T) {
 	u := MustLoad(shiftSrc)
 	an := u.MustAnalyze("shift")
-	up, err := an.Unroll(0, 3)
+	up, err := an.UnrollCtx(context.Background(), 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if up == nil || len(up.Instrs) <= len(an.IR().Instrs) {
 		t.Error("unrolled program should be longer")
 	}
-	c := an.Compact(4)
-	if len(c.Bundles) == 0 {
-		t.Error("compaction produced nothing")
-	}
-	if _, hoisted := an.LICM(0, an.GPMOracle()); hoisted != 1 {
-		t.Errorf("LICM hoisted %d", hoisted)
-	}
 }
 
 func TestFacadeOracles(t *testing.T) {
 	u := MustLoad(shiftSrc)
 	an := u.MustAnalyze("shift")
+	klimit, err := an.OracleNamed(context.Background(), "klimit", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, o := range []Oracle{
-		an.GPMOracle(), an.ClassicOracle(), an.ConservativeOracle(), an.KLimitedOracle(2),
+		an.GPMOracle(), an.ClassicOracle(), an.ConservativeOracle(), klimit,
 	} {
 		if o.Name() == "" {
 			t.Error("unnamed oracle")
@@ -163,10 +161,15 @@ func TestFacadeOracles(t *testing.T) {
 }
 
 func TestFacadeExperimentLookup(t *testing.T) {
-	if r := Experiment("E4"); r == nil || !strings.Contains(r.Format(), "next+") {
-		t.Error("E4 lookup failed")
+	defs := ExperimentDefs()
+	i := slices.IndexFunc(defs, func(d ExperimentDef) bool { return d.ID == "E4" })
+	if i < 0 {
+		t.Fatal("E4 missing from the registry")
 	}
-	if Experiment("nope") != nil {
+	if r := defs[i].Run(); !strings.Contains(r.Format(), "next+") {
+		t.Error("E4 report lacks next+")
+	}
+	if slices.ContainsFunc(defs, func(d ExperimentDef) bool { return d.ID == "nope" }) {
 		t.Error("bogus experiment id")
 	}
 }

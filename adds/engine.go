@@ -15,11 +15,6 @@ type EngineStats = pathmatrix.Stats
 // it ends; the same counts are its span's attributes.
 func ReadEngineStats() EngineStats { return pathmatrix.ReadStats() }
 
-// EngineVersion identifies the analysis engine semantics. It stamps API
-// responses, content-addressed caches and benchmark files; two equal
-// versions promise byte-identical analysis output for identical input.
-func EngineVersion() string { return pathmatrix.EngineVersion }
-
 // ResetEngineSummaryCache empties the process-wide content-addressed summary
 // cache (cold-cache benchmarks and tests that assert cache-miss counts).
 func ResetEngineSummaryCache() { pathmatrix.ResetSummaryCache() }

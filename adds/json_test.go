@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -70,14 +71,15 @@ func TestGoldenJSONEncodings(t *testing.T) {
 // JSON: the reports are deterministic, so any engine change that moves a
 // verdict shows up as a golden diff.
 func TestGoldenExperimentReport(t *testing.T) {
+	defs := ExperimentDefs()
 	for i := 1; i <= 10; i++ {
 		id := fmt.Sprintf("E%d", i)
 		t.Run(id, func(t *testing.T) {
-			rep := Experiment(id)
-			if rep == nil {
+			j := slices.IndexFunc(defs, func(d ExperimentDef) bool { return d.ID == id })
+			if j < 0 {
 				t.Fatalf("experiment %s missing from registry", id)
 			}
-			checkGolden(t, "experiment_"+strings.ToLower(id), rep)
+			checkGolden(t, "experiment_"+strings.ToLower(id), defs[j].Run())
 		})
 	}
 }

@@ -157,7 +157,7 @@ func BenchmarkE6Pipeline(b *testing.B) {
 func BenchmarkE7Unroll(b *testing.B) {
 	unit := adds.MustLoad(exper.InitSrc)
 	an := unit.MustAnalyze("initlist")
-	u3, err := an.Unroll(0, 3)
+	u3, err := an.UnrollCtx(context.Background(), 0, 3)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -145,10 +145,6 @@ func newClassicCtx(ctx context.Context, g *norm.Graph, env *shape.Env, tab *path
 // Name implements Oracle.
 func (o *GPM) Name() string { return o.name }
 
-// Result exposes the underlying analysis result (for reports that print the
-// matrices themselves).
-func (o *GPM) Result() *pathmatrix.Result { return o.res }
-
 // MayAlias implements Oracle.
 func (o *GPM) MayAlias(n *norm.Node, p, q string) bool {
 	return o.res.BeforeNode(n).MayAlias(p, q)

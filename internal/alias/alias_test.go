@@ -82,9 +82,6 @@ func TestGPMOracleShiftLoop(t *testing.T) {
 	if !o.Valid(head) {
 		t.Error("gpm: shift loop keeps the abstraction valid")
 	}
-	if o.Result() == nil {
-		t.Error("Result accessor")
-	}
 }
 
 func TestClassicOracleConservativeOnSameLoop(t *testing.T) {
@@ -126,9 +123,9 @@ func TestGPMIterationMatrixCached(t *testing.T) {
 	o := NewGPM(g, info.Env)
 	loop := g.Loops[0]
 	o.LoopCarried(loop, "p", "p")
-	im := o.Result().IterationMatrix(loop)
+	im := o.res.IterationMatrix(loop)
 	o.LoopCarried(loop, "hd", "p")
-	if o.Result().IterationMatrix(loop) != im {
+	if o.res.IterationMatrix(loop) != im {
 		t.Error("iteration matrix should be computed once per loop")
 	}
 }

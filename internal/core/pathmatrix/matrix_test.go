@@ -285,9 +285,6 @@ func TestEntryOrderMatchesKeys(t *testing.T) {
 		if got, want := p.String(), refString(p); got != want {
 			t.Fatalf("%#v.String() = %q, want %q", p, got, want)
 		}
-		if got, want := p.Key(), refKey(p); got != want {
-			t.Fatalf("%#v.Key() = %q, want %q", p, got, want)
-		}
 		if got, want := p.Equal(q), refKey(p) == refKey(q); got != want {
 			t.Fatalf("%q.Equal(%q) = %v, want %v", refKey(p), refKey(q), got, want)
 		}

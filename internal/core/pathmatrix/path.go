@@ -72,18 +72,6 @@ func (p Path) String() string {
 	return string(p.appendTo(buf[:0], false))
 }
 
-// Key returns a canonical map key for the path. Unlike String it keeps the
-// '~' marker of dimension pseudo-fields, so a pseudo-field never collides
-// with a real field that happens to share the dimension's name, and it
-// spells f+ as f^1+.
-func (p Path) Key() string {
-	if len(p) == 0 {
-		return ""
-	}
-	var buf [64]byte
-	return string(p.appendTo(buf[:0], true))
-}
-
 // appendTo appends the path's key form (key set) or display form to dst.
 func (p Path) appendTo(dst []byte, key bool) []byte {
 	for i, s := range p {

@@ -159,11 +159,8 @@ func TestDimFieldHelpers(t *testing.T) {
 	if DimField("down") != "~down" || !IsDimField("~down") || IsDimField("down") {
 		t.Error("dim field helpers wrong")
 	}
-	// Key keeps the marker, String drops it.
+	// String drops the marker.
 	p := Path{step("~down", 1, true)}
-	if p.Key() != "~down^1+" {
-		t.Errorf("Key = %q", p.Key())
-	}
 	if p.String() != "down+" {
 		t.Errorf("String = %q", p.String())
 	}

@@ -164,8 +164,8 @@ func TestStrippedDemandEquivalence(t *testing.T) {
 			}
 			check(tab, s, fn)
 		}
-		held += s.Len()
-		eagerHeld += eager.Len()
+		held += len(s.byFn)
+		eagerHeld += len(eager.byFn)
 	}
 	t.Logf("demand tables hold %d of the eager tables' %d summaries", held, eagerHeld)
 	if held >= eagerHeld {

@@ -232,26 +232,6 @@ func (t *SummaryTable) lacking(fn string, need map[string]bool) {
 	}
 }
 
-// Recursive reports whether fn sits on a call cycle (and thus has no
-// summary by design, as opposed to being unknown).
-func (t *SummaryTable) Recursive(fn string) bool { return t != nil && t.unit.recursive[fn] }
-
-// Len returns the number of summarized functions.
-func (t *SummaryTable) Len() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.byFn)
-}
-
-// Hash returns the content hash of fn's summary ("" if none).
-func (t *SummaryTable) Hash(fn string) string {
-	if s := t.Lookup(fn); s != nil {
-		return s.hash
-	}
-	return ""
-}
-
 // reachIntersects reports whether any record type reachable from rec is in
 // writes. Unknown record types answer true: never claim disjointness
 // without a declaration to back it.

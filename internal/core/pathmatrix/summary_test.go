@@ -76,7 +76,7 @@ void f(TwoWayLL *p) {
 }`
 	info, g := summaryProgram(t, src, "f")
 	tab := ComputeSummaries(info, info.Env)
-	if !tab.Recursive("chop") {
+	if !tab.unit.recursive["chop"] {
 		t.Fatal("chop must be marked recursive")
 	}
 	if tab.Lookup("chop") != nil {
@@ -248,10 +248,10 @@ void touch(TwoWayLL *x) {
 	if tab2.Computed != 1 || tab2.Reused != 1 {
 		t.Fatalf("edited run: computed=%d reused=%d, want 1/1", tab2.Computed, tab2.Reused)
 	}
-	if tab1.Hash("touch") != tab2.Hash("touch") {
+	if tab1.Lookup("touch").hash != tab2.Lookup("touch").hash {
 		t.Error("unchanged function must keep its summary hash")
 	}
-	if tab1.Hash("sever") == tab2.Hash("sever") {
+	if tab1.Lookup("sever").hash == tab2.Lookup("sever").hash {
 		t.Error("edited function must re-key")
 	}
 }
@@ -284,7 +284,7 @@ void f(TwoWayLL *p) {
 	if tabB.Computed != 0 || tabB.Reused != 1 {
 		t.Errorf("effect-preserving edit: computed=%d reused=%d, want 0/1", tabB.Computed, tabB.Reused)
 	}
-	if tabA.Hash("f") != tabB.Hash("f") {
+	if tabA.Lookup("f").hash != tabB.Lookup("f").hash {
 		t.Error("caller must keep its summary when the callee's effects are unchanged")
 	}
 
@@ -294,7 +294,7 @@ void f(TwoWayLL *p) {
 	if tabC.Computed != 1 {
 		t.Errorf("effect-changing edit: computed=%d, want 1", tabC.Computed)
 	}
-	if tabA.Hash("f") == tabC.Hash("f") {
+	if tabA.Lookup("f").hash == tabC.Lookup("f").hash {
 		t.Error("caller must re-key when the callee's effects change")
 	}
 }

@@ -26,7 +26,7 @@ func runTables(t *testing.T, info *types.Info) []*entryTable {
 	var out []*entryTable
 	for name := range info.Funcs {
 		g := tab.Graph(name)
-		if !tab.Recursive(name) {
+		if !tab.unit.recursive[name] {
 			res, err := analyzeFunc(ctx, g, info.Env, tab, summaryInit(g))
 			if err != nil {
 				t.Fatal(err)

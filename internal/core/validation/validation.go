@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/core/pathmatrix"
 	"repro/internal/norm"
-	"repro/internal/shape"
 )
 
 // Interval is one contiguous region of statements where the abstraction is
@@ -50,19 +49,9 @@ type Result struct {
 	PM    *pathmatrix.Result
 }
 
-// Analyze runs the validation analysis over a normalized CFG.
-func Analyze(g *norm.Graph, env *shape.Env) *Result {
-	return &Result{Graph: g, PM: pathmatrix.Analyze(g, env)}
-}
-
 // FromResult wraps an existing path matrix result.
 func FromResult(r *pathmatrix.Result) *Result {
 	return &Result{Graph: r.Graph, PM: r}
-}
-
-// ValidBefore reports whether the abstraction is valid just before node n.
-func (r *Result) ValidBefore(n *norm.Node) bool {
-	return r.PM.BeforeNode(n).Valid()
 }
 
 // ValidAfter reports whether the abstraction is valid just after node n.

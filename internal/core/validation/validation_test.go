@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core/pathmatrix"
 	"repro/internal/norm"
 	"repro/internal/source/parser"
 	"repro/internal/source/types"
@@ -32,7 +33,7 @@ func analyze(t *testing.T, src, fn string) *Result {
 	if fi == nil {
 		t.Fatalf("func %s missing", fn)
 	}
-	return Analyze(norm.Build(fi, info.Env), info.Env)
+	return FromResult(pathmatrix.Analyze(norm.Build(fi, info.Env), info.Env))
 }
 
 func TestSubtreeMoveInterval(t *testing.T) {
@@ -134,7 +135,7 @@ void move(PBinTree *dest, PBinTree *src) {
 	if breaking == nil {
 		t.Fatal("breaking statement not found")
 	}
-	if !r.ValidBefore(breaking) {
+	if !r.PM.BeforeNode(breaking).Valid() {
 		t.Error("valid before the breaking store")
 	}
 	if r.ValidAfter(breaking) {

@@ -237,11 +237,6 @@ func (p *Program) String() string {
 	return b.String()
 }
 
-// Body returns the instructions of a loop body (excluding the back edge).
-func (p *Program) Body(l *LoopInfo) []*Instr {
-	return p.Instrs[l.BodyStart:l.BodyEnd]
-}
-
 // FindLabel returns the index of a label instruction.
 func (p *Program) FindLabel(name string) int {
 	for i, in := range p.Instrs {

@@ -221,7 +221,7 @@ void f(int n) {
 
 func TestBodySlice(t *testing.T) {
 	p := build(t, shiftSrc, "shift")
-	body := p.Body(p.Loops[0])
+	body := p.Instrs[p.Loops[0].BodyStart:p.Loops[0].BodyEnd]
 	if len(body) != 5 {
 		t.Errorf("body has %d instrs, want 5:\n%s", len(body), p.String())
 	}

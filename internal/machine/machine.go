@@ -27,14 +27,6 @@ func RefWord(n *interp.Node) Word { return Word{IsRef: true, Ref: n} }
 // Null is the NULL reference.
 var Null = Word{IsRef: true}
 
-// Equal compares two words.
-func (w Word) Equal(o Word) bool {
-	if w.IsRef || o.IsRef {
-		return w.Ref == o.Ref
-	}
-	return w.Int == o.Int
-}
-
 // String renders the word.
 func (w Word) String() string {
 	if w.IsRef {

@@ -290,14 +290,6 @@ int f(List *hd) {
 }
 
 func TestWordHelpers(t *testing.T) {
-	if !IntWord(3).Equal(IntWord(3)) || IntWord(3).Equal(IntWord(4)) {
-		t.Error("Equal wrong")
-	}
-	h := interp.NewHeap()
-	n := h.New("List")
-	if !RefWord(n).Equal(RefWord(n)) || RefWord(n).Equal(Null) {
-		t.Error("ref Equal wrong")
-	}
 	if Null.String() != "NULL" || IntWord(7).String() != "7" {
 		t.Error("String wrong")
 	}

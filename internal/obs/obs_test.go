@@ -175,14 +175,3 @@ func TestConcurrentSpans(t *testing.T) {
 		t.Fatalf("got %d spans, want 17", got)
 	}
 }
-
-func TestPhaseTotals(t *testing.T) {
-	trace := &Trace{ID: NewTraceID()}
-	trace.add(SpanRecord{ID: NewSpanID(), Name: "fixpoint", Dur: 3 * time.Millisecond})
-	trace.add(SpanRecord{ID: NewSpanID(), Name: "fixpoint", Dur: 2 * time.Millisecond})
-	trace.add(SpanRecord{ID: NewSpanID(), Name: "parse", Dur: time.Millisecond})
-	totals := PhaseTotals(trace)
-	if totals["fixpoint"] != 5*time.Millisecond || totals["parse"] != time.Millisecond {
-		t.Fatalf("totals = %v", totals)
-	}
-}

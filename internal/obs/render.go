@@ -134,30 +134,3 @@ type spanText struct {
 	rec      SpanRecord
 	children []*spanText
 }
-
-// PhaseTotals sums span durations by name — the "do the phases explain the
-// total" check addsc -trace and the tests lean on.
-func PhaseTotals(t *Trace) map[string]time.Duration {
-	out := map[string]time.Duration{}
-	if t == nil {
-		return out
-	}
-	for _, s := range t.Snapshot() {
-		out[s.Name] += s.Dur
-	}
-	return out
-}
-
-// PhaseNames returns the distinct span names of a trace in first-start
-// order (deterministic for snapshot tests).
-func PhaseNames(t *Trace) []string {
-	seen := map[string]bool{}
-	var names []string
-	for _, s := range t.Snapshot() {
-		if !seen[s.Name] {
-			seen[s.Name] = true
-			names = append(names, s.Name)
-		}
-	}
-	return names
-}

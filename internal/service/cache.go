@@ -103,17 +103,6 @@ func (c *Cache) Peek(key string) ([]byte, bool) {
 	return c.lru.Get(key)
 }
 
-// flightRefs reports how many live waiters (leader included) the key's
-// in-flight computation has (tests use it to make races deterministic).
-func (c *Cache) flightRefs(key string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if f, ok := c.flights[key]; ok {
-		return f.refs
-	}
-	return 0
-}
-
 // Do returns the cached value for key, or computes it with load. Concurrent
 // calls with one key share a single load (singleflight); the caller that
 // started it reports Miss, the ones that joined report Coalesced. The

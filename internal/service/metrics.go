@@ -201,14 +201,6 @@ func (m *Metrics) FlightRefs(endpoint string, delta int) {
 	m.mu.Unlock()
 }
 
-// FlightRefsFor reads the endpoint's flight-refcount gauge (tests use it to
-// sequence waiters deterministically and to prove refs drain to zero).
-func (m *Metrics) FlightRefsFor(endpoint string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.flightRefs[endpoint]
-}
-
 // sortedKeys returns the map's keys in sorted order so scrapes are
 // deterministic.
 func sortedKeys[V any](m map[string]V) []string {

@@ -157,10 +157,6 @@ func New(cfg Config) *Server {
 // Metrics exposes the registry (cmd/addsd logs a summary on shutdown).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// Tracer exposes the request tracer (cmd/addsd shares it with facade-level
-// options; tests reach the trace ring through it).
-func (s *Server) Tracer() *obs.Tracer { return s.tracer }
-
 // observeSpan feeds a finished span into the phase-duration histograms.
 // Root request spans are excluded — request latency already has its own
 // endpoint-labeled histogram.

@@ -55,10 +55,6 @@ func (f *Field) Acyclic() bool {
 	return false
 }
 
-// Unique reports whether Def 4.3 holds: distinct nodes never reach the same
-// node by one step of f.
-func (f *Field) Unique() bool { return f.Dir == UniquelyForward }
-
 // Type is the shape model of one declared record type.
 type Type struct {
 	Name     string

@@ -63,7 +63,7 @@ func TestTwoWayLLModel(t *testing.T) {
 		t.Fatal("TwoWayLL missing")
 	}
 	next := ll.Field("next")
-	if !next.Unique() || !next.Acyclic() || next.Dim != "X" {
+	if next.Dir != UniquelyForward || !next.Acyclic() || next.Dim != "X" {
 		t.Errorf("next = %+v", next)
 	}
 	prev := ll.Field("prev")
@@ -136,7 +136,7 @@ func TestCircularNotAcyclic(t *testing.T) {
 	if next.Acyclic() {
 		t.Error("circular field must not be acyclic")
 	}
-	if next.Unique() {
+	if next.Dir == UniquelyForward {
 		t.Error("circular field is not uniquely forward")
 	}
 }

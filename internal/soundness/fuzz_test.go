@@ -137,7 +137,7 @@ func TestFuzzTreeOracleSoundness(t *testing.T) {
 	base := baseSeed(t) + 1000
 	for seed := base; seed < base+programs; seed++ {
 		runSoundness(t, seed, pr, func(h *interp.Heap, run int) *interp.Node {
-			return structures.PerfectTree(h, 3+run)
+			return perfectTree(h, 3+run)
 		})
 	}
 }

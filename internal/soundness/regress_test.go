@@ -154,7 +154,7 @@ void fuzzed(PBinTree *a) {
 }
 `
 	checkAllObservedOn(t, src, func(h *interp.Heap) *interp.Node {
-		return structures.PerfectTree(h, 2)
+		return perfectTree(h, 2)
 	})
 }
 
@@ -182,7 +182,7 @@ void fuzzed(PBinTree *a) {
 }
 `
 	checkAllObservedOn(t, src, func(h *interp.Heap) *interp.Node {
-		return structures.PerfectTree(h, 2)
+		return perfectTree(h, 2)
 	})
 }
 

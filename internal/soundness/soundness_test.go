@@ -158,7 +158,7 @@ void move(PBinTree *root) {
 }`,
 		fn: "move",
 		build: func(h *interp.Heap, rng *rand.Rand) []interp.Value {
-			return []interp.Value{interp.PtrVal(structures.PerfectTree(h, 4))}
+			return []interp.Value{interp.PtrVal(perfectTree(h, 4))}
 		},
 	},
 	{

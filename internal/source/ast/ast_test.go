@@ -75,30 +75,16 @@ func TestPrintAllStatementForms(t *testing.T) {
 		&CallStmt{Call: &CallExpr{Name: "g"}},
 		&FreeStmt{Target: &Path{Var: "p"}},
 	}}
-	prog := &Program{
-		Types: []*TypeDecl{{
-			Name: "T", Dims: []string{"X", "Y"}, Indep: [][2]string{{"X", "Y"}},
-			Fields: []*FieldDecl{
-				{TypeName: "int", Names: []string{"a", "b"}},
-				{TypeName: "T", Pointer: true, Names: []string{"f", "g"},
-					Dir: DirUniquelyForward, Dim: "X"},
-			},
-		}},
-		Funcs: []*FuncDecl{{
-			Name:   "m",
-			RetInt: true,
-			Params: []*Param{
-				{TypeName: "int", Name: "n"},
-				{TypeName: "T", Pointer: true, Name: "p"},
-			},
-			Body: body,
-		}},
-	}
-	out := Print(prog)
+	out := FuncString(&FuncDecl{
+		Name:   "m",
+		RetInt: true,
+		Params: []*Param{
+			{TypeName: "int", Name: "n"},
+			{TypeName: "T", Pointer: true, Name: "p"},
+		},
+		Body: body,
+	})
 	for _, frag := range []string{
-		"type T [X] [Y] where X || Y {",
-		"int a, b;",
-		"T *f, *g is uniquely forward along X;",
 		"int m(int n, T *p)",
 		"p = NULL;",
 		"while (1)",
@@ -109,24 +95,8 @@ func TestPrintAllStatementForms(t *testing.T) {
 		"free(p);",
 	} {
 		if !strings.Contains(out, frag) {
-			t.Errorf("Print missing %q:\n%s", frag, out)
+			t.Errorf("FuncString missing %q:\n%s", frag, out)
 		}
-	}
-}
-
-func TestWalkStmtsEarlyStop(t *testing.T) {
-	blk := &Block{Stmts: []Stmt{
-		&ReturnStmt{},
-		&ReturnStmt{},
-		&ReturnStmt{},
-	}}
-	count := 0
-	WalkStmts(blk, func(Stmt) bool {
-		count++
-		return count < 2
-	})
-	if count != 2 {
-		t.Errorf("visited %d, want early stop at 2", count)
 	}
 }
 

@@ -7,59 +7,6 @@ import (
 	"repro/internal/source/token"
 )
 
-// Print renders a program back to mini source. The output parses to an
-// equivalent tree (modulo positions), which the parser tests rely on.
-func Print(p *Program) string {
-	var b strings.Builder
-	for i, t := range p.Types {
-		if i > 0 {
-			b.WriteByte('\n')
-		}
-		printTypeDecl(&b, t)
-	}
-	for _, f := range p.Funcs {
-		b.WriteByte('\n')
-		printFuncDecl(&b, f)
-	}
-	return b.String()
-}
-
-func printTypeDecl(b *strings.Builder, t *TypeDecl) {
-	fmt.Fprintf(b, "type %s", t.Name)
-	for _, d := range t.Dims {
-		fmt.Fprintf(b, " [%s]", d)
-	}
-	if len(t.Indep) > 0 {
-		b.WriteString(" where ")
-		for i, pr := range t.Indep {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			fmt.Fprintf(b, "%s || %s", pr[0], pr[1])
-		}
-	}
-	b.WriteString(" {\n")
-	for _, f := range t.Fields {
-		b.WriteString("    ")
-		if f.Pointer {
-			fmt.Fprintf(b, "%s ", f.TypeName)
-			for i, n := range f.Names {
-				if i > 0 {
-					b.WriteString(", ")
-				}
-				fmt.Fprintf(b, "*%s", n)
-			}
-			if f.Dir != DirNone {
-				fmt.Fprintf(b, " is %s along %s", f.Dir, f.Dim)
-			}
-		} else {
-			fmt.Fprintf(b, "%s %s", f.TypeName, strings.Join(f.Names, ", "))
-		}
-		b.WriteString(";\n")
-	}
-	b.WriteString("};\n")
-}
-
 // FuncString renders one function declaration to mini source. The output is
 // canonical for a given tree (modulo positions), which the engine's
 // content-addressed summary cache keys on.

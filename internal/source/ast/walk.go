@@ -1,37 +1,5 @@
 package ast
 
-// WalkStmts calls fn for every statement in the block, recursing into nested
-// blocks, while bodies and if arms, in source order. If fn returns false the
-// walk stops.
-func WalkStmts(blk *Block, fn func(Stmt) bool) bool {
-	for _, s := range blk.Stmts {
-		if !walkStmt(s, fn) {
-			return false
-		}
-	}
-	return true
-}
-
-func walkStmt(s Stmt, fn func(Stmt) bool) bool {
-	if !fn(s) {
-		return false
-	}
-	switch s := s.(type) {
-	case *Block:
-		return WalkStmts(s, fn)
-	case *WhileStmt:
-		return walkStmt(s.Body, fn)
-	case *IfStmt:
-		if !walkStmt(s.Then, fn) {
-			return false
-		}
-		if s.Else != nil {
-			return walkStmt(s.Else, fn)
-		}
-	}
-	return true
-}
-
 // WalkExprs calls fn for every expression contained in the statement,
 // including nested subexpressions, in source order.
 func WalkExprs(s Stmt, fn func(Expr)) {

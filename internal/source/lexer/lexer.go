@@ -204,17 +204,3 @@ func (l *Lexer) Next() token.Token {
 	}
 	return token.Token{Kind: kind, Pos: pos}
 }
-
-// All scans the entire input and returns every token up to and including the
-// first EOF. It is a convenience for tests and tools.
-func All(src []byte) ([]token.Token, []*Error) {
-	l := New(src)
-	var toks []token.Token
-	for {
-		t := l.Next()
-		toks = append(toks, t)
-		if t.Kind == token.EOF {
-			return toks, l.Errors()
-		}
-	}
-}

@@ -6,9 +6,23 @@ import (
 	"repro/internal/source/token"
 )
 
+// scanAll scans the entire input and returns every token up to and
+// including the first EOF.
+func scanAll(src []byte) ([]token.Token, []*Error) {
+	l := New(src)
+	var toks []token.Token
+	for {
+		t := l.Next()
+		toks = append(toks, t)
+		if t.Kind == token.EOF {
+			return toks, l.Errors()
+		}
+	}
+}
+
 func kinds(t *testing.T, src string) []token.Kind {
 	t.Helper()
-	toks, errs := All([]byte(src))
+	toks, errs := scanAll([]byte(src))
 	if len(errs) > 0 {
 		t.Fatalf("lex %q: %v", src, errs[0])
 	}
@@ -81,14 +95,14 @@ p = 1; /* block
 }
 
 func TestUnterminatedComment(t *testing.T) {
-	_, errs := All([]byte("p = 1; /* never closed"))
+	_, errs := scanAll([]byte("p = 1; /* never closed"))
 	if len(errs) == 0 {
 		t.Fatal("want error for unterminated comment")
 	}
 }
 
 func TestIllegalChar(t *testing.T) {
-	toks, errs := All([]byte("p = #;"))
+	toks, errs := scanAll([]byte("p = #;"))
 	if len(errs) == 0 {
 		t.Fatal("want error for illegal character")
 	}
@@ -116,7 +130,7 @@ func TestPositions(t *testing.T) {
 }
 
 func TestIntLiteral(t *testing.T) {
-	toks, _ := All([]byte("12345"))
+	toks, _ := scanAll([]byte("12345"))
 	if toks[0].Kind != token.INT || toks[0].Lit != "12345" {
 		t.Errorf("got %v", toks[0])
 	}
@@ -124,7 +138,7 @@ func TestIntLiteral(t *testing.T) {
 
 func TestNullSpellings(t *testing.T) {
 	for _, s := range []string{"NULL", "null", "nil"} {
-		toks, _ := All([]byte(s))
+		toks, _ := scanAll([]byte(s))
 		if toks[0].Kind != token.KwNull {
 			t.Errorf("%s: got %v want KwNull", s, toks[0].Kind)
 		}

@@ -208,12 +208,6 @@ func (t Token) String() string {
 	}
 }
 
-// IsKeyword reports whether the kind is any reserved word.
-func (k Kind) IsKeyword() bool { return k >= KwType && k <= KwCircular }
-
-// IsOperator reports whether the kind is an operator or delimiter.
-func (k Kind) IsOperator() bool { return k >= ASSIGN && k <= RBRACK }
-
 // IsComparison reports whether the kind is a relational operator.
 func (k Kind) IsComparison() bool {
 	switch k {

@@ -30,12 +30,6 @@ func TestKindStrings(t *testing.T) {
 }
 
 func TestClassifiers(t *testing.T) {
-	if !KwType.IsKeyword() || ARROW.IsKeyword() {
-		t.Error("IsKeyword wrong")
-	}
-	if !ARROW.IsOperator() || KwType.IsOperator() {
-		t.Error("IsOperator wrong")
-	}
 	for _, k := range []Kind{EQ, NEQ, LT, GT, LE, GE} {
 		if !k.IsComparison() {
 			t.Errorf("%v should be a comparison", k)

@@ -90,24 +90,6 @@ func TwoWayList(h *interp.Heap, values []int64, n int) *interp.Node {
 	return head
 }
 
-// ListValues reads data fields along next.
-func ListValues(hd *interp.Node) []int64 {
-	var out []int64
-	for n := hd; n != nil; n = n.Ptrs["next"] {
-		out = append(out, n.Ints["data"])
-	}
-	return out
-}
-
-// ListLen counts nodes along next.
-func ListLen(hd *interp.Node) int {
-	c := 0
-	for n := hd; n != nil; n = n.Ptrs["next"] {
-		c++
-	}
-	return c
-}
-
 // ---------------------------------------------------------------------------
 // PBinTree
 
@@ -142,48 +124,6 @@ func BinTree(h *interp.Heap, keys []int64) *interp.Node {
 		}
 	}
 	return root
-}
-
-// PerfectTree builds a perfect binary tree of the given depth (depth 1 is a
-// single node), data = preorder index.
-func PerfectTree(h *interp.Heap, depth int) *interp.Node {
-	if depth <= 0 {
-		return nil
-	}
-	idx := int64(0)
-	var build func(d int) *interp.Node
-	build = func(d int) *interp.Node {
-		n := h.New("PBinTree")
-		n.Ints["data"] = idx
-		idx++
-		if d > 1 {
-			l, r := build(d-1), build(d-1)
-			n.Ptrs["left"] = l
-			n.Ptrs["right"] = r
-			l.Ptrs["parent"] = n
-			r.Ptrs["parent"] = n
-		}
-		return n
-	}
-	return build(depth)
-}
-
-// TreeSize counts nodes via left/right.
-func TreeSize(root *interp.Node) int {
-	if root == nil {
-		return 0
-	}
-	return 1 + TreeSize(root.Ptrs["left"]) + TreeSize(root.Ptrs["right"])
-}
-
-// InOrder returns the data fields of an in-order walk.
-func InOrder(root *interp.Node) []int64 {
-	if root == nil {
-		return nil
-	}
-	out := InOrder(root.Ptrs["left"])
-	out = append(out, root.Ints["data"])
-	return append(out, InOrder(root.Ptrs["right"])...)
 }
 
 // ---------------------------------------------------------------------------
@@ -242,24 +182,6 @@ func Orthogonal(h *interp.Heap, dense [][]int64) *SparseMatrix {
 		}
 	}
 	return m
-}
-
-// RowSum traverses a row along across.
-func (m *SparseMatrix) RowSum(r int) int64 {
-	var s int64
-	for n := m.RowHead[r]; n != nil; n = n.Ptrs["across"] {
-		s += n.Ints["data"]
-	}
-	return s
-}
-
-// ColSum traverses a column along down.
-func (m *SparseMatrix) ColSum(c int) int64 {
-	var s int64
-	for n := m.ColHead[c]; n != nil; n = n.Ptrs["down"] {
-		s += n.Ints["data"]
-	}
-	return s
 }
 
 // ---------------------------------------------------------------------------
@@ -366,34 +288,6 @@ func linkLeaves(leaves []*interp.Node) {
 	}
 }
 
-// RangeQuery1D returns leaf data in [lo, hi] by descending to the first
-// leaf >= lo and walking the leaf list — the query pattern the paper's
-// Section 3.1 motivates.
-func RangeQuery1D(root *interp.Node, lo, hi int64) []int64 {
-	if root == nil {
-		return nil
-	}
-	cur := root
-	for cur.Ptrs["left"] != nil {
-		if lo <= cur.Ints["data"] {
-			cur = cur.Ptrs["left"]
-		} else {
-			cur = cur.Ptrs["right"]
-		}
-	}
-	var out []int64
-	for n := cur; n != nil; n = n.Ptrs["next"] {
-		v := n.Ints["data"]
-		if v > hi {
-			break
-		}
-		if v >= lo {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // Circular list
 
@@ -413,18 +307,6 @@ func Circular(h *interp.Heap, n int) *interp.Node {
 	}
 	cur.Ptrs["next"] = first
 	return first
-}
-
-// RingLen walks a circular list once around.
-func RingLen(first *interp.Node) int {
-	if first == nil {
-		return 0
-	}
-	c := 1
-	for n := first.Ptrs["next"]; n != nil && n != first; n = n.Ptrs["next"] {
-		c++
-	}
-	return c
 }
 
 // ---------------------------------------------------------------------------

@@ -20,11 +20,11 @@ func TestDeclsWellFormed(t *testing.T) {
 func TestTwoWayListBasics(t *testing.T) {
 	h := interp.NewHeap()
 	hd := TwoWayList(h, []int64{1, 2, 3}, 5)
-	if got := ListValues(hd); len(got) != 5 || got[0] != 1 || got[3] != 1 {
+	if got := listValues(hd); len(got) != 5 || got[0] != 1 || got[3] != 1 {
 		t.Errorf("values = %v", got)
 	}
-	if ListLen(hd) != 5 {
-		t.Errorf("len = %d", ListLen(hd))
+	if listLen(hd) != 5 {
+		t.Errorf("len = %d", listLen(hd))
 	}
 	if TwoWayList(h, nil, 0) != nil {
 		t.Error("empty list should be nil")
@@ -37,31 +37,17 @@ func TestTwoWayListBasics(t *testing.T) {
 func TestBinTreeInOrderSorted(t *testing.T) {
 	h := interp.NewHeap()
 	root := BinTree(h, []int64{5, 2, 8, 1, 9, 3, 7})
-	got := InOrder(root)
+	got := inOrder(root)
 	for i := 1; i < len(got); i++ {
 		if got[i] < got[i-1] {
 			t.Fatalf("in-order not sorted: %v", got)
 		}
 	}
-	if TreeSize(root) != 7 {
-		t.Errorf("size = %d", TreeSize(root))
+	if treeSize(root) != 7 {
+		t.Errorf("size = %d", treeSize(root))
 	}
 	if vs := interp.Check(Env(), root); len(vs) != 0 {
 		t.Fatalf("invalid tree: %v", vs[0])
-	}
-}
-
-func TestPerfectTree(t *testing.T) {
-	h := interp.NewHeap()
-	root := PerfectTree(h, 4)
-	if TreeSize(root) != 15 {
-		t.Errorf("size = %d", TreeSize(root))
-	}
-	if vs := interp.Check(Env(), root); len(vs) != 0 {
-		t.Fatalf("invalid: %v", vs[0])
-	}
-	if PerfectTree(h, 0) != nil {
-		t.Error("depth 0 should be nil")
 	}
 }
 
@@ -73,11 +59,11 @@ func TestOrthogonalSums(t *testing.T) {
 		{4, 5, 0},
 	}
 	m := Orthogonal(h, dense)
-	if m.RowSum(0) != 3 || m.RowSum(1) != 3 || m.RowSum(2) != 9 {
-		t.Errorf("row sums: %d %d %d", m.RowSum(0), m.RowSum(1), m.RowSum(2))
+	if rowSum(m, 0) != 3 || rowSum(m, 1) != 3 || rowSum(m, 2) != 9 {
+		t.Errorf("row sums: %d %d %d", rowSum(m, 0), rowSum(m, 1), rowSum(m, 2))
 	}
-	if m.ColSum(0) != 5 || m.ColSum(1) != 5 || m.ColSum(2) != 5 {
-		t.Errorf("col sums: %d %d %d", m.ColSum(0), m.ColSum(1), m.ColSum(2))
+	if colSum(m, 0) != 5 || colSum(m, 1) != 5 || colSum(m, 2) != 5 {
+		t.Errorf("col sums: %d %d %d", colSum(m, 0), colSum(m, 1), colSum(m, 2))
 	}
 	var roots []*interp.Node
 	for _, n := range append(append([]*interp.Node{}, m.RowHead...), m.ColHead...) {
@@ -115,7 +101,7 @@ func TestRangeTreeQuery(t *testing.T) {
 	if vs := interp.Check(Env(), root); len(vs) != 0 {
 		t.Fatalf("invalid range tree: %v", vs[0])
 	}
-	got := RangeQuery1D(root, 3, 7)
+	got := rangeQuery1D(root, 3, 7)
 	want := []int64{3, 5, 7}
 	if len(got) != len(want) {
 		t.Fatalf("query = %v, want %v", got, want)
@@ -133,13 +119,13 @@ func TestRangeTreeQuery(t *testing.T) {
 func TestCircularRing(t *testing.T) {
 	h := interp.NewHeap()
 	c := Circular(h, 6)
-	if RingLen(c) != 6 {
-		t.Errorf("ring len = %d", RingLen(c))
+	if ringLen(c) != 6 {
+		t.Errorf("ring len = %d", ringLen(c))
 	}
 	if vs := interp.Check(Env(), c); len(vs) != 0 {
 		t.Fatalf("circular list flagged: %v", vs[0])
 	}
-	if Circular(h, 0) != nil || RingLen(nil) != 0 {
+	if Circular(h, 0) != nil || ringLen(nil) != 0 {
 		t.Error("empty ring handling")
 	}
 }
@@ -178,7 +164,7 @@ func TestPropertyListMutationPreservesValidity(t *testing.T) {
 		for i := 0; i < int(ops%10); i++ {
 			// Remove a random interior node, repairing both directions —
 			// the well-behaved idiom.
-			k := rng.Intn(ListLen(hd))
+			k := rng.Intn(listLen(hd))
 			node := hd
 			for j := 0; j < k; j++ {
 				node = node.Ptrs["next"]

@@ -66,59 +66,3 @@ func SpeculativeHoist(p *ir.Program, l *ir.LoopInfo) (*ir.Program, *ir.LoopInfo,
 	insertAt(out, loop.TestStart, instr)
 	return out, loop, true
 }
-
-// CopyPropagate removes "move a, b" instructions in the loop body when a is
-// not redefined between the move and b's uses, rewriting those uses — the
-// (enhanced) copy propagation [NPW91] the paper applies while pipelining.
-// It only handles the common case produced by RenameAdvance: the move is
-// the last body instruction and b's uses are at the top of the next
-// iteration, which cannot be rewritten without pipelining; so this function
-// instead removes moves that became dead (b never used before redefinition).
-func CopyPropagate(p *ir.Program, l *ir.LoopInfo) (*ir.Program, *ir.LoopInfo) {
-	out := cloneProgram(p)
-	loop := out.Loops[l.SrcID]
-	for i := loop.TestStart; i <= loop.BodyEnd && i < len(out.Instrs); i++ {
-		in := out.Instrs[i]
-		if in.Op != ir.Move {
-			continue
-		}
-		// Dead if Dst is redefined before any use within the body after i
-		// and not live around the back edge (conservatively: redefined
-		// before use from the body start too).
-		if deadAfter(out, loop, i, in.Dst) {
-			removeAt(out, i)
-			i--
-		}
-	}
-	return out, loop
-}
-
-// deadAfter reports whether reg's value assigned at abs is never used before
-// being redefined, scanning forward through the body and around the back
-// edge once.
-func deadAfter(p *ir.Program, l *ir.LoopInfo, abs int, reg string) bool {
-	scan := func(from, to int) (used, redefined bool) {
-		for i := from; i < to; i++ {
-			in := p.Instrs[i]
-			for _, u := range in.Uses() {
-				if u == reg {
-					return true, false
-				}
-			}
-			if in.Defs() == reg {
-				return false, true
-			}
-		}
-		return false, false
-	}
-	if used, redef := scan(abs+1, l.BodyEnd+1); used {
-		return false
-	} else if redef {
-		return true
-	}
-	used, redef := scan(l.TestStart, abs)
-	if used {
-		return false
-	}
-	return redef
-}

@@ -444,28 +444,6 @@ func TestCompactCorrectnessAndSpeedup(t *testing.T) {
 	}
 }
 
-func TestCopyPropagateRemovesDeadMove(t *testing.T) {
-	// A move whose destination is immediately overwritten is dead.
-	p := &ir.Program{
-		Instrs: []*ir.Instr{
-			{Op: ir.Label, Name: "L"},
-			{Op: ir.Br, Rel: ir.EQ, Src1: "p", Src2: "", Target: "done"},
-			{Op: ir.Move, Src1: "a", Dst: "b"},
-			{Op: ir.LoadImm, Imm: 1, Dst: "b"},
-			{Op: ir.Goto, Target: "L"},
-			{Op: ir.Label, Name: "done"},
-			{Op: ir.Ret},
-		},
-		Loops: []*ir.LoopInfo{{HeadLabel: "L", ExitLabel: "done", TestStart: 1, BodyStart: 2, BodyEnd: 4, SrcID: 0}},
-	}
-	out, _ := CopyPropagate(p, p.Loops[0])
-	for _, in := range out.Instrs {
-		if in.Op == ir.Move {
-			t.Errorf("dead move survived:\n%s", out.String())
-		}
-	}
-}
-
 func TestMatchListLoopRejections(t *testing.T) {
 	cases := []struct {
 		name string
