@@ -1,9 +1,9 @@
 // Command addsfuzz runs the generative differential-testing campaign: it
-// generates random well-typed ADDS programs (internal/gen), pushes each
-// through the difftest oracle pairs — interpreter traces vs. static alias
-// oracles, original vs. transformed execution, sequential vs. parallel
-// analysis, the SMG-lite vs. path-matrix cross-check, plus the addslint
-// validation — and reports every divergence minimized and
+// generates random well-typed ADDS programs (internal/gen), loads each once
+// and runs the difftest checks on it — the addslint validation,
+// interpreter traces vs. static alias oracles, original vs. transformed
+// execution, sequential vs. parallel analysis, and the SMG-lite vs.
+// path-matrix cross-check — and reports every divergence minimized and
 // content-addressed. The smg check's may-alias disagreements are precision
 // deltas: logged and reported (the "deltas" field), never failures.
 //

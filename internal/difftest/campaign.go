@@ -60,6 +60,11 @@ func (c Campaign) Run(ctx context.Context) (*Report, error) {
 	if c.Budget < 0 {
 		return nil, fmt.Errorf("negative budget %d", c.Budget)
 	}
+	for _, name := range c.Config.Checks {
+		if checkFns[name] == nil {
+			return nil, fmt.Errorf("unknown check %q", name)
+		}
+	}
 
 	if c.Config.Deltas == nil {
 		c.Config.Deltas = &DeltaCounter{}

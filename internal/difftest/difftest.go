@@ -1,24 +1,25 @@
 // Package difftest is the differential-testing half of the addsfuzz
-// subsystem. For every program the generator emits it orchestrates the
-// oracle pairs:
+// subsystem. For every program the generator emits it loads one Subject and
+// runs the checks on it, in this order:
 //
-//  1. soundness — concrete interpreter traces vs. the static alias
+//  1. lint — run main and, for read-only profiles, validate the final heap
+//     against every ADDS declaration (the addslint pair): lint coverage on
+//     inputs no human would write;
+//  2. soundness — concrete interpreter traces vs. the static alias
 //     oracles: every dynamically observed alias must be admitted
-//     (the paper's core claim, Defs 4.1-4.10);
-//  2. transformation equivalence — the original program vs. its
-//     xform-transformed variants (Unroll, LICM, software pipelining) must
-//     be observationally equivalent on concrete inputs;
-//  3. analysis consistency — the path-matrix engine must produce identical
-//     results regardless of worker count (the parallel engine, sharing
-//     rows, entries and cached summaries across goroutines, vs. the
-//     sequential path);
-//  4. smg — the SMG-lite oracle vs. the path-matrix oracle: a must-alias
+//     (the paper's core claim, Defs 4.1-4.10). Observe is the one alias
+//     observer, shared with the soundness test harnesses;
+//  3. xform — the original program vs. its xform-transformed variants
+//     (Unroll, LICM, software pipelining) must be observationally
+//     equivalent on concrete inputs;
+//  4. consistency — the path-matrix engine must produce identical
+//     matrices at every node regardless of worker count (the parallel
+//     engine, sharing rows, entries and cached summaries across
+//     goroutines, vs. the sequential path);
+//  5. smg — the SMG-lite oracle vs. the path-matrix oracle: a must-alias
 //     either derives that the other refutes is always a fatal bug in one of
 //     them, while bare may-alias disagreements are precision deltas,
 //     counted (Config.Deltas) but never failures.
-//
-// A cheaper check runs the addslint validation over every generated
-// program: lint coverage on inputs no human would write.
 //
 // Failures are classified as Divergences, content-addressed with the same
 // SHA-256 scheme as the daemon's cache (respond.Key), and delta-debugged
@@ -26,12 +27,15 @@
 package difftest
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
+	"repro/adds"
 	"repro/internal/alias"
 	"repro/internal/alias/smg"
 	"repro/internal/core/pathmatrix"
@@ -40,9 +44,7 @@ import (
 	"repro/internal/norm"
 	"repro/internal/respond"
 	"repro/internal/source/ast"
-	"repro/internal/source/parser"
 	"repro/internal/source/token"
-	"repro/internal/source/types"
 )
 
 // Check names, in the order DiffOne runs them.
@@ -72,7 +74,8 @@ func AllChecks() []string {
 
 // Config tunes one differential run.
 type Config struct {
-	// Checks selects which oracle pairs run; nil means all.
+	// Checks selects which checks run, by name; nil means all.
+	// Campaign.Run rejects a name that is not in AllChecks.
 	Checks []string
 	// Runs are the main() size arguments each program executes under;
 	// nil means {2, 3, 5}.
@@ -160,22 +163,41 @@ type Divergence struct {
 	MinStmts  int    `json:"minStmts"`
 }
 
-// DiffOne generates the program for (seed, profile), runs every configured
-// check, and returns one shrunk divergence per failing check. A clean
-// program returns nil.
+// Subject is one loaded program under test, the input of every check. Entry
+// names the function the checks analyze and Main the self-contained driver
+// that builds its inputs. Seed seeds the xform check's input heaps, and
+// ReadOnly makes the lint check require a valid final heap.
+type Subject struct {
+	Unit        *adds.Unit
+	Entry, Main string
+	Seed        int64
+	ReadOnly    bool
+}
+
+// DiffOne generates the program for (seed, profile), loads it once, runs
+// every configured check on it, and returns one shrunk divergence per
+// failing check. A clean program returns nil. Campaign.Run rejects unknown
+// check names; DiffOne skips them.
 func DiffOne(seed int64, pr gen.Profile, cfg Config) []Divergence {
 	p := gen.Generate(seed, pr)
+	s, loadErr := load(p)
 	var out []Divergence
 	for _, name := range cfg.checks() {
-		check := checkFn(name)
-		if check == nil {
+		check, ok := checkFns[name]
+		if !ok {
 			continue
 		}
-		detail := check(p, cfg)
+		detail := loadErr
+		if detail == "" {
+			detail = check(s, cfg)
+		}
 		if detail == "" {
 			continue
 		}
-		min := Shrink(p, func(q *gen.Program) bool { return check(q, cfg) != "" }, shrinkBudget)
+		min := Shrink(p, func(q *gen.Program) bool {
+			s, msg := load(q)
+			return msg != "" || check(s, cfg) != ""
+		}, shrinkBudget)
 		src := string(p.Source())
 		minSrc := string(min.Source())
 		out = append(out, Divergence{
@@ -194,48 +216,26 @@ func DiffOne(seed int64, pr gen.Profile, cfg Config) []Divergence {
 	return out
 }
 
-// checkFn maps a check name to its implementation. Every check returns ""
-// when the program is clean, or a deterministic description of the first
+// checkFns maps each check name to its implementation. Every check returns
+// "" when the subject is clean, or a deterministic description of the first
 // (in a sorted order) divergence.
-func checkFn(name string) func(*gen.Program, Config) string {
-	switch name {
-	case CheckLint:
-		return checkLint
-	case CheckSoundness:
-		return checkSoundness
-	case CheckXform:
-		return checkXform
-	case CheckConsistency:
-		return checkConsistency
-	case CheckSMG:
-		return checkSMG
-	}
-	return nil
+var checkFns = map[string]func(Subject, Config) string{
+	CheckLint:        checkLint,
+	CheckSoundness:   checkSoundness,
+	CheckXform:       checkXform,
+	CheckConsistency: checkConsistency,
+	CheckSMG:         checkSMG,
 }
 
-// load parses and type-checks a generated program. Generated programs are
-// well-typed by construction, so a failure here is itself a divergence
-// (a generator bug), reported by every check as "does not load".
-func load(p *gen.Program) (*ast.Program, *types.Info, string) {
-	src := p.Source()
-	prog, err := parser.Parse(src)
+// load loads a generated program into the Subject every check reads.
+// Generated programs are well-typed by construction, so a load failure is
+// itself a divergence (a generator bug), which every check reports.
+func load(p *gen.Program) (Subject, string) {
+	u, err := adds.Load(p.Source())
 	if err != nil {
-		return nil, nil, fmt.Sprintf("generated program does not parse: %v", err)
+		return Subject{}, fmt.Sprintf("generated program does not load: %v", err)
 	}
-	info, errs := types.Check(prog)
-	if len(errs) > 0 {
-		return nil, nil, fmt.Sprintf("generated program does not check: %v", errs[0])
-	}
-	return prog, info, ""
-}
-
-// tolerated reports interpreter errors that are expected consequences of
-// random mutation (cycles exhaust the step budget; a shuffled structure
-// dereferences NULL behind a stale guard) rather than harness findings.
-func tolerated(err error) bool {
-	return err == nil ||
-		strings.Contains(err.Error(), "step budget") ||
-		strings.Contains(err.Error(), "NULL")
+	return Subject{Unit: u, Entry: p.Entry(), Main: p.Main(), Seed: p.Seed, ReadOnly: !p.Profile.Mutate}, ""
 }
 
 // ---------------------------------------------------------------------------
@@ -247,21 +247,17 @@ func tolerated(err error) bool {
 // the interpreter disagree about the language. For profiles that never
 // mutate pointer fields the final heap must additionally satisfy every
 // ADDS declaration (Defs 4.2-4.9), exactly as cmd/addslint checks it.
-func checkLint(p *gen.Program, cfg Config) string {
-	prog, info, msg := load(p)
-	if msg != "" {
-		return msg
-	}
+func checkLint(s Subject, cfg Config) string {
 	for _, n := range cfg.runs() {
-		in := interp.New(prog)
+		in := s.Unit.Interp()
 		in.MaxSteps = maxSteps
-		if _, err := in.Call(p.Main(), interp.IntVal(n)); err != nil {
+		if _, err := in.Call(s.Main, interp.IntVal(n)); err != nil {
 			return fmt.Sprintf("lint: main(%d) failed: %v", n, err)
 		}
-		if p.Profile.Mutate {
+		if !s.ReadOnly {
 			continue
 		}
-		if vs := interp.Check(info.Env, in.Heap.Live()...); len(vs) > 0 {
+		if vs := s.Unit.CheckHeap(in.Heap.Live()...); len(vs) > 0 {
 			return fmt.Sprintf("lint: main(%d) left an invalid heap under a read-only profile: %s",
 				n, vs[0].String())
 		}
@@ -272,30 +268,26 @@ func checkLint(p *gen.Program, cfg Config) string {
 // ---------------------------------------------------------------------------
 // Check 2: soundness (interpreter traces vs. static alias oracles)
 
-// tracer records observed aliases keyed by statement position (the same
-// ground-truth instrument the soundness property tests use).
+// observed is one alias a run produced: p and q named the same node before
+// the statement at pos.
+type observed struct {
+	pos  token.Pos
+	p, q string
+}
+
+// tracer records every alias among ptrVars before each statement.
 type tracer struct {
-	ptrVars  []string
-	observed map[token.Pos]map[[2]string]bool
+	ptrVars []string
+	seen    map[observed]bool
 }
 
 func (tr *tracer) AtStmt(s ast.Stmt, vars map[string]interp.Value) {
-	pos := s.Pos()
 	for i, p := range tr.ptrVars {
-		vp, ok := vars[p]
-		if !ok || !vp.IsPtr || vp.Ptr == nil {
-			continue
-		}
-		for _, q := range tr.ptrVars[i+1:] {
-			vq, ok := vars[q]
-			if !ok || !vq.IsPtr || vq.Ptr == nil {
-				continue
-			}
-			if vp.Ptr == vq.Ptr {
-				if tr.observed[pos] == nil {
-					tr.observed[pos] = map[[2]string]bool{}
+		if vp := vars[p]; vp.IsPtr && vp.Ptr != nil {
+			for _, q := range tr.ptrVars[i+1:] {
+				if vq := vars[q]; vq.IsPtr && vq.Ptr == vp.Ptr {
+					tr.seen[observed{s.Pos(), p, q}] = true
 				}
-				tr.observed[pos][[2]string{p, q}] = true
 			}
 		}
 	}
@@ -312,17 +304,40 @@ func nodeAtPos(g *norm.Graph, pos token.Pos) *norm.Node {
 	return nil
 }
 
-// checkSoundness executes main (which builds the structure in mini and
-// calls the fuzzed function), records every alias the run actually
-// produced inside fuzzed, and requires every static oracle to admit each
-// one. An alias an oracle rules out is a soundness divergence — the class
-// of bug the whole subsystem exists to catch.
-func checkSoundness(p *gen.Program, cfg Config) string {
-	prog, info, msg := load(p)
-	if msg != "" {
-		return msg
+// Observe is the one alias observer: it runs u under a tracer that records
+// every alias among the pointer variables of g's function, then asks each
+// oracle to admit each one before the statement where it was seen. run makes
+// the call on in (bounded by maxSteps), building its arguments on in.Heap.
+// Observe returns the sorted misses, even from a failed run, and run's error.
+func Observe(u *adds.Unit, g *norm.Graph, oracles []alias.Oracle, run func(*interp.Interp) error) ([]string, error) {
+	in := u.Interp()
+	in.MaxSteps = maxSteps
+	tr := &tracer{ptrVars: g.Fn.PointerVars(), seen: map[observed]bool{}}
+	in.Tracer = tr
+	err := run(in)
+	var misses []string
+	for a := range tr.seen {
+		node := nodeAtPos(g, a.pos)
+		if node == nil {
+			continue // a statement of another function, or one lowered to no node
+		}
+		for _, o := range oracles {
+			if !o.MayAlias(node, a.p, a.q) {
+				misses = append(misses, fmt.Sprintf("oracle %s misses real alias %s==%s before %s", o.Name(), a.p, a.q, a.pos))
+			}
+		}
 	}
-	fi := info.Func(p.Entry())
+	sort.Strings(misses) // map iteration order must not leak into reports
+	return misses, err
+}
+
+// checkSoundness executes main (which builds the structure in mini and
+// calls the fuzzed function) under Observe with every registered oracle.
+// An alias an oracle rules out is a soundness divergence — the class of
+// bug the whole subsystem exists to catch.
+func checkSoundness(s Subject, cfg Config) string {
+	info := s.Unit.Info
+	fi := info.Func(s.Entry)
 	if fi == nil {
 		return "" // entry shrunk away: nothing to check
 	}
@@ -347,49 +362,36 @@ func checkSoundness(p *gen.Program, cfg Config) string {
 
 	var misses []string
 	for _, n := range cfg.runs() {
-		in := interp.New(prog)
-		in.MaxSteps = maxSteps
-		tr := &tracer{ptrVars: fi.PointerVars(), observed: map[token.Pos]map[[2]string]bool{}}
-		in.Tracer = tr
-		if _, err := in.Call(p.Main(), interp.IntVal(n)); !tolerated(err) {
+		found, err := Observe(s.Unit, g, oracles, func(in *interp.Interp) error {
+			_, err := in.Call(s.Main, interp.IntVal(n))
+			return err
+		})
+		// Random mutation can make cycles that exhaust the step budget, or
+		// dereference NULL behind a stale guard: not a harness finding.
+		if err != nil && !strings.Contains(err.Error(), "step budget") && !strings.Contains(err.Error(), "NULL") {
 			return fmt.Sprintf("soundness: main(%d) failed: %v", n, err)
 		}
-		for pos, pairs := range tr.observed {
-			node := nodeAtPos(g, pos)
-			if node == nil {
-				continue
-			}
-			for pair := range pairs {
-				for _, o := range oracles {
-					if !o.MayAlias(node, pair[0], pair[1]) {
-						misses = append(misses, fmt.Sprintf(
-							"soundness: oracle %s misses real alias %s==%s before %s (main(%d))",
-							o.Name(), pair[0], pair[1], pos, n))
-					}
-				}
-			}
+		for _, m := range found {
+			misses = append(misses, fmt.Sprintf("soundness: %s (main(%d))", m, n))
 		}
 	}
 	if len(misses) == 0 {
 		return ""
 	}
-	sort.Strings(misses) // map iteration order must not leak into reports
-	return misses[0]
+	return slices.Min(misses)
 }
 
 // ---------------------------------------------------------------------------
 // Check 4: analysis consistency (sequential vs. parallel engine)
 
 // checkConsistency analyzes the whole program twice — one worker vs. four
-// — and requires byte-identical matrices for every function: the parallel
-// engine, whose goroutines share immutable paths, copy-on-write entries and
-// cached summaries, must be observationally indistinguishable from the
-// sequential one.
-func checkConsistency(p *gen.Program, cfg Config) string {
-	_, info, msg := load(p)
-	if msg != "" {
-		return msg
-	}
+// — and requires byte-identical matrices before every node of every
+// function, compared in their wire encoding: the parallel engine, whose
+// goroutines share immutable paths, copy-on-write entries and cached
+// summaries, must be observationally indistinguishable from the sequential
+// one, at loop heads as much as at exit.
+func checkConsistency(s Subject, cfg Config) string {
+	info := s.Unit.Info
 	seq, err := pathmatrix.AnalyzeProgramCtx(noCancel, info, info.Env, 1)
 	if err != nil {
 		return fmt.Sprintf("consistency: sequential analysis failed: %v", err)
@@ -403,14 +405,25 @@ func checkConsistency(p *gen.Program, cfg Config) string {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	var a, b []byte // one encoding buffer per side, reused across nodes
 	for _, name := range names {
 		pr, ok := par[name]
 		if !ok {
 			return fmt.Sprintf("consistency: function %s missing from parallel result", name)
 		}
-		if a, b := seq[name].Result.String(), pr.Result.String(); a != b {
-			return fmt.Sprintf("consistency: %s: sequential and parallel matrices differ:\n--- seq\n%s\n--- par\n%s",
-				name, a, b)
+		sb, pb := seq[name].Result.Before, pr.Result.Before
+		if len(sb) != len(pb) {
+			return fmt.Sprintf("consistency: %s: sequential graph has %d nodes, parallel %d", name, len(sb), len(pb))
+		}
+		for id, sm := range sb {
+			pm := pb[id]
+			if sm != nil && pm != nil { // nil: unreached; a and b still hold an equal pair
+				a, b = sm.AppendJSON(a[:0]), pm.AppendJSON(b[:0])
+			}
+			if (sm == nil) != (pm == nil) || !bytes.Equal(a, b) {
+				return fmt.Sprintf("consistency: %s: sequential and parallel matrices differ before node %d:\n--- seq\n%s\n--- par\n%s",
+					name, id, sm, pm)
+			}
 		}
 	}
 	return ""
@@ -436,12 +449,9 @@ func checkConsistency(p *gen.Program, cfg Config) string {
 //   - a bare may-alias disagreement is an expected precision delta (each
 //     domain refutes pairs the other cannot) and is only counted into
 //     Config.Deltas, keyed by which oracle was the permissive one.
-func checkSMG(p *gen.Program, cfg Config) string {
-	_, info, msg := load(p)
-	if msg != "" {
-		return msg
-	}
-	fi := info.Func(p.Entry())
+func checkSMG(s Subject, cfg Config) string {
+	info := s.Unit.Info
+	fi := info.Func(s.Entry)
 	if fi == nil {
 		return "" // entry shrunk away: nothing to check
 	}

@@ -8,8 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/adds"
 	"repro/internal/alias"
 	"repro/internal/gen"
+	"repro/internal/interp"
 	"repro/internal/norm"
 )
 
@@ -88,12 +90,15 @@ func TestSMGCheckCatchesPlantedBug(t *testing.T) {
 	// A fresh region copied into both variables: the SMG derives
 	// must-alias(b, c), which the planted drop of gpm's may answer turns
 	// into a fatal cross-domain conflict.
-	p := gen.Generate(1, pr).WithStmts([]gen.Stmt{
+	s, msg := load(gen.Generate(1, pr).WithStmts([]gen.Stmt{
 		{Head: []string{"b = new TwoWayLL;"}},
 		{Head: []string{"c = b;"}},
 		{Head: []string{"d = c;"}},
-	})
-	detail := checkSMG(p, cfg)
+	}))
+	if msg != "" {
+		t.Fatal(msg)
+	}
+	detail := checkSMG(s, cfg)
 	if detail == "" {
 		t.Fatal("planted path-matrix bug did not conflict with the SMG must-alias")
 	}
@@ -291,6 +296,66 @@ func TestCampaignWritesCorpus(t *testing.T) {
 func TestCampaignUnknownProfile(t *testing.T) {
 	if _, err := (Campaign{Budget: 1, Profiles: []string{"nope"}}).Run(context.Background()); err == nil {
 		t.Fatal("want error for unknown profile")
+	}
+}
+
+// TestCampaignUnknownCheck: a misspelled check name is a config error, not
+// a campaign that runs nothing and reports clean.
+func TestCampaignUnknownCheck(t *testing.T) {
+	c := Campaign{Budget: 1, Config: Config{Checks: []string{CheckSoundness, "nope"}}}
+	if _, err := c.Run(context.Background()); err == nil || !strings.Contains(err.Error(), `unknown check "nope"`) {
+		t.Fatalf("err = %v, want an unknown-check error", err)
+	}
+}
+
+// observeSrc is a hand-written subject: before `b = NULL;` (line 10) the
+// run has a == b == d.
+const observeSrc = `type TwoWayLL [X] {
+    int data;
+    TwoWayLL *next is uniquely forward along X;
+    TwoWayLL *prev is backward along X;
+};
+void fuzzed(TwoWayLL *a) {
+    TwoWayLL *b, *d;
+    b = a;
+    d = a;
+    b = NULL;
+}
+int main(int n) {
+    TwoWayLL *root;
+    root = new TwoWayLL;
+    fuzzed(root);
+    return 0;
+}
+`
+
+// TestObserveReportsPlantedMiss pins the observer's contract on source no
+// generator made: with one alias pair dropped from the path-matrix oracle,
+// Observe reports exactly that miss, and checkSoundness reports the same
+// line for the run that produced it.
+func TestObserveReportsPlantedMiss(t *testing.T) {
+	u := adds.MustLoad(observeSrc)
+	g := norm.Build(u.Info.Func("fuzzed"), u.Info.Env)
+	drop := func(o alias.Oracle) alias.Oracle {
+		if o.Name() != "adds+gpm" {
+			return o
+		}
+		return dropOracle{Oracle: o, p: "b", q: "d"}
+	}
+	misses, err := Observe(u, g, []alias.Oracle{drop(alias.NewGPM(g, u.Info.Env))}, func(in *interp.Interp) error {
+		_, err := in.Call("main", interp.IntVal(2))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "oracle adds+gpm misses real alias b==d before 10:5"
+	if len(misses) != 1 || misses[0] != want {
+		t.Fatalf("misses = %q, want [%q]", misses, want)
+	}
+	s := Subject{Unit: u, Entry: "fuzzed", Main: "main"}
+	if detail := checkSoundness(s, Config{Runs: []int64{2}, WrapOracle: drop}); detail != "soundness: "+want+" (main(2))" {
+		t.Fatalf("checkSoundness detail = %q, want the observed miss", detail)
 	}
 }
 

@@ -7,8 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/source/parser"
-	"repro/internal/source/types"
+	"repro/adds"
 )
 
 // extractSrc pulls the `const src = ` backtick literal out of an example's
@@ -32,7 +31,7 @@ func extractSrc(t *testing.T, path string) string {
 	return rest[:j]
 }
 
-// TestExamplesXformEquivalence aims oracle pair 2 (the transformation
+// TestExamplesXformEquivalence aims check 3 (the transformation
 // observational-equivalence check) at every function of every shipped
 // example: Unroll k=2,3 on the scalar machine and LICM plus software
 // pipelining on the VLIW machine must preserve the final heap on the
@@ -49,15 +48,7 @@ func TestExamplesXformEquivalence(t *testing.T) {
 	for _, path := range dirs {
 		name := filepath.Base(filepath.Dir(path))
 		t.Run(name, func(t *testing.T) {
-			src := extractSrc(t, path)
-			prog, err := parser.Parse([]byte(src))
-			if err != nil {
-				t.Fatalf("example source does not parse: %v", err)
-			}
-			info, errs := types.Check(prog)
-			if len(errs) > 0 {
-				t.Fatalf("example source does not check: %v", errs[0])
-			}
+			info := adds.MustLoad(extractSrc(t, path)).Info
 			fns := make([]string, 0, len(info.Funcs))
 			for fn := range info.Funcs {
 				fns = append(fns, fn)

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/alias"
 	"repro/internal/depgraph"
-	"repro/internal/gen"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/machine"
@@ -18,7 +17,7 @@ import (
 	"repro/internal/xform"
 )
 
-// XformCheck is oracle pair 2: observational equivalence of the original
+// XformCheck is check 3: observational equivalence of the original
 // function against every GPM-enabled transformation of each of its loops —
 // Unroll (k=2, 3) on the scalar machine, LICM and software pipelining on
 // the VLIW machine (hoisted loads are speculative, the paper's Section 3.2
@@ -32,7 +31,7 @@ import (
 // skipped, not failed — the check only compares what both sides can run.
 //
 // It is exported (rather than private to checkXform) so the examples
-// equivalence test can aim the same oracle pair at every shipped example.
+// equivalence test can aim the same check at every shipped example.
 func XformCheck(info *types.Info, fn string, seed int64, sizes []int) []string {
 	fi := info.Func(fn)
 	if fi == nil {
@@ -185,13 +184,9 @@ func heapSig(h *interp.Heap) string {
 	return b.String()
 }
 
-// checkXform adapts XformCheck to the generated-program check interface.
-func checkXform(p *gen.Program, cfg Config) string {
-	_, info, msg := load(p)
-	if msg != "" {
-		return msg
-	}
-	if details := XformCheck(info, p.Entry(), p.Seed, nil); len(details) > 0 {
+// checkXform adapts XformCheck to the check interface.
+func checkXform(s Subject, cfg Config) string {
+	if details := XformCheck(s.Unit.Info, s.Entry, s.Seed, nil); len(details) > 0 {
 		return details[0]
 	}
 	return ""

@@ -3,13 +3,12 @@ package soundness
 import (
 	"testing"
 
+	"repro/adds"
 	"repro/internal/alias"
 	"repro/internal/core/pathmatrix"
+	"repro/internal/difftest"
 	"repro/internal/interp"
 	"repro/internal/norm"
-	"repro/internal/source/parser"
-	"repro/internal/source/token"
-	"repro/internal/source/types"
 	"repro/internal/structures"
 )
 
@@ -25,34 +24,17 @@ func checkAllObserved(t *testing.T, src string) {
 
 func checkAllObservedOn(t *testing.T, src string, build func(h *interp.Heap) *interp.Node) {
 	t.Helper()
-	prog, err := parser.Parse([]byte(src))
+	u := adds.MustLoad(src)
+	g := norm.Build(u.Info.Func("fuzzed"), u.Info.Env)
+	misses, err := difftest.Observe(u, g, []alias.Oracle{alias.NewGPM(g, u.Info.Env)}, func(in *interp.Interp) error {
+		_, err := in.Call("fuzzed", interp.PtrVal(build(in.Heap)))
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, errs := types.Check(prog)
-	if len(errs) > 0 {
-		t.Fatal(errs[0])
-	}
-	fi := info.Func("fuzzed")
-	g := norm.Build(fi, info.Env)
-	o := alias.NewGPM(g, info.Env)
-	in := interp.New(prog)
-	tr := &tracer{ptrVars: fi.PointerVars(), observed: map[token.Pos]map[[2]string]bool{}}
-	in.Tracer = tr
-	hd := build(in.Heap)
-	if _, err := in.Call("fuzzed", interp.PtrVal(hd)); err != nil {
-		t.Fatal(err)
-	}
-	for pos, pairs := range tr.observed {
-		n := nodeAtPos(g, pos)
-		if n == nil {
-			continue
-		}
-		for pair := range pairs {
-			if !o.MayAlias(n, pair[0], pair[1]) {
-				t.Errorf("GPM misses real alias %s==%s before %s", pair[0], pair[1], pos)
-			}
-		}
+	for _, m := range misses {
+		t.Error(m)
 	}
 }
 
@@ -202,16 +184,8 @@ void fuzzed(TwoWayLL *p) {
     }
 }
 `
-	prog, err := parser.Parse([]byte(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, errs := types.Check(prog)
-	if len(errs) > 0 {
-		t.Fatal(errs[0])
-	}
-	fi := info.Func("fuzzed")
-	g := norm.Build(fi, info.Env)
+	info := adds.MustLoad(src).Info
+	g := norm.Build(info.Func("fuzzed"), info.Env)
 	res := pathmatrix.Analyze(g, info.Env)
 	for _, n := range g.Nodes {
 		if n.Kind != norm.NodeStmt {

@@ -12,15 +12,13 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/adds"
 	"repro/internal/alias"
 	"repro/internal/alias/klimit"
+	"repro/internal/difftest"
 	"repro/internal/interp"
 	"repro/internal/norm"
 	"repro/internal/shape"
-	"repro/internal/source/ast"
-	"repro/internal/source/parser"
-	"repro/internal/source/token"
-	"repro/internal/source/types"
 	"repro/internal/structures"
 )
 
@@ -224,88 +222,24 @@ void race(TwoWayLL *hd) {
 	},
 }
 
-// tracer records observed aliases keyed by statement position.
-type tracer struct {
-	ptrVars []string
-	// observed[pos] = set of aliased pairs seen before a statement at pos.
-	observed map[token.Pos]map[[2]string]bool
-}
-
-func (tr *tracer) AtStmt(s ast.Stmt, vars map[string]interp.Value) {
-	pos := s.Pos()
-	for i, p := range tr.ptrVars {
-		vp, ok := vars[p]
-		if !ok || !vp.IsPtr || vp.Ptr == nil {
-			continue
-		}
-		for _, q := range tr.ptrVars[i+1:] {
-			vq, ok := vars[q]
-			if !ok || !vq.IsPtr || vq.Ptr == nil {
-				continue
-			}
-			if vp.Ptr == vq.Ptr {
-				if tr.observed[pos] == nil {
-					tr.observed[pos] = map[[2]string]bool{}
-				}
-				tr.observed[pos][[2]string{p, q}] = true
-			}
-		}
-	}
-}
-
-// nodesAtPos returns the earliest norm CFG node lowered from a statement at
-// the position (the point "before the statement").
-func nodeAtPos(g *norm.Graph, pos token.Pos) *norm.Node {
-	for _, n := range g.Nodes {
-		if n.Kind == norm.NodeStmt && n.Stmt.Pos == pos {
-			return n
-		}
-	}
-	return nil
-}
-
 func TestOraclesSoundAgainstExecution(t *testing.T) {
 	for _, fx := range fixtures {
 		fx := fx
 		t.Run(fx.name, func(t *testing.T) {
-			prog := parser.MustParse(fx.src)
-			info := types.MustCheck(prog)
-			fi := info.Func(fx.fn)
-			g := norm.Build(fi, info.Env)
-
-			oracles := []alias.Oracle{
-				alias.NewGPM(g, info.Env),
-				alias.NewClassic(g, info.Env),
-				alias.NewConservative(g),
-				kLimited(t, g, info.Env),
-			}
-
+			u := adds.MustLoad(fx.src)
+			g := norm.Build(u.Info.Func(fx.fn), u.Info.Env)
+			oracles := fourOracles(t, g, u.Info.Env)
 			for seed := int64(1); seed <= 5; seed++ {
-				in := interp.New(prog)
-				tr := &tracer{
-					ptrVars:  fi.PointerVars(),
-					observed: map[token.Pos]map[[2]string]bool{},
-				}
-				in.Tracer = tr
 				rng := rand.New(rand.NewSource(seed))
-				args := fx.build(in.Heap, rng)
-				if _, err := in.Call(fx.fn, args...); err != nil {
+				misses, err := difftest.Observe(u, g, oracles, func(in *interp.Interp) error {
+					_, err := in.Call(fx.fn, fx.build(in.Heap, rng)...)
+					return err
+				})
+				if err != nil {
 					t.Fatalf("seed %d: execution failed: %v", seed, err)
 				}
-
-				for pos, pairs := range tr.observed {
-					n := nodeAtPos(g, pos)
-					if n == nil {
-						continue // statement with no pointer-relevant lowering
-					}
-					for pair := range pairs {
-						for _, o := range oracles {
-							if !o.MayAlias(n, pair[0], pair[1]) {
-								t.Errorf("seed %d: oracle %s misses real alias %s==%s before %s",
-									seed, o.Name(), pair[0], pair[1], pos)
-							}
-						}
-					}
+				for _, m := range misses {
+					t.Errorf("seed %d: %s", seed, m)
 				}
 			}
 		})
@@ -317,14 +251,10 @@ func TestOraclesSoundAgainstExecution(t *testing.T) {
 // at most as precise as conservative.
 func TestPrecisionOrdering(t *testing.T) {
 	fx := fixtures[0]
-	prog := parser.MustParse(fx.src)
-	info := types.MustCheck(prog)
+	info := adds.MustLoad(fx.src).Info
 	fi := info.Func(fx.fn)
 	g := norm.Build(fi, info.Env)
-
-	gpm := alias.NewGPM(g, info.Env)
-	classic := alias.NewClassic(g, info.Env)
-	cons := alias.NewConservative(g)
+	oracles := fourOracles(t, g, info.Env)
 
 	falseCount := func(o alias.Oracle) int {
 		c := 0
@@ -343,7 +273,7 @@ func TestPrecisionOrdering(t *testing.T) {
 		}
 		return c
 	}
-	ng, nc, nv := falseCount(gpm), falseCount(classic), falseCount(cons)
+	ng, nc, nv := falseCount(oracles[0]), falseCount(oracles[1]), falseCount(oracles[2])
 	if !(ng > nc) {
 		t.Errorf("GPM (%d no-alias answers) should beat classic (%d)", ng, nc)
 	}
@@ -352,12 +282,13 @@ func TestPrecisionOrdering(t *testing.T) {
 	}
 }
 
-// kLimited builds the k=2 storage-graph oracle for g.
-func kLimited(t testing.TB, g *norm.Graph, env *shape.Env) alias.Oracle {
+// fourOracles builds the oracles the soundness harnesses check, in the
+// order GPM, classic, conservative and the k=2 storage graph.
+func fourOracles(t testing.TB, g *norm.Graph, env *shape.Env) []alias.Oracle {
 	t.Helper()
-	o, err := klimit.Analyze(context.Background(), g, env, 2)
+	k, err := klimit.Analyze(context.Background(), g, env, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return o
+	return []alias.Oracle{alias.NewGPM(g, env), alias.NewClassic(g, env), alias.NewConservative(g), k}
 }
